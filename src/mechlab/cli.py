@@ -46,6 +46,7 @@ from .dist import (
 from .mech import (
     AuditReport,
     MechanismError,
+    _report,
     check_feasible_identical,
     check_ic,
     check_ir,
@@ -274,6 +275,16 @@ def _g_avg(cfg: dict) -> MarginalCdf:
         raise ConfigError(f"field 'g_avg': {exc}") from exc
 
 
+def _solve_model(cfg: dict):
+    """Domain, enumerated types and prior of a solve-shaped config."""
+    grid = build_grid(cfg)
+    domain = _domain(cfg)
+    strict_only = _take(cfg, "strict_only", bool, required=False, default=False)
+    enumerate_types = enumerate_identical if domain == IDENTICAL else enumerate_hetero
+    types = enumerate_types(grid, strict_only=strict_only)
+    return domain, types, build_distribution(cfg, grid, domain, strict_only, types)
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -317,17 +328,10 @@ class RunOutput:
 # run kinds
 
 def _run_solve(cfg: dict, out: RunOutput, tol: float) -> None:
-    grid = build_grid(cfg)
-    domain = _domain(cfg)
-    strict_only = _take(cfg, "strict_only", bool, required=False, default=False)
     mode = _take(cfg, "mode", str, required=False, default="auto")
     if mode not in ("auto", "full", "lazy"):
         raise ConfigError(f"field 'mode' must be 'auto', 'full', or 'lazy', got {mode!r}")
-    if domain == IDENTICAL:
-        types = enumerate_identical(grid, strict_only=strict_only)
-    else:
-        types = enumerate_hetero(grid, strict_only=strict_only)
-    dist = build_distribution(cfg, grid, domain, strict_only, types)
+    domain, types, dist = _solve_model(cfg)
     try:
         res = optimal_mechanism(types, dist, domain, mode=mode)
     except LpError:
@@ -451,12 +455,8 @@ def _run_robust(cfg: dict, out: RunOutput, tol: float) -> None:
         violations.append((("worst_case_vs_formula", wc_min, revenue), abs(wc_min - revenue)))
     if abs(wc_max - wc_min) > tol:
         violations.append((("revenue_not_flat", wc_min, wc_max), abs(wc_max - wc_min)))
-    rep = AuditReport(
-        check="robust_uniform_price",
-        passed=not violations,
-        violations=tuple(violations),
-        max_slack=max((s for _, s in violations), default=0.0),
-        info={"price": price, "formula_revenue": revenue},
+    rep = _report(
+        "robust_uniform_price", violations, info={"price": price, "formula_revenue": revenue}
     )
     out.audit(rep)
     # payments are fl(k * price), so audits can see one rounding of noise
@@ -541,11 +541,9 @@ def _run_repair(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
         drift = max(drift, du)
         if du > 1e-10:
             failures.append(((label, "utility_drift"), du))
-    rep = AuditReport(
-        check="repair_fuzz",
-        passed=not failures,
-        violations=tuple(failures),
-        max_slack=max((s for _, s in failures), default=0.0),
+    rep = _report(
+        "repair_fuzz",
+        failures,
         info={"count": count, "almost_det_count": ad_count, "max_utility_drift": drift},
     )
     out.audit(rep)
@@ -563,25 +561,16 @@ def _run_repair(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
 
 
 def _run_deterministic(cfg: dict, out: RunOutput, tol: float) -> None:
-    grid = build_grid(cfg)
-    domain = _domain(cfg)
-    strict_only = _take(cfg, "strict_only", bool, required=False, default=False)
-    if domain == IDENTICAL:
-        types = enumerate_identical(grid, strict_only=strict_only)
-    else:
-        types = enumerate_hetero(grid, strict_only=strict_only)
-    dist = build_distribution(cfg, grid, domain, strict_only, types)
+    domain, types, dist = _solve_model(cfg)
     det = optimal_deterministic(types, dist, domain, collect_all=True)
     lp = optimal_mechanism(types, dist, domain)
     gap = lp.revenue - det.revenue
     violations = []
     if gap < -1e-7:
         violations.append((("deterministic_above_lp", det.revenue, lp.revenue), -gap))
-    rep = AuditReport(
-        check="deterministic_vs_lp",
-        passed=not violations,
-        violations=tuple(violations),
-        max_slack=max((s for _, s in violations), default=0.0),
+    rep = _report(
+        "deterministic_vs_lp",
+        violations,
         info={"revenue_deterministic": det.revenue, "revenue_lp": lp.revenue},
     )
     out.audit(rep)
@@ -663,14 +652,7 @@ def export_config(cfg: dict, out_dir: Path) -> Path:
     kind = _take(cfg, "kind", str)
     if kind != "solve":
         raise ConfigError(f"field 'kind': export-lp supports only 'solve', got {kind!r}")
-    grid = build_grid(cfg)
-    domain = _domain(cfg)
-    strict_only = _take(cfg, "strict_only", bool, required=False, default=False)
-    if domain == IDENTICAL:
-        types = enumerate_identical(grid, strict_only=strict_only)
-    else:
-        types = enumerate_hetero(grid, strict_only=strict_only)
-    dist = build_distribution(cfg, grid, domain, strict_only, types)
+    domain, types, dist = _solve_model(cfg)
     lp = build_revenue_lp(types, dist, domain)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "model.lp"

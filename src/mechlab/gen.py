@@ -110,7 +110,3 @@ def random_exchangeable_strict(rng: np.random.Generator, grid: Grid) -> Distribu
     raised to an i.i.d. product, conditioned on no ties."""
     marg = random_marginal(rng, grid.levels)
     return restrict_to_strict(iid_distribution(marg, grid.n))
-
-
-def random_weights(rng: np.random.Generator, count: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(count))

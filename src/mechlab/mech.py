@@ -184,6 +184,15 @@ def _report(check: str, violations: list, info: dict | None = None) -> AuditRepo
     )
 
 
+def ic_gains(mech: Mechanism) -> np.ndarray:
+    """gain[k, l] = v_k.q(v_l) - t(v_l) - u(v_k): what type k gains by
+    reporting l.  The diagonal is -inf, so it never reads as a gain."""
+    dev = pairwise_value(mech.V, mech.q) - mech.t[None, :]
+    gain = dev - mech.utilities()[:, None]
+    np.fill_diagonal(gain, -np.inf)
+    return gain
+
+
 def check_ic(mech: Mechanism, tol: float = DEFAULT_TOL) -> AuditReport:
     """Truthful-reporting audit over every ordered pair of types.
 
@@ -191,11 +200,7 @@ def check_ic(mech: Mechanism, tol: float = DEFAULT_TOL) -> AuditReport:
     truth-telling by more than `tol`:
     v.q(v') - t(v') > u(v) + tol.
     """
-    V = mech.V
-    u = mech.utilities()
-    dev = pairwise_value(V, mech.q) - mech.t[None, :]
-    gain = dev - u[:, None]
-    np.fill_diagonal(gain, -np.inf)
+    gain = ic_gains(mech)
     bad = np.argwhere(gain > tol)
     violations = [
         ((mech.types[i], mech.types[j]), float(gain[i, j])) for i, j in bad

@@ -40,6 +40,7 @@ from .mech import (
     check_ic,
     check_ir,
     expected_revenue,
+    ic_gains,
     menu_choice_indices,
     menu_to_mechanism,
     pairwise_value,
@@ -129,17 +130,21 @@ class LpSolution:
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve and certify.  status == "optimal" implies the returned point
     is primal feasible within 1e-9 and its weak-duality gap is <= 1e-7;
-    anything less raises instead of returning a lying status."""
+    anything less, including a solver breakdown, raises LpError instead
+    of returning a lying status."""
     A, b, senses = lp.dense()
-    res = simplex.solve_simplex(
-        c=np.asarray(lp.objective),
-        A=A,
-        b=b,
-        senses=senses,
-        lower=np.asarray(lp.lower),
-        upper=np.asarray(lp.upper),
-        maximize=True,
-    )
+    try:
+        res = simplex.solve_simplex(
+            c=np.asarray(lp.objective),
+            A=A,
+            b=b,
+            senses=senses,
+            lower=np.asarray(lp.lower),
+            upper=np.asarray(lp.upper),
+            maximize=True,
+        )
+    except simplex.SimplexError as exc:
+        raise LpError(f"simplex failed: {exc}") from exc
     if res.status == simplex.INFEASIBLE:
         return LpSolution(
             values=None,
@@ -173,6 +178,17 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         max_infeasibility=float(res.max_infeasibility),
         iterations=res.iterations,
     )
+
+
+def _solve_optimal(lp: LinearProgram, what: str) -> LpSolution:
+    """`solve_lp` that raises on an infeasible or unbounded status, so
+    the caller holds a certified optimum."""
+    sol = solve_lp(lp)
+    if sol.status == "infeasible":
+        raise InfeasibleError(f"{what} infeasible")
+    if sol.status == "unbounded":
+        raise UnboundedError(f"{what} unbounded")
+    return sol
 
 
 def export_lp_text(lp: LinearProgram, comment: str = "") -> str:
@@ -229,10 +245,6 @@ class OptimalResult:
     mode: str
 
 
-def _surplus_bound(types) -> float:
-    return max(sum(v) for v in types)
-
-
 def _base_lp(types, weights, domain_tag):
     """Variables and always-on rows (participation, allocation order)."""
     T = len(types)
@@ -241,7 +253,7 @@ def _base_lp(types, weights, domain_tag):
     for k in range(T):
         for i in range(n):
             lp.add_var(f"q_{k}_{i}", 0.0, 1.0)
-    S = _surplus_bound(types)
+    S = max(sum(v) for v in types)
     for k in range(T):
         lp.add_var(f"t_{k}", -S - 1.0, S + 1.0, obj=float(weights[k]))
     tvar = lambda k: T * n + k
@@ -259,18 +271,30 @@ def _base_lp(types, weights, domain_tag):
     return lp, qvar, tvar
 
 
-def _ic_row(types, qvar, tvar, k, l):
-    """Truthfulness of type k against reporting l:
-    v_k.q(l) - t(l) - v_k.q(k) + t(k) <= 0."""
-    v = types[k]
-    n = len(v)
+def _ic_row(qvar, tvar, k, l, own, dev):
+    """Truthfulness of block k against taking block l's outcome:
+    dev.q(l) - t(l) - own.q(k) + t(k) <= 0.
+
+    own values block k's allocation; dev values block l's allocation as
+    the deviator sees it (own itself, except in the orbit LP).  k == l
+    only happens in the orbit LP, where the payments cancel."""
     coeffs = {}
-    for i in range(n):
-        coeffs[qvar(l, i)] = float(v[i])
-        coeffs[qvar(k, i)] = coeffs.get(qvar(k, i), 0.0) - float(v[i])
+    for i in range(len(own)):
+        coeffs[qvar(l, i)] = float(dev[i])
+        coeffs[qvar(k, i)] = coeffs.get(qvar(k, i), 0.0) - float(own[i])
     coeffs[tvar(l)] = -1.0
-    coeffs[tvar(k)] = 1.0
+    coeffs[tvar(k)] = 1.0 if k != l else 0.0
     return coeffs
+
+
+def _revenue_lp(types, weights, domain_tag, pairs) -> LinearProgram:
+    """`_base_lp` plus one truthfulness row per (k, l, dev) in `pairs`,
+    in order.  `pairs` may be a generator, so the full formulation never
+    holds its pair list in memory."""
+    lp, qvar, tvar = _base_lp(types, weights, domain_tag)
+    for k, l, dev in pairs:
+        lp.add_row(_ic_row(qvar, tvar, k, l, types[k], dev), "<=", 0.0, f"ic_{k}_{l}")
+    return lp
 
 
 def _extract_mechanism(types, n, values, domain_tag) -> Mechanism:
@@ -281,28 +305,12 @@ def _extract_mechanism(types, n, values, domain_tag) -> Mechanism:
     return Mechanism(types=tuple(types), q=q, t=t.copy(), domain_tag=domain_tag)
 
 
-def _ic_gains(mech: Mechanism) -> np.ndarray:
-    """gain[k, l] = payoff of type k reporting l minus truthful payoff."""
-    V = mech.V
-    u = (V * mech.q).sum(axis=1) - mech.t
-    dev = pairwise_value(V, mech.q) - mech.t[None, :]
-    gain = dev - u[:, None]
-    np.fill_diagonal(gain, -np.inf)
-    return gain
-
-
 def build_revenue_lp(types, dist: Distribution, domain_tag: str) -> LinearProgram:
-    """Full formulation with every ordered truthfulness pair; used for
-    text export and for small instances."""
+    """Full formulation with every ordered truthfulness pair, for text
+    export."""
     types = [tuple(v) for v in types]
-    weights = embed(dist, types)
-    lp, qvar, tvar = _base_lp(types, weights, domain_tag)
-    T = len(types)
-    for k in range(T):
-        for l in range(T):
-            if k != l:
-                lp.add_row(_ic_row(types, qvar, tvar, k, l), "<=", 0.0, f"ic_{k}_{l}")
-    return lp
+    pairs = ((k, l, types[k]) for k, l in itertools.permutations(range(len(types)), 2))
+    return _revenue_lp(types, embed(dist, types), domain_tag, pairs)
 
 
 def optimal_mechanism(
@@ -313,8 +321,10 @@ def optimal_mechanism(
 ) -> OptimalResult:
     """Revenue-maximal truthful mechanism on the given type list.
 
-    mode: "full" enumerates all pairwise truthfulness rows, "lazy" uses
-    constraint generation, "auto" picks by instance size.  The returned
+    Both modes run the same constraint-generation loop and differ only in
+    its starting working set: "full" starts from every ordered
+    truthfulness pair, a complete set that is solved once, "lazy" from
+    nearest-neighbor pairs; "auto" picks by instance size.  The returned
     mechanism always passes the full truthfulness and participation
     audits at 1e-8 regardless of mode; failure to certify raises.
     """
@@ -322,30 +332,22 @@ def optimal_mechanism(
     T = len(types)
     n = len(types[0])
     weights = embed(dist, types)
-    full_rows = T * (T - 1)
     if mode == "auto":
-        mode = "full" if full_rows + T * n <= FULL_ROW_CAP else "lazy"
-    if mode not in ("full", "lazy"):
-        raise LpError(f"unknown mode {mode!r}")
-
+        mode = "full" if T * (T - 1) + T * n <= FULL_ROW_CAP else "lazy"
     if mode == "full":
-        lp = build_revenue_lp(types, dist, domain_tag)
-        sol = solve_lp(lp)
-        if sol.status == "infeasible":
-            raise InfeasibleError("revenue LP infeasible")
-        if sol.status == "unbounded":
-            raise UnboundedError("revenue LP unbounded")
-        mech = _extract_mechanism(types, n, sol.values, domain_tag)
-        rounds = 1
-        n_ic = full_rows
+        seed = itertools.permutations(range(T), 2)
+    elif mode == "lazy":
+        # Binding truthfulness rows overwhelmingly involve nearby reports,
+        # so seed the working set with each type's nearest neighbors
+        # instead of discovering that chain one round at a time.
+        seed = _neighbor_pairs(types)
     else:
-        mech, sol, n_ic, rounds = _solve_lazy(types, weights, domain_tag)
-
+        raise LpError(f"unknown mode {mode!r}")
+    mech, sol, n_ic, rounds = _solve_lazy(types, weights, domain_tag, seed)
     _certify_mechanism(mech, domain_tag)
-    revenue = float(sol.objective_value)
     return OptimalResult(
         mechanism=mech,
-        revenue=revenue,
+        revenue=float(sol.objective_value),
         solution=sol,
         n_ic_rows=n_ic,
         rounds=rounds,
@@ -384,36 +386,33 @@ def _neighbor_pairs(types, per_type: int = 4) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _solve_lazy(types, weights, domain_tag):
-    """Constraint generation on truthfulness rows.
+def _solve_lazy(types, weights, domain_tag, seed):
+    """Constraint generation on truthfulness rows, starting from the
+    (k, l) pairs in `seed`.
 
     Working-set policy: add the most violated pairs each round (up to
     2T), drop rows that have been slack for two consecutive solves and
     were not added in the previous round.  Terminates when the full gain
-    matrix shows no violation beyond GEN_TOL.
+    matrix shows no violation beyond GEN_TOL, or at once when the working
+    set is complete (all T(T-1) pairs): then the solve is the full LP and
+    there is nothing left to add.
     """
     T = len(types)
     n = len(types[0])
     add_per_round = max(64, 2 * T)
-    # Binding truthfulness rows overwhelmingly involve nearby reports, so
-    # seed the working set with each type's nearest neighbors instead of
-    # discovering that chain one round at a time.
-    working: dict[tuple[int, int], int] = {p: 0 for p in _neighbor_pairs(types)}
+    working: dict[tuple[int, int], int] = dict.fromkeys(seed, 0)
     recent: set[tuple[int, int]] = set()
-    for rounds in itertools.count(1):
-        if rounds > MAX_ROUNDS:
-            raise LpError(f"constraint generation exceeded {MAX_ROUNDS} rounds")
-        lp, qvar, tvar = _base_lp(types, weights, domain_tag)
+    for rounds in range(1, MAX_ROUNDS + 1):
         pairs = sorted(working)
-        for k, l in pairs:
-            lp.add_row(_ic_row(types, qvar, tvar, k, l), "<=", 0.0, f"ic_{k}_{l}")
-        sol = solve_lp(lp)
-        if sol.status == "infeasible":
-            raise InfeasibleError("revenue LP infeasible")
-        if sol.status == "unbounded":
-            raise UnboundedError("revenue LP unbounded")
+        lp = _revenue_lp(types, weights, domain_tag, ((k, l, types[k]) for k, l in pairs))
+        sol = _solve_optimal(lp, "revenue LP")
         mech = _extract_mechanism(types, n, sol.values, domain_tag)
-        gain = _ic_gains(mech)
+        if len(pairs) == T * (T - 1):
+            return mech, sol, len(pairs), rounds
+        gain = ic_gains(mech)
+        viol_mask = gain > GEN_TOL
+        if not viol_mask.any():
+            return mech, sol, len(pairs), rounds
         # violation bookkeeping for pruning
         stale = []
         for pair in pairs:
@@ -423,9 +422,6 @@ def _solve_lazy(types, weights, domain_tag):
                     stale.append(pair)
             else:
                 working[pair] = 0
-        viol_mask = gain > GEN_TOL
-        if not viol_mask.any():
-            return mech, sol, len(pairs), rounds
         flat = np.argwhere(viol_mask)
         order = np.argsort(-gain[viol_mask], kind="stable")
         new_pairs = []
@@ -446,8 +442,7 @@ def _solve_lazy(types, weights, domain_tag):
         recent = set(new_pairs)
         if len(working) > MAX_WORKING_ROWS:
             raise LpError(f"working set exceeded {MAX_WORKING_ROWS} rows")
-        last = (mech, sol)
-    raise LpError("unreachable")
+    raise LpError(f"constraint generation exceeded {MAX_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -466,65 +461,29 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
         if not is_strict(v):
             raise LpError("symmetric optimization needs strict profiles")
     n = len(types[0])
-    weights = embed(dist, types)
     reps = sorted({sort_descending(v) for v in types})
     rep_index = {w: k for k, w in enumerate(reps)}
     R = len(reps)
+    block = [rep_index[sort_descending(v)] for v in types]
+    orbit_weights = [0.0] * R
+    for k, w in zip(block, embed(dist, types)):
+        orbit_weights[k] += float(w)
 
-    lp = LinearProgram()
-    for k in range(R):
-        for i in range(n):
-            lp.add_var(f"q_{k}_{i}", 0.0, 1.0)
-    S = _surplus_bound(types)
-    obj_t = [0.0] * R
-    for v, w in zip(types, weights):
-        obj_t[rep_index[sort_descending(v)]] += float(w)
-    for k in range(R):
-        lp.add_var(f"t_{k}", -S - 1.0, S + 1.0, obj=obj_t[k])
-    qvar = lambda k, i: k * n + i
-    tvar = lambda k: R * n + k
-
-    # participation once per representative (all orbit members induce the
-    # same row after relabeling)
-    for k, w in enumerate(reps):
-        coeffs = {qvar(k, i): -float(w[i]) for i in range(n)}
-        coeffs[tvar(k)] = 1.0
-        lp.add_row(coeffs, "<=", 0.0, f"ir_{k}")
-
-    # truthfulness rows, deduplicated on exact coefficient patterns
-    seen = set()
-    n_ic = 0
-    for v in types:
-        k = rep_index[sort_descending(v)]
-        w = reps[k]
-        for vp in types:
-            if vp == v:
-                continue
-            kp = rep_index[sort_descending(vp)]
-            sig_p = cell_of(vp)
-            # coefficient of q_{kp,i} on the deviation side is the value
-            # the deviator puts on the object holding sorted slot i
-            dev_coeffs = tuple(float(v[sig_p[i]]) for i in range(n))
-            key = (k, kp, dev_coeffs)
-            if key in seen:
-                continue
-            seen.add(key)
-            coeffs = {}
-            for i in range(n):
-                coeffs[qvar(kp, i)] = dev_coeffs[i]
-                coeffs[qvar(k, i)] = coeffs.get(qvar(k, i), 0.0) - float(w[i])
-            coeffs[tvar(kp)] = -1.0
-            coeffs[tvar(k)] = coeffs.get(tvar(k), 0.0) + 1.0
-            lp.add_row(coeffs, "<=", 0.0, f"ic_{n_ic}")
-            n_ic += 1
-
+    # Truthfulness of v against reporting v' folds onto the blocks of
+    # their representatives: v values sorted slot i of the reported
+    # outcome at v[cell(v')[i]].  Rows are deduplicated on exact
+    # coefficients (a dict keeps first-seen order); their labels repeat
+    # across relabelings, which is harmless as this LP is never exported.
+    cells = [cell_of(v) for v in types]
+    rows = {}
+    for a, v in enumerate(types):
+        for b, vp in enumerate(types):
+            if vp != v:
+                rows.setdefault((block[a], block[b], tuple(v[s] for s in cells[b])), None)
+    lp = _revenue_lp(reps, orbit_weights, HETEROGENEOUS, rows)
     if len(lp.rows) > MAX_WORKING_ROWS:
         raise LpError("symmetric LP too large")
-    sol = solve_lp(lp)
-    if sol.status == "infeasible":
-        raise InfeasibleError("symmetric revenue LP infeasible")
-    if sol.status == "unbounded":
-        raise UnboundedError("symmetric revenue LP unbounded")
+    sol = _solve_optimal(lp, "symmetric revenue LP")
     q = sol.values[: R * n].reshape(R, n)
     t = sol.values[R * n : R * n + R]
     on_sorted = Mechanism(types=tuple(reps), q=q.copy(), t=t.copy(), domain_tag=IDENTICAL)
@@ -544,7 +503,7 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
         mechanism=mech,
         revenue=float(sol.objective_value),
         solution=sol,
-        n_ic_rows=n_ic,
+        n_ic_rows=len(rows),
         rounds=1,
         mode="orbit",
     )
@@ -669,11 +628,7 @@ def worst_case_revenue(mech: Mechanism, g_avg: MarginalCdf, sense: str = "min"):
             if cnt:
                 coeffs[k] = cnt / n
         lp.add_row(coeffs, "=", pmf[lv], f"avg_{lv_i}")
-    sol = solve_lp(lp)
-    if sol.status == "infeasible":
-        raise InfeasibleError("no distribution on these types has that average marginal")
-    if sol.status == "unbounded":
-        raise UnboundedError("adversarial LP unbounded")
+    sol = _solve_optimal(lp, "adversarial LP")
     value = -sol.objective_value if sense == "min" else sol.objective_value
     w = np.maximum(sol.values, 0.0)
     w = w / w.sum()

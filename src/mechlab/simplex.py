@@ -5,10 +5,12 @@ Solves   max/min  c.x   s.t.  A x {<=,>=,=} b,   lower <= x <= upper.
 Design constraints, in order:
 
 1. Determinism.  Same inputs give bitwise-identical output on a machine:
-   pricing is Dantzig's rule with first-index tie-breaking, degenerate
-   stalls switch to Bland's smallest-index rule (which cannot cycle)
-   until progress resumes, all floating-point reductions run in fixed
-   order, and periodic refreshes happen on a fixed iteration schedule.
+   pricing is steepest-edge over a shortlist of the PRICE_WINDOW most
+   attractive reduced costs with first-index tie-breaking; a streak of
+   BLAND_AFTER degenerate pivots switches to Bland's smallest-index rule
+   (which cannot cycle) until progress resumes; all floating-point
+   reductions run in fixed order, and periodic refreshes happen on a
+   fixed iteration schedule.
 2. Honest certificates.  Every optimal solve reports row duals, reduced
    costs, a weak-duality gap, and the worst primal residual, so callers
    can assert optimality instead of trusting a status flag.

@@ -31,7 +31,7 @@ from .mech import (
     _report,
     check_ic,
     check_ir,
-    pairwise_value,
+    ic_gains,
 )
 from .typespace import (
     HETEROGENEOUS,
@@ -104,10 +104,7 @@ def check_ic_on_cells(mech: Mechanism, tol: float = DEFAULT_TOL) -> AuditReport:
     coincides with the full audit there.
     """
     _require_strict(mech, "check_ic_on_cells")
-    V = mech.V
-    u = (V * mech.q).sum(axis=1) - mech.t
-    dev = pairwise_value(V, mech.q) - mech.t[None, :]
-    gain = dev - u[:, None]
+    gain = ic_gains(mech)
     cells = [cell_of(v) for v in mech.types]
     violations = []
     n_pairs = 0
@@ -173,24 +170,6 @@ def restrict_to_cell(mech: Mechanism, sigma) -> Mechanism:
             q[k, i] = mech.q[kv, sigma[i]]
         t[k] = mech.t[kv]
     return Mechanism(types=tuple(reps), q=q, t=t, domain_tag=IDENTICAL)
-
-
-def _hat_mechanism(mech: Mechanism, sigma) -> Mechanism:
-    """Relabeled copy of the mechanism along sigma:
-    q_hat_i(v) = q_{sigma^{-1}(i)}(v relabeled by sigma), t_hat(v) =
-    t(v relabeled by sigma).  Internal building block for `symmetrize`;
-    each copy inherits truthfulness and participation from the input.
-    """
-    sigma = tuple(sigma)
-    inv = inverse_permutation(sigma)
-    q = np.zeros_like(mech.q)
-    t = np.zeros_like(mech.t)
-    for k, v in enumerate(mech.types):
-        ks = mech.index_of(apply_permutation(v, sigma))
-        for i in range(mech.n):
-            q[k, i] = mech.q[ks, inv[i]]
-        t[k] = mech.t[ks]
-    return Mechanism(types=mech.types, q=q, t=t, domain_tag=mech.domain_tag)
 
 
 def symmetrize(mech: Mechanism) -> Mechanism:

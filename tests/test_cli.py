@@ -1,13 +1,18 @@
 """Driver behavior: exit codes, artifacts, canonical output, rerun identity."""
 
+import functools
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mechlab import cli
+from mechlab import cli, simplex
 from mechlab.optlp import LpError
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -227,6 +232,18 @@ def test_solver_failure_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch):
     assert (out / "model.lp").is_file()
 
 
+def test_simplex_breakdown_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch):
+    # an iteration limit inside the simplex is a solver failure, not a crash
+    monkeypatch.setattr(
+        simplex, "solve_simplex", functools.partial(simplex.solve_simplex, max_iters=5)
+    )
+    out = tmp_path / "out"
+    config = REPO_ROOT / "configs" / "solve_identical_n2.json"
+    assert cli.main(["run", str(config), "--out", str(out)]) == 3
+    assert "solver error" in capsys.readouterr().err
+    assert (out / "model.lp").is_file()
+
+
 def test_tight_tolerance_fails_asserted_audit(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -253,6 +270,22 @@ def test_export_lp_writes_model(tmp_path):
     assert cli.main(["export-lp", str(cfg), "--out", str(out)]) == 0
     text = (out / "model.lp").read_text()
     assert "Maximize" in text and "Subject To" in text and "Bounds" in text
+
+
+# sha256 of `mechlab export-lp` output for the shipped solve configs; the
+# LP text is a stable interface, so any builder rewrite must keep it
+EXPORT_SHA256 = {
+    "acceptance.json": "36f730f00b30acd09241f878cb324bf3918ec243f921dfc10d565f1483d22459",
+    "solve_identical_n2.json": "c1f181b569e196223759118b217c3c8eaee3e428ac6ddfd4967d444206565ab1",
+    "solve_single_unit.json": "e216066c435090b9069dd794f90679dd1a1aaec4670c5fece6ce0355feb028fe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+def test_export_lp_text_is_pinned(tmp_path, name):
+    out = tmp_path / "out"
+    assert cli.main(["export-lp", str(REPO_ROOT / "configs" / name), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "model.lp").read_bytes()).hexdigest() == EXPORT_SHA256[name]
 
 
 def test_export_lp_rejects_other_kinds(tmp_path, capsys):

@@ -119,6 +119,10 @@ class TestRevenueLp:
         lazy = optimal_mechanism(types, dist, IDENTICAL, mode="lazy")
         assert lazy.revenue == pytest.approx(full.revenue, abs=1e-8)
         assert lazy.mode == "lazy" and lazy.rounds >= 1
+        # full mode is the lazy loop on a complete working set: one solve
+        T = len(types)
+        assert full.rounds == 1
+        assert full.n_ic_rows == T * (T - 1)
 
     def test_returned_mechanism_is_audited(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3)

@@ -16,7 +16,6 @@ from mechlab.mech import (
     menu_to_mechanism,
 )
 from mechlab.symmetry import (
-    _hat_mechanism,
     certify_theorem1,
     check_ic_on_cells,
     extend_to_ties,
@@ -210,21 +209,6 @@ class TestSymmetrize:
         assert again.types == ext.types
         np.testing.assert_allclose(again.q, ext.q, atol=1e-12)
         np.testing.assert_allclose(again.t, ext.t, atol=1e-12)
-
-
-class TestHatMechanism:
-    def test_relabeled_copy_stays_truthful(self):
-        mech, _, _ = asymmetric_menu_mech()
-        for sigma in all_permutations(3):
-            hat = _hat_mechanism(mech, sigma)
-            assert check_ic(hat, tol=0.0).passed
-            assert check_ir(hat, tol=0.0).passed
-
-    def test_identity_relabel_is_identity(self):
-        mech, _, _ = asymmetric_menu_mech()
-        hat = _hat_mechanism(mech, identity_permutation(3))
-        assert np.array_equal(hat.q, mech.q)
-        assert np.array_equal(hat.t, mech.t)
 
 
 class TestTieExtension:
