@@ -6,7 +6,7 @@ typespace   grids, permutations, ordering cells
 mech        mechanisms, audits, menus, revenue, serialization
 symmetry    relabeling invariance, order preservation, extensions
 dist        distributions, marginals, shifts, density diagnostics
-simplex     dense bounded-variable simplex (deterministic, steepest-edge)
+simplex     bounded-variable tableau simplex (deterministic, steepest-edge, sparse pivots)
 optlp       revenue LPs, adversarial LPs, certified comparisons
 monotone    majorization tools, subgradient repairs, monotonicity runs
 gen         seeded random menus and mechanisms for fuzz suites

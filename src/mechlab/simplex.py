@@ -1,4 +1,4 @@
-"""Dense two-phase simplex with variable bounds and anti-cycling fallback.
+"""Two-phase tableau simplex with variable bounds and anti-cycling fallback.
 
 Solves   max/min  c.x   s.t.  A x {<=,>=,=} b,   lower <= x <= upper.
 
@@ -16,8 +16,17 @@ Design constraints, in order:
    can assert optimality instead of trusting a status flag.
 3. Termination over speed.  Finitely many bases, strictly fewer after
    every nondegenerate step, and Bland inside degenerate streaks give a
-   finite bound.  The tableau is dense; problem sizes are expected to
-   stay in the low thousands of rows.
+   finite bound.  The tableau is stored dense; problem sizes are
+   expected to stay in the low thousands of rows.
+
+The work per pivot follows the sparsity of the revenue LPs, not the
+size of the tableau.  The rank-one update touches only the nonzero rows
+of the entering column times the nonzero columns of the pivot row:
+every entry it skips would have received x - (+-0.0), which is x up to
+the sign of a zero.  Pricing finds its shortlist by a partition, not a
+sort of every column, and the shortlist is exactly the head of the full
+sort.  tests/test_simplex.py checks both against the full versions:
+same pivots, bitwise-equal results.
 
 Inequalities get slack columns; equality rows get a zero-fixed marker
 column (the phase-1 artificial, frozen at 0 afterwards) so row duals can
@@ -65,6 +74,17 @@ class SimplexResult:
     duality_gap: float | None
     max_infeasibility: float
     iterations: int
+
+
+def _shortlist(gain, k):
+    """Indices of the k largest gains, largest first and lowest index first
+    among equal gains: exactly np.lexsort((np.arange(gain.size), -gain))[:k],
+    found by one partition instead of a sort of every column."""
+    kth = -np.partition(-gain, k - 1)[k - 1]
+    above = np.flatnonzero(gain > kth)
+    ties = np.flatnonzero(gain == kth)[: k - above.size]
+    pool = np.concatenate([above, ties])
+    return pool[np.lexsort((pool, -gain[pool]))]
 
 
 class _Tableau:
@@ -117,9 +137,8 @@ class _Tableau:
         ineq_rows = [i for i, s in enumerate(senses) if s == "<="]
         if ineq_rows:
             S = np.zeros((m, len(ineq_rows)))
-            for k, i in enumerate(ineq_rows):
-                S[i, k] = 1.0
-                slack_of_row[i] = next_col + k
+            S[ineq_rows, np.arange(len(ineq_rows))] = 1.0
+            slack_of_row = dict(zip(ineq_rows, range(next_col, next_col + len(ineq_rows))))
             blocks.append(S)
             lo_blocks.append(np.zeros(len(ineq_rows)))
             up_blocks.append(np.full(len(ineq_rows), np.inf))
@@ -129,8 +148,7 @@ class _Tableau:
         if eq_rows:
             # sign entries are filled in start_basis once residuals are known
             Mk = np.zeros((m, len(eq_rows)))
-            for k, i in enumerate(eq_rows):
-                marker_of_row[i] = next_col + k
+            marker_of_row = dict(zip(eq_rows, range(next_col, next_col + len(eq_rows))))
             blocks.append(Mk)
             lo_blocks.append(np.zeros(len(eq_rows)))
             up_blocks.append(np.full(len(eq_rows), np.inf))
@@ -184,9 +202,7 @@ class _Tableau:
         m = self.m
         ncols = self.Aext.shape[1]
         self.status = np.full(ncols, _LO, dtype=np.int8)
-        for j in range(ncols):
-            if not np.isfinite(self.lower[j]):
-                self.status[j] = _UP
+        self.status[~np.isfinite(self.lower)] = _UP
         vals = self._nonbasic_values()
         nz = np.nonzero(vals)[0]
         r = self.b - (self.Aext[:, nz] @ vals[nz] if nz.size else np.zeros(m))
@@ -220,8 +236,7 @@ class _Tableau:
             self.upper = np.concatenate([self.upper, np.full(k, np.inf)])
             self.status = np.concatenate([self.status, np.full(k, _LO, dtype=np.int8)])
         self.n_total = self.Aext.shape[1]
-        for i in range(m):
-            self.status[self.basis[i]] = _BASIC
+        self.status[self.basis] = _BASIC
         # B0 is diagonal +-1, so the initial tableau is a row rescale of Aext.
         self.T = self.Aext * scale[:, None]
         self.rb = self.b * scale
@@ -229,6 +244,30 @@ class _Tableau:
         self.art_cols = art_cols
 
     # -- core iteration ----------------------------------------------------
+
+    def pivot(self, r, j, enter_val):
+        """Make column j basic in row r at value enter_val; the caller has
+        already set the leaving variable's status.
+
+        The rank-one update T -= outer(colj, T[r]) runs only over the
+        nonzero rows of colj and the nonzero columns of the normalized
+        row r.  Every entry it skips would get x - (+-0.0) == x, so the
+        result matches the dense update up to the sign of zero entries."""
+        piv = self.T[r, j]
+        if abs(piv) <= PIVOT_TOL:
+            raise SimplexError("near-zero pivot")
+        self.T[r, :] /= piv
+        self.rb[r] /= piv
+        colj = self.T[:, j].copy()
+        colj[r] = 0.0
+        rows = np.flatnonzero(colj)
+        cols = np.flatnonzero(self.T[r])
+        self.T[np.ix_(rows, cols)] -= np.outer(colj[rows], self.T[r, cols])
+        self.rb -= colj * self.rb[r]
+        self.d = self.d - self.d[j] * self.T[r, :]
+        self.basis[r] = j
+        self.status[j] = _BASIC
+        self.xB[r] = enter_val
 
     def run(self, cost, enterable, max_iters):
         """Minimize cost over the current basis.
@@ -244,13 +283,12 @@ class _Tableau:
         since_refresh = 0
         since_refactor = 0
         degen_streak = 0
+        movable = enterable & ((self.upper - self.lower) > 0.0)
         while True:
             if self.iterations >= max_iters:
                 raise SimplexError(f"iteration limit {max_iters} reached")
-            movable = (self.upper - self.lower) > 0.0
             elig = (
-                enterable
-                & movable
+                movable
                 & (self.status != _BASIC)
                 & (
                     ((self.status == _LO) & (self.d < -PIVOT_TOL))
@@ -265,9 +303,7 @@ class _Tableau:
             else:
                 gain = np.where(self.status == _UP, self.d, -self.d)
                 gain = np.where(elig, gain, -np.inf)
-                k = min(PRICE_WINDOW, int(elig.sum()))
-                order = np.lexsort((np.arange(gain.shape[0]), -gain))
-                cand = order[:k]
+                cand = _shortlist(gain, min(PRICE_WINDOW, int(elig.sum())))
                 cols = self.T[:, cand]
                 norms = 1.0 + np.einsum("ij,ij->j", cols, cols)
                 j = int(cand[int(np.argmax(gain[cand] ** 2 / norms))])
@@ -326,19 +362,7 @@ class _Tableau:
                 self.status[leave] = _LO if coef[r] > 0 else _UP
                 if self.status[leave] == _LO and not np.isfinite(self.lower[leave]):
                     self.status[leave] = _UP
-                piv = self.T[r, j]
-                if abs(piv) <= PIVOT_TOL:
-                    raise SimplexError("near-zero pivot")
-                self.T[r, :] /= piv
-                self.rb[r] /= piv
-                colj = self.T[:, j].copy()
-                colj[r] = 0.0
-                self.T -= np.outer(colj, self.T[r, :])
-                self.rb -= colj * self.rb[r]
-                self.d = self.d - self.d[j] * self.T[r, :]
-                self.basis[r] = j
-                self.status[j] = _BASIC
-                self.xB[r] = enter_val
+                self.pivot(r, j, enter_val)
             if since_refactor >= REFACTOR_EVERY:
                 self.refactor()
                 self.refresh(cost)
@@ -364,18 +388,8 @@ class _Tableau:
                 self.row_alive[i] = False
                 continue
             j = int(cand[0])
-            piv = self.T[i, j]
-            enter_val = self.nb_value(j)
-            self.T[i, :] /= piv
-            self.rb[i] /= piv
-            colj = self.T[:, j].copy()
-            colj[i] = 0.0
-            self.T -= np.outer(colj, self.T[i, :])
-            self.rb -= colj * self.rb[i]
             self.status[bi] = _LO
-            self.basis[i] = j
-            self.status[j] = _BASIC
-            self.xB[i] = enter_val
+            self.pivot(i, j, self.nb_value(j))
 
 
 def _solve_boxed(c, lower, upper, maximize):

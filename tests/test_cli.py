@@ -1,5 +1,6 @@
 """Driver behavior: exit codes, artifacts, canonical output, rerun identity."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -237,6 +238,27 @@ def test_simplex_breakdown_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(
         simplex, "solve_simplex", functools.partial(simplex.solve_simplex, max_iters=5)
     )
+    out = tmp_path / "out"
+    config = REPO_ROOT / "configs" / "solve_identical_n2.json"
+    assert cli.main(["run", str(config), "--out", str(out)]) == 3
+    assert "solver error" in capsys.readouterr().err
+    assert (out / "model.lp").is_file()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("max_infeasibility", 1e-6), ("duality_gap", 1e-3)]
+)
+def test_uncertified_optimum_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch, field, value):
+    # an "optimal" status whose residual or weak-duality gap is over
+    # tolerance is a solver failure, not a result
+    real_solve = simplex.solve_simplex
+
+    def uncertified(*args, **kwargs):
+        res = real_solve(*args, **kwargs)
+        assert res.status == simplex.OPTIMAL
+        return dataclasses.replace(res, **{field: value})
+
+    monkeypatch.setattr(simplex, "solve_simplex", uncertified)
     out = tmp_path / "out"
     config = REPO_ROOT / "configs" / "solve_identical_n2.json"
     assert cli.main(["run", str(config), "--out", str(out)]) == 3

@@ -165,6 +165,44 @@ class TestRevenueLp:
         )
         assert on_full.revenue == pytest.approx(on_support.revenue, abs=2e-8)
 
+    @pytest.mark.parametrize(
+        "domain_tag, n, points, prior, modes",
+        [
+            (IDENTICAL, 2, 8, "uniform", ("full", "lazy")),
+            (HETEROGENEOUS, 2, 3, "uniform", ("full", "lazy")),
+            (IDENTICAL, 2, 12, "uniform", ("lazy",)),
+            (IDENTICAL, 2, 8, "random", ("full", "lazy")),
+            (HETEROGENEOUS, 2, 3, "random", ("full", "lazy")),
+            (IDENTICAL, 3, 4, "point_mass", ("full", "lazy")),
+        ],
+        ids=[
+            "id2p8-uniform",
+            "het2p3-uniform",
+            "id2p12-uniform",
+            "id2p8-random",
+            "het2p3-random",
+            "id3p4-point_mass",
+        ],
+    )
+    def test_value_matches_external_solver_at_size(self, domain_tag, n, points, prior, modes):
+        # grids where the tableau is wide and sparse, against HiGHS on
+        # the full LP with every truthfulness row
+        grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+        types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
+        T = len(types)
+        if prior == "uniform":
+            w = np.full(T, 1.0 / T)
+        else:
+            w = np.random.default_rng(10 * points + n).dirichlet(np.ones(T))
+            if prior == "point_mass":
+                w = 0.1 * w
+                w[T // 2] += 0.9
+        dist = table_distribution(types, w, domain_tag)
+        ref = scipy_lp_value(build_revenue_lp(types, dist, domain_tag))
+        for mode in modes:
+            res = optimal_mechanism(types, dist, domain_tag, mode=mode)
+            assert res.revenue == pytest.approx(ref, abs=1e-7), mode
+
 
 class TestSymmetricLp:
     def test_matches_sorted_domain_optimum(self):

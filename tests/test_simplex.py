@@ -5,12 +5,22 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from mechlab import simplex
+from mechlab.dist import uniform_distribution
+from mechlab.optlp import build_revenue_lp
 from mechlab.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     SimplexResult,
     solve_simplex,
+)
+from mechlab.typespace import (
+    HETEROGENEOUS,
+    IDENTICAL,
+    Grid,
+    enumerate_hetero,
+    enumerate_identical,
 )
 
 GAP_TOL = 1e-7
@@ -234,3 +244,109 @@ def test_random_equality_heavy(seed):
     assert ref.status == 0
     assert mine.objective == pytest.approx(-ref.fun, abs=1e-7)
     assert mine.duality_gap <= GAP_TOL
+
+
+# ---------------------------------------------------------------------------
+# the sparse pivot kernel and the pricing shortlist against their dense
+# references: same pivots, bitwise-equal results
+
+
+def _dense_pivot(self, r, j, enter_val):
+    """Reference pivot: the rank-one update over the whole tableau."""
+    piv = self.T[r, j]
+    if abs(piv) <= simplex.PIVOT_TOL:
+        raise simplex.SimplexError("near-zero pivot")
+    self.T[r, :] /= piv
+    self.rb[r] /= piv
+    colj = self.T[:, j].copy()
+    colj[r] = 0.0
+    self.T -= np.outer(colj, self.T[r, :])
+    self.rb -= colj * self.rb[r]
+    self.d = self.d - self.d[j] * self.T[r, :]
+    self.basis[r] = j
+    self.status[j] = simplex._BASIC
+    self.xB[r] = enter_val
+
+
+def _assert_same_solve(monkeypatch, args):
+    sparse = solve_simplex(**args)
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex._Tableau, "pivot", _dense_pivot)
+        dense = solve_simplex(**args)
+    assert sparse.status == dense.status == OPTIMAL
+    assert sparse.iterations == dense.iterations > 0
+    for name in ("x", "y", "reduced_costs"):
+        assert getattr(sparse, name).tobytes() == getattr(dense, name).tobytes(), name
+    return sparse
+
+
+def _revenue_lp_args(domain_tag, n, points):
+    grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+    types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
+    lp = build_revenue_lp(types, uniform_distribution(types, domain_tag), domain_tag)
+    A, b, senses = lp.dense()
+    return dict(
+        c=np.asarray(lp.objective),
+        A=A,
+        b=b,
+        senses=senses,
+        lower=np.asarray(lp.lower),
+        upper=np.asarray(lp.upper),
+    )
+
+
+@pytest.mark.parametrize(
+    "domain_tag, n, points",
+    [(IDENTICAL, 2, 6), (HETEROGENEOUS, 2, 3), (IDENTICAL, 3, 4)],
+    ids=["id2p6", "het2p3", "id3p4"],
+)
+def test_sparse_pivot_matches_dense_on_revenue_lps(monkeypatch, domain_tag, n, points):
+    _assert_same_solve(monkeypatch, _revenue_lp_args(domain_tag, n, points))
+
+
+def test_sparse_pivot_matches_dense_under_bland_and_drive_out(monkeypatch):
+    # Beale's cycling instance plus two opposite copies of x2 - x4 = 0:
+    # phase 1 starts optimal with both markers basic at zero, so
+    # drive_out_artificials pivots x2 into the first row and retires the
+    # second; BLAND_AFTER = 0 runs every pivot under Bland's rule.
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
+    drive_pivots = []
+    real_drive = simplex._Tableau.drive_out_artificials
+
+    def counting_drive(self, enterable):
+        before = self.basis.copy()
+        real_drive(self, enterable)
+        drive_pivots.append(int(np.sum(before != self.basis)))
+
+    monkeypatch.setattr(simplex._Tableau, "drive_out_artificials", counting_drive)
+    res = _assert_same_solve(
+        monkeypatch,
+        dict(
+            c=[0.75, -150.0, 0.02, -6.0],
+            A=[
+                [0.25, -60.0, -0.04, 9.0],
+                [0.5, -90.0, -0.02, 3.0],
+                [0.0, 0.0, 1.0, 0.0],
+                [0.0, 1.0, 0.0, -1.0],
+                [0.0, -1.0, 0.0, 1.0],
+            ],
+            b=[0.0, 0.0, 1.0, 0.0, 0.0],
+            senses=["<=", "<=", "<=", "=", "="],
+            lower=[0.0] * 4,
+            upper=[np.inf] * 4,
+        ),
+    )
+    assert drive_pivots == [1, 1]
+    assert res.objective == pytest.approx(0.05, abs=1e-9)
+
+
+def test_shortlist_is_the_head_of_a_full_sort():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        size = int(rng.integers(1, 300))
+        # few distinct values, so ties straddle the k-th place
+        gain = rng.integers(0, 6, size=size).astype(float)
+        gain[rng.random(size) < 0.3] = -np.inf
+        k = int(rng.integers(1, max(2, np.isfinite(gain).sum() + 1)))
+        order = np.lexsort((np.arange(size), -gain))
+        assert np.array_equal(simplex._shortlist(gain, k), order[:k])
