@@ -198,15 +198,23 @@ class SubgradientPolytope:
         return bool(np.all(self.directions @ x <= self.slacks + tol))
 
     def _solve(self, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-        res = simplex.solve_simplex(
-            c=cost,
-            A=self.directions,
-            b=self.slacks,
-            senses=["<="] * len(self.slacks),
-            lower=lower,
-            upper=upper,
-            maximize=True,
-        )
+        """Certified optimum over the polytope within [lower, upper]; a
+        solver breakdown, a failed certificate or an empty polytope is a
+        ValueError."""
+        try:
+            res = simplex.certify(
+                simplex.solve_simplex(
+                    c=cost,
+                    A=self.directions,
+                    b=self.slacks,
+                    senses=["<="] * len(self.slacks),
+                    lower=lower,
+                    upper=upper,
+                    maximize=True,
+                )
+            )
+        except simplex.SimplexError as exc:
+            raise ValueError(f"subgradient LP at {self.anchor} failed: {exc}") from exc
         if res.status != simplex.OPTIMAL:
             raise ValueError(
                 f"subgradient polytope at {self.anchor} is {res.status}; "
@@ -334,6 +342,10 @@ def lmax_repair(mech: Mechanism, almost_deterministic: bool = False) -> Mechanis
     its allocation at any type whose polytope is a single point equals the
     input's.  The selection depends only on the utility profile, never on
     the input allocation, which is what makes the output non-bossy.
+
+    Every selection LP goes through `simplex.certify`; a solver breakdown
+    or an uncertified optimum raises ValueError, as an input that is not
+    truthful or participating does.
     """
     ic = check_ic(mech, tol=PAYMENT_TOL)
     if not ic.passed:

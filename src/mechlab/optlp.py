@@ -56,8 +56,6 @@ from .typespace import (
 )
 
 AUDIT_TOL = 1e-8
-GAP_TOL = 1e-7
-FEAS_TOL = 1e-9
 GEN_TOL = 1e-10
 PRUNE_SLACK = 1e-7
 FULL_ROW_CAP = 1200
@@ -116,79 +114,32 @@ class LinearProgram:
         return A, b, senses
 
 
-@dataclass
-class LpSolution:
-    values: np.ndarray
-    objective_value: float
-    status: str
-    duality_gap: float
-    duals: np.ndarray
-    max_infeasibility: float
-    iterations: int
-
-
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve and certify.  status == "optimal" implies the returned point
-    is primal feasible within 1e-9 and its weak-duality gap is <= 1e-7;
-    anything less, including a solver breakdown, raises LpError instead
-    of returning a lying status."""
+def solve_lp(lp: LinearProgram, what: str = "LP") -> simplex.SimplexResult:
+    """Solve and certify.  Returns the OPTIMAL result that passed
+    `simplex.certify`; an infeasible or unbounded LP raises
+    InfeasibleError or UnboundedError naming `what`, and a solver
+    breakdown or a failed certificate raises LpError, so no caller ever
+    holds an untrusted optimum."""
     A, b, senses = lp.dense()
     try:
-        res = simplex.solve_simplex(
-            c=np.asarray(lp.objective),
-            A=A,
-            b=b,
-            senses=senses,
-            lower=np.asarray(lp.lower),
-            upper=np.asarray(lp.upper),
-            maximize=True,
+        res = simplex.certify(
+            simplex.solve_simplex(
+                c=np.asarray(lp.objective),
+                A=A,
+                b=b,
+                senses=senses,
+                lower=np.asarray(lp.lower),
+                upper=np.asarray(lp.upper),
+                maximize=True,
+            )
         )
     except simplex.SimplexError as exc:
         raise LpError(f"simplex failed: {exc}") from exc
     if res.status == simplex.INFEASIBLE:
-        return LpSolution(
-            values=None,
-            objective_value=float("nan"),
-            status="infeasible",
-            duality_gap=float("nan"),
-            duals=None,
-            max_infeasibility=res.max_infeasibility,
-            iterations=res.iterations,
-        )
-    if res.status == simplex.UNBOUNDED:
-        return LpSolution(
-            values=None,
-            objective_value=float("nan"),
-            status="unbounded",
-            duality_gap=float("nan"),
-            duals=None,
-            max_infeasibility=0.0,
-            iterations=res.iterations,
-        )
-    if res.max_infeasibility > FEAS_TOL:
-        raise LpError(f"solution residual {res.max_infeasibility} exceeds {FEAS_TOL}")
-    if res.duality_gap > GAP_TOL * max(1.0, abs(res.objective)):
-        raise LpError(f"duality gap {res.duality_gap} exceeds {GAP_TOL}")
-    return LpSolution(
-        values=res.x,
-        objective_value=float(res.objective),
-        status="optimal",
-        duality_gap=float(res.duality_gap),
-        duals=res.y,
-        max_infeasibility=float(res.max_infeasibility),
-        iterations=res.iterations,
-    )
-
-
-def _solve_optimal(lp: LinearProgram, what: str) -> LpSolution:
-    """`solve_lp` that raises on an infeasible or unbounded status, so
-    the caller holds a certified optimum."""
-    sol = solve_lp(lp)
-    if sol.status == "infeasible":
         raise InfeasibleError(f"{what} infeasible")
-    if sol.status == "unbounded":
+    if res.status == simplex.UNBOUNDED:
         raise UnboundedError(f"{what} unbounded")
-    return sol
+    return res
 
 
 def export_lp_text(lp: LinearProgram, comment: str = "") -> str:
@@ -239,7 +190,7 @@ def export_lp_text(lp: LinearProgram, comment: str = "") -> str:
 class OptimalResult:
     mechanism: Mechanism
     revenue: float
-    solution: LpSolution
+    solution: simplex.SimplexResult
     n_ic_rows: int
     rounds: int
     mode: str
@@ -347,7 +298,7 @@ def optimal_mechanism(
     _certify_mechanism(mech, domain_tag)
     return OptimalResult(
         mechanism=mech,
-        revenue=float(sol.objective_value),
+        revenue=float(sol.objective),
         solution=sol,
         n_ic_rows=n_ic,
         rounds=rounds,
@@ -405,8 +356,8 @@ def _solve_lazy(types, weights, domain_tag, seed):
     for rounds in range(1, MAX_ROUNDS + 1):
         pairs = sorted(working)
         lp = _revenue_lp(types, weights, domain_tag, ((k, l, types[k]) for k, l in pairs))
-        sol = _solve_optimal(lp, "revenue LP")
-        mech = _extract_mechanism(types, n, sol.values, domain_tag)
+        sol = solve_lp(lp, "revenue LP")
+        mech = _extract_mechanism(types, n, sol.x, domain_tag)
         if len(pairs) == T * (T - 1):
             return mech, sol, len(pairs), rounds
         gain = ic_gains(mech)
@@ -483,9 +434,9 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
     lp = _revenue_lp(reps, orbit_weights, HETEROGENEOUS, rows)
     if len(lp.rows) > MAX_WORKING_ROWS:
         raise LpError("symmetric LP too large")
-    sol = _solve_optimal(lp, "symmetric revenue LP")
-    q = sol.values[: R * n].reshape(R, n)
-    t = sol.values[R * n : R * n + R]
+    sol = solve_lp(lp, "symmetric revenue LP")
+    q = sol.x[: R * n].reshape(R, n)
+    t = sol.x[R * n : R * n + R]
     on_sorted = Mechanism(types=tuple(reps), q=q.copy(), t=t.copy(), domain_tag=IDENTICAL)
     mech = symmetric_extension(on_sorted)
     if set(mech.types) != set(types):
@@ -501,7 +452,7 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
         raise LpError("symmetric optimum failed exact symmetry audit")
     return OptimalResult(
         mechanism=mech,
-        revenue=float(sol.objective_value),
+        revenue=float(sol.objective),
         solution=sol,
         n_ic_rows=len(rows),
         rounds=1,
@@ -599,9 +550,9 @@ def worst_case_revenue(mech: Mechanism, g_avg: MarginalCdf, sense: str = "min"):
     """Optimize expected payment over all distributions on the
     mechanism's types whose average marginal matches g_avg.
 
-    Returns (value, argmin distribution, LpSolution).  sense="max" gives
-    the other end of the range; a payment functional that is constant
-    across the polytope has both ends equal.
+    Returns (value, argmin distribution, certified SimplexResult).
+    sense="max" gives the other end of the range; a payment functional
+    that is constant across the polytope has both ends equal.
     """
     if sense not in ("min", "max"):
         raise LpError(f"bad sense {sense!r}")
@@ -628,9 +579,9 @@ def worst_case_revenue(mech: Mechanism, g_avg: MarginalCdf, sense: str = "min"):
             if cnt:
                 coeffs[k] = cnt / n
         lp.add_row(coeffs, "=", pmf[lv], f"avg_{lv_i}")
-    sol = _solve_optimal(lp, "adversarial LP")
-    value = -sol.objective_value if sense == "min" else sol.objective_value
-    w = np.maximum(sol.values, 0.0)
+    sol = solve_lp(lp, "adversarial LP")
+    value = -sol.objective if sense == "min" else sol.objective
+    w = np.maximum(sol.x, 0.0)
     w = w / w.sum()
     dist = table_distribution(types, w, mech.domain_tag)
     return float(value), dist, sol

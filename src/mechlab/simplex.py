@@ -28,9 +28,13 @@ sort of every column, and the shortlist is exactly the head of the full
 sort.  tests/test_simplex.py checks both against the full versions:
 same pivots, bitwise-equal results.
 
-Inequalities get slack columns; equality rows get a zero-fixed marker
-column (the phase-1 artificial, frozen at 0 afterwards) so row duals can
-be read off the objective row for every row, not just slack rows.
+Every row owns exactly one logical column: a slack for an inequality,
+a marker for an equality (its phase-1 artificial, frozen at 0
+afterwards).  Phase 1, the row duals, the dual clamp and the primal
+residual all read that one per-row column, and row duals come off the
+objective row for every row, not just slack rows.  `certify` is the one
+check that makes a result trustworthy; every LP in the package goes
+through it.
 
 Variables must have at least one finite bound.  Free variables do not
 occur in the intended formulations: payments are a priori bounded by
@@ -46,6 +50,7 @@ import numpy as np
 PIVOT_TOL = 1e-9
 DUAL_ZERO_TOL = 1e-11
 FEAS_TOL = 1e-9
+GAP_TOL = 1e-7
 REFRESH_EVERY = 64
 REFACTOR_EVERY = 512
 BLAND_AFTER = 512
@@ -90,76 +95,75 @@ def _shortlist(gain, k):
 class _Tableau:
     """Mutable solver state; one instance per solve call.
 
-    Internally always minimizes.  Column layout:
-    structural | slacks (one per '<=') | markers (one per '=') | phase-1
-    artificials for initially violated inequality rows.
+    Internally always minimizes; '>=' rows are negated into '<=' rows.
+    Row i owns the logical column `logical[i]`: a slack for a '<=' row, a
+    marker for an '=' row.  Column layout: structural | slacks | markers |
+    one extra artificial per '<=' row the start point violates, each block
+    in row order.  The first `n_real` columns (structural and slacks) are
+    the real ones; markers and extra artificials are the phase-1
+    artificials, `is_art`.  The start basis puts each row's slack where
+    the start point satisfies the row and a signed artificial elsewhere.
     """
 
     def __init__(self, c_min, A, b, senses, lower, upper):
         c_min = np.asarray(c_min, dtype=float)
-        lower = np.asarray(lower, dtype=float).copy()
-        upper = np.asarray(upper, dtype=float).copy()
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
         n = c_min.shape[0]
         m = len(b)
         if np.any(lower > upper):
             raise ValueError("crossed variable bounds")
-        if np.any(~np.isfinite(lower) & ~np.isfinite(upper)):
+        lower_inf = ~np.isfinite(lower)
+        if np.any(lower_inf & ~np.isfinite(upper)):
             raise ValueError("every variable needs at least one finite bound")
+        unknown = set(senses) - {"<=", ">=", "="}
+        if unknown:
+            raise ValueError(f"unknown sense {unknown.pop()!r}")
+        senses = np.asarray(senses)
+        row_sign = np.where(senses == ">=", -1.0, 1.0)
+        A = np.asarray(A, dtype=float).reshape(m, n) * row_sign[:, None]
+        b = np.asarray(b, dtype=float) * row_sign
+        is_eq = senses == "="
+        n_real = n + int(np.count_nonzero(~is_eq))
+        logical = np.empty(m, dtype=int)
+        logical[~is_eq] = np.arange(n, n_real)
+        logical[is_eq] = np.arange(n_real, n + m)
 
-        A = np.array(A, dtype=float, copy=True).reshape(m, n)
-        b = np.array(b, dtype=float, copy=True)
-        senses = list(senses)
-        for i, s in enumerate(senses):
-            if s in (">=", ">"):
-                A[i] *= -1.0
-                b[i] *= -1.0
-                senses[i] = "<="
-            elif s in ("<=", "<"):
-                senses[i] = "<="
-            elif s in ("=", "=="):
-                senses[i] = "="
-            else:
-                raise ValueError(f"unknown sense {s!r}")
+        # Nonbasic structurals start at their lower bound, or at the upper
+        # one when the lower is infinite; logical columns start at 0.
+        start = np.where(lower_inf, upper, lower)
+        nz = np.nonzero(start)[0]
+        r = b - (A[:, nz] @ start[nz] if nz.size else np.zeros(m))
+        satisfied = r >= 0.0
+        sign = np.where(satisfied, 1.0, -1.0)
+        extra = np.flatnonzero(~(is_eq | satisfied))
+        n_total = n + m + extra.size
+        basis = logical.copy()
+        basis[extra] = np.arange(n + m, n_total)
+
+        self.Aext = np.zeros((m, n_total))
+        self.Aext[:, :n] = A
+        self.Aext[np.arange(m), logical] = np.where(is_eq, sign, 1.0)
+        self.Aext[extra, basis[extra]] = -1.0
+        self.lower = np.concatenate([lower, np.zeros(n_total - n)])
+        self.upper = np.concatenate([upper, np.full(n_total - n, np.inf)])
+        self.status = np.full(n_total, _LO, dtype=np.int8)
+        self.status[:n][lower_inf] = _UP
+        self.status[basis] = _BASIC
+        # B0 is diagonal +-1, so the initial tableau is a row rescale of Aext.
+        self.T = self.Aext * sign[:, None]
+        self.rb = b * sign
+        self.xB = r * sign
 
         self.c_min = c_min
-        self.n_struct = n
         self.m = m
-        self.senses = senses
         self.b = b
-
-        slack_of_row = {}
-        marker_of_row = {}
-        blocks = [A]
-        lo_blocks = [lower]
-        up_blocks = [upper]
-        next_col = n
-
-        ineq_rows = [i for i, s in enumerate(senses) if s == "<="]
-        if ineq_rows:
-            S = np.zeros((m, len(ineq_rows)))
-            S[ineq_rows, np.arange(len(ineq_rows))] = 1.0
-            slack_of_row = dict(zip(ineq_rows, range(next_col, next_col + len(ineq_rows))))
-            blocks.append(S)
-            lo_blocks.append(np.zeros(len(ineq_rows)))
-            up_blocks.append(np.full(len(ineq_rows), np.inf))
-            next_col += len(ineq_rows)
-
-        eq_rows = [i for i, s in enumerate(senses) if s == "="]
-        if eq_rows:
-            # sign entries are filled in start_basis once residuals are known
-            Mk = np.zeros((m, len(eq_rows)))
-            marker_of_row = dict(zip(eq_rows, range(next_col, next_col + len(eq_rows))))
-            blocks.append(Mk)
-            lo_blocks.append(np.zeros(len(eq_rows)))
-            up_blocks.append(np.full(len(eq_rows), np.inf))
-            next_col += len(eq_rows)
-
-        self.Aext = np.concatenate(blocks, axis=1) if len(blocks) > 1 else A
-        self.lower = np.concatenate(lo_blocks)
-        self.upper = np.concatenate(up_blocks)
-        self.slack_of_row = slack_of_row
-        self.slack_cols = set(slack_of_row.values())
-        self.marker_of_row = marker_of_row
+        self.is_eq = is_eq
+        self.logical = logical
+        self.basis = basis
+        self.n_real = n_real
+        self.n_total = n_total
+        self.is_art = np.arange(n_total) >= n_real
         self.row_alive = np.ones(m, dtype=bool)
         self.iterations = 0
 
@@ -192,56 +196,6 @@ class _Tableau:
             self.rb = np.linalg.solve(B, self.b)
         except np.linalg.LinAlgError as exc:
             raise SimplexError("singular basis during refactorization") from exc
-
-    # -- phase setup -------------------------------------------------------
-
-    def start_basis(self):
-        """Initial basis: slack where the start point already satisfies the
-        row, a signed artificial elsewhere.  Equality rows reuse their
-        marker column as the artificial."""
-        m = self.m
-        ncols = self.Aext.shape[1]
-        self.status = np.full(ncols, _LO, dtype=np.int8)
-        self.status[~np.isfinite(self.lower)] = _UP
-        vals = self._nonbasic_values()
-        nz = np.nonzero(vals)[0]
-        r = self.b - (self.Aext[:, nz] @ vals[nz] if nz.size else np.zeros(m))
-
-        self.basis = np.full(m, -1, dtype=int)
-        art_cols = []
-        scale = np.ones(m)
-        extra_cols = []
-        for i in range(m):
-            j_s = self.slack_of_row.get(i)
-            if j_s is not None and r[i] >= 0.0:
-                self.basis[i] = j_s
-                continue
-            sign = 1.0 if r[i] >= 0.0 else -1.0
-            j_m = self.marker_of_row.get(i)
-            if j_m is not None:
-                self.Aext[i, j_m] = sign
-                col_idx = j_m
-            else:
-                col = np.zeros(m)
-                col[i] = sign
-                extra_cols.append(col)
-                col_idx = ncols + len(extra_cols) - 1
-            self.basis[i] = col_idx
-            art_cols.append(col_idx)
-            scale[i] = sign
-        if extra_cols:
-            self.Aext = np.concatenate([self.Aext, np.stack(extra_cols, axis=1)], axis=1)
-            k = len(extra_cols)
-            self.lower = np.concatenate([self.lower, np.zeros(k)])
-            self.upper = np.concatenate([self.upper, np.full(k, np.inf)])
-            self.status = np.concatenate([self.status, np.full(k, _LO, dtype=np.int8)])
-        self.n_total = self.Aext.shape[1]
-        self.status[self.basis] = _BASIC
-        # B0 is diagonal +-1, so the initial tableau is a row rescale of Aext.
-        self.T = self.Aext * scale[:, None]
-        self.rb = self.b * scale
-        self.xB = np.where(scale < 0, -r, r)
-        self.art_cols = art_cols
 
     # -- core iteration ----------------------------------------------------
 
@@ -372,23 +326,20 @@ class _Tableau:
                 self.refresh(cost)
                 since_refresh = 0
 
-    def drive_out_artificials(self, enterable):
+    def drive_out_artificials(self):
         """Pivot leftover basic artificials onto real columns; rows that
         admit no pivot are redundant and get retired."""
-        art_set = set(self.art_cols)
-        for i in range(self.m):
-            if not self.row_alive[i]:
-                continue
-            bi = int(self.basis[i])
-            if bi not in art_set:
-                continue
-            row = self.T[i, :]
-            cand = np.nonzero(enterable & (np.abs(row) > PIVOT_TOL) & (self.status != _BASIC))[0]
+        enterable = ~self.is_art
+        for i in np.flatnonzero(self.row_alive & self.is_art[self.basis]):
+            i = int(i)
+            cand = np.nonzero(
+                enterable & (np.abs(self.T[i, :]) > PIVOT_TOL) & (self.status != _BASIC)
+            )[0]
             if cand.size == 0:
                 self.row_alive[i] = False
                 continue
             j = int(cand[0])
-            self.status[bi] = _LO
+            self.status[self.basis[i]] = _LO
             self.pivot(i, j, self.nb_value(j))
 
 
@@ -413,7 +364,8 @@ def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) 
     rows) and structural reduced costs, both in the caller's
     optimization sense.  duality_gap is |primal - weak-dual bound|
     recomputed from the returned certificate, not an internal solver
-    quantity, so a small gap genuinely certifies optimality.
+    quantity, so a small gap genuinely certifies optimality; `certify`
+    checks it.
     """
     c = np.asarray(c, dtype=float)
     m = len(b)
@@ -425,33 +377,22 @@ def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) 
         return _solve_boxed(c, lower, upper, maximize)
 
     tab = _Tableau(-c if maximize else c, A, b, senses, lower, upper)
-    tab.start_basis()
+    enter_real = ~tab.is_art
 
-    enter_real = np.ones(tab.n_total, dtype=bool)
-    for jc in tab.art_cols:
-        enter_real[jc] = False
-
-    if tab.art_cols:
-        cost1 = np.zeros(tab.n_total)
-        for jc in tab.art_cols:
-            cost1[jc] = 1.0
-        status = tab.run(cost1, np.ones(tab.n_total, dtype=bool), max_iters)
+    if tab.is_art.any():
+        status = tab.run(tab.is_art.astype(float), np.ones(tab.n_total, dtype=bool), max_iters)
         if status != OPTIMAL:
             raise SimplexError("phase 1 cannot be unbounded")
-        art_set = set(tab.art_cols)
-        art_val = float(
-            sum(tab.xB[i] for i in range(tab.m) if int(tab.basis[i]) in art_set)
-        )
+        # summed left to right over the rows
+        art_val = float(sum(tab.xB[tab.is_art[tab.basis]]))
         if art_val > FEAS_TOL * max(1.0, float(np.max(np.abs(tab.b)))):
             return SimplexResult(
                 INFEASIBLE, None, None, None, None, None, art_val, tab.iterations
             )
-        tab.drive_out_artificials(enter_real)
-        for jc in tab.art_cols:
-            tab.lower[jc] = 0.0
-            tab.upper[jc] = 0.0
-            if tab.status[jc] == _UP:
-                tab.status[jc] = _LO
+        tab.drive_out_artificials()
+        tab.lower[tab.is_art] = 0.0
+        tab.upper[tab.is_art] = 0.0
+        tab.status[tab.is_art & (tab.status == _UP)] = _LO
 
     cost2 = np.zeros(tab.n_total)
     cost2[:n] = tab.c_min
@@ -476,58 +417,43 @@ def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) 
 
     tab.refresh(cost2)
     x_all = tab._nonbasic_values()
-    for i in range(tab.m):
-        x_all[int(tab.basis[i])] = tab.xB[i]
+    x_all[tab.basis] = tab.xB
     x = x_all[:n]
 
-    # row duals off the objective row at slack/marker columns
-    y_int = np.zeros(m)
-    for i in range(m):
-        if not tab.row_alive[i]:
-            continue
-        if i in tab.slack_of_row:
-            y_int[i] = -tab.d[tab.slack_of_row[i]]
-        else:
-            j_m = tab.marker_of_row[i]
-            y_int[i] = -tab.d[j_m] * tab.Aext[i, j_m]
+    # row duals off the objective row at each row's logical column
+    y_int = np.where(
+        tab.row_alive, -tab.d[tab.logical] * tab.Aext[np.arange(m), tab.logical], 0.0
+    )
 
     # weak-duality bound, internal minimize convention:
     #   z_d = y.b + sum_j min over [lo_j, up_j] of d_j x_j
     # valid whenever y <= 0 on '<=' rows; clamp to enforce validity.
-    y_cert = y_int.copy()
-    for i in range(m):
-        if tab.senses[i] == "<=" and y_cert[i] > 0.0:
-            y_cert[i] = 0.0
-    n_real = tab.n_struct + len(tab.slack_cols)
+    y_cert = np.where(~tab.is_eq & (y_int > 0.0), 0.0, y_int)
+    n_real = tab.n_real
     d_cert = cost2[:n_real] - y_cert @ tab.Aext[:, :n_real]
+    pos = d_cert > DUAL_ZERO_TOL
+    used = pos | (d_cert < -DUAL_ZERO_TOL)
+    # the minimizing bound; an infinite one makes its term -inf
+    bound = np.where(pos, tab.lower[:n_real], tab.upper[:n_real])
     zd = float(y_cert @ tab.b)
-    for j in range(n_real):
-        dj = float(d_cert[j])
-        if dj > DUAL_ZERO_TOL:
-            zd += dj * tab.lower[j] if np.isfinite(tab.lower[j]) else -np.inf
-        elif dj < -DUAL_ZERO_TOL:
-            zd += dj * tab.upper[j] if np.isfinite(tab.upper[j]) else -np.inf
+    for term in d_cert[used] * bound[used]:  # left to right, in column order
+        zd += term
     z_int = float(tab.c_min @ x)
     gap = abs(z_int - zd) if np.isfinite(zd) else float("inf")
 
-    # primal residual over original rows plus box breaches
-    Astruct = tab.Aext[:, :n]
-    res = Astruct @ x - tab.b
-    max_infeas = 0.0
-    for i in range(m):
-        if not tab.row_alive[i]:
-            continue
-        if tab.senses[i] == "=":
-            max_infeas = max(max_infeas, abs(float(res[i])))
-        else:
-            max_infeas = max(max_infeas, float(res[i]))
+    # primal residual over live original rows plus box breaches
+    res = tab.Aext[:, :n] @ x - tab.b
+    res = np.where(tab.is_eq, np.abs(res), res)[tab.row_alive]
     lo_in = np.asarray(lower, dtype=float)
     up_in = np.asarray(upper, dtype=float)
     lo_breach = np.where(np.isfinite(lo_in), lo_in - x, -np.inf)
     up_breach = np.where(np.isfinite(up_in), x - up_in, -np.inf)
-    max_infeas = max(max_infeas, float(np.max(lo_breach, initial=0.0)))
-    max_infeas = max(max_infeas, float(np.max(up_breach, initial=0.0)))
-    max_infeas = max(max_infeas, 0.0)
+    max_infeas = max(
+        0.0,
+        float(np.max(res, initial=0.0)),
+        float(np.max(lo_breach, initial=0.0)),
+        float(np.max(up_breach, initial=0.0)),
+    )
 
     sense_mult = -1.0 if maximize else 1.0
     obj_ext = sense_mult * z_int
@@ -537,3 +463,18 @@ def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) 
     return SimplexResult(
         OPTIMAL, x, obj_ext, y_ext, d_ext, float(gap), float(max_infeas), tab.iterations
     )
+
+
+def certify(res: SimplexResult) -> SimplexResult:
+    """Return `res` if it can be trusted, else raise SimplexError.
+
+    An OPTIMAL result must carry a primal residual <= FEAS_TOL and a
+    weak-duality gap <= GAP_TOL * max(1, |objective|); a NaN in either
+    fails.  INFEASIBLE and UNBOUNDED results carry no certificate and
+    pass as they are, for the caller to map to its own error."""
+    if res.status == OPTIMAL:
+        if not res.max_infeasibility <= FEAS_TOL:
+            raise SimplexError(f"solution residual {res.max_infeasibility} exceeds {FEAS_TOL}")
+        if not res.duality_gap <= GAP_TOL * max(1.0, abs(res.objective)):
+            raise SimplexError(f"duality gap {res.duality_gap} exceeds {GAP_TOL}")
+    return res

@@ -245,8 +245,34 @@ def test_simplex_breakdown_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch
     assert (out / "model.lp").is_file()
 
 
+def test_singular_basis_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch):
+    # every solve refactors at least once, so a singular basis matrix
+    # surfaces inside the simplex and must still be a solver error
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(simplex.np.linalg, "solve", singular)
+    out = tmp_path / "out"
+    config = REPO_ROOT / "configs" / "solve_identical_n2.json"
+    assert cli.main(["run", str(config), "--out", str(out)]) == 3
+    assert "singular basis" in capsys.readouterr().err
+    assert (out / "model.lp").is_file()
+
+
+def test_repair_breakdown_exits_3(tmp_path, capsys, monkeypatch):
+    # the repair's subgradient LPs go through the same solver boundary
+    monkeypatch.setattr(
+        simplex, "solve_simplex", functools.partial(simplex.solve_simplex, max_iters=0)
+    )
+    out = tmp_path / "out"
+    config = REPO_ROOT / "configs" / "repair_fuzz.json"
+    assert cli.main(["run", str(config), "--out", str(out)]) == 3
+    assert "solver error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
-    "field, value", [("max_infeasibility", 1e-6), ("duality_gap", 1e-3)]
+    "field, value",
+    [("max_infeasibility", 1e-6), ("duality_gap", 1e-3), ("duality_gap", math.nan)],
 )
 def test_uncertified_optimum_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch, field, value):
     # an "optimal" status whose residual or weak-duality gap is over

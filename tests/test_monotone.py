@@ -1,10 +1,13 @@
 """Majorization order, structural audits, and the subgradient repair."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mechlab import simplex
 from mechlab.dist import one_step_map, uniform_distribution
 from mechlab.mech import (
     Mechanism,
@@ -305,6 +308,23 @@ class TestLmaxRepair:
         )
         with pytest.raises(ValueError):
             lmax_repair(mech)
+
+    @pytest.mark.parametrize(
+        "field, value", [("max_infeasibility", 1e-6), ("duality_gap", 1e-3)]
+    )
+    def test_uncertified_lp_optimum_rejected(self, monkeypatch, field, value):
+        # an "optimal" subgradient LP whose residual or weak-duality gap
+        # is over tolerance must stop the repair, not select a point
+        real_solve = simplex.solve_simplex
+
+        def uncertified(*args, **kwargs):
+            res = real_solve(*args, **kwargs)
+            assert res.status == simplex.OPTIMAL
+            return dataclasses.replace(res, **{field: value})
+
+        monkeypatch.setattr(simplex, "solve_simplex", uncertified)
+        with pytest.raises(ValueError, match="exceeds"):
+            lmax_repair(incomparable_menu_mech())
 
     def test_almost_deterministic_variant_keeps_structure(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)

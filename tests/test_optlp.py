@@ -23,6 +23,7 @@ from mechlab.optlp import (
     InfeasibleError,
     LinearProgram,
     LpError,
+    UnboundedError,
     build_revenue_lp,
     certify_equivalence,
     export_lp_text,
@@ -97,7 +98,7 @@ class TestRevenueLp:
             lp = build_revenue_lp(types, dist, IDENTICAL)
             ours = solve_lp(lp)
             assert ours.status == "optimal"
-            assert ours.objective_value == pytest.approx(
+            assert ours.objective == pytest.approx(
                 scipy_lp_value(lp), abs=1e-7
             )
 
@@ -109,7 +110,7 @@ class TestRevenueLp:
         dist = table_distribution(types, w, HETEROGENEOUS)
         lp = build_revenue_lp(types, dist, HETEROGENEOUS)
         ours = solve_lp(lp)
-        assert ours.objective_value == pytest.approx(scipy_lp_value(lp), abs=1e-7)
+        assert ours.objective == pytest.approx(scipy_lp_value(lp), abs=1e-7)
 
     def test_full_and_lazy_agree(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
@@ -398,12 +399,12 @@ class TestLpPlumbing:
     def test_unbounded_status(self):
         lp = LinearProgram()
         lp.add_var("x", 0.0, float("inf"), obj=1.0)
-        sol = solve_lp(lp)
-        assert sol.status == "unbounded"
+        with pytest.raises(UnboundedError, match="LP unbounded"):
+            solve_lp(lp)
 
     def test_infeasible_status(self):
         lp = LinearProgram()
         lp.add_var("x", 0.0, 1.0, obj=1.0)
         lp.add_row({0: 1.0}, ">=", 2.0)
-        sol = solve_lp(lp)
-        assert sol.status == "infeasible"
+        with pytest.raises(InfeasibleError, match="LP infeasible"):
+            solve_lp(lp)

@@ -201,9 +201,7 @@ def _scipy_solve(c, A, b, senses, lower, upper, maximize):
     return res
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_random_cross_check(seed):
-    """Random boxed LPs: objective must agree with an independent solver."""
+def _random_lp(seed):
     rng = np.random.default_rng(1000 + seed)
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, 9))
@@ -213,7 +211,31 @@ def test_random_cross_check(seed):
     senses = [rng.choice(["<=", ">=", "="]) if i % 3 == 0 else "<=" for i in range(m)]
     lower = np.zeros(n)
     upper = rng.uniform(0.5, 3.0, size=n)
-    maximize = bool(seed % 2)
+    return c, A, b, senses, lower, upper, bool(seed % 2)
+
+
+# A '>=' row and a '<=' row that the start point x = 0 violates, beside an
+# equality row and a satisfied '<=' row: the start basis takes one slack,
+# one marker and two extra artificial columns.
+MIXED_START_LP = (
+    [1.0, 2.0, 0.0],
+    [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, -1.0, 1.0], [1.0, 1.0, 1.0]],
+    [1.0, 1.5, -0.5, 3.0],
+    [">=", "=", "<=", "<="],
+    [0.0, 0.0, 0.0],
+    [2.0, 2.0, 2.0],
+    True,
+)
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [pytest.param(_random_lp(seed), id=str(seed)) for seed in range(30)]
+    + [pytest.param(MIXED_START_LP, id="mixed_start")],
+)
+def test_random_cross_check(lp):
+    """Boxed LPs: objective must agree with an independent solver."""
+    c, A, b, senses, lower, upper, maximize = lp
     mine = solve_simplex(c, A, b, senses, lower, upper, maximize=maximize)
     ref = _scipy_solve(c, A, b, senses, lower, upper, maximize)
     if mine.status == OPTIMAL:
@@ -226,6 +248,18 @@ def test_random_cross_check(seed):
         assert ref.status == 2
     else:
         assert ref.status == 3
+
+
+def test_start_basis_layout_and_unknown_sense():
+    c, A, b, senses, lower, upper, _ = MIXED_START_LP
+    tab = simplex._Tableau(c, A, b, senses, lower, upper)
+    # structural | slacks of rows 0, 2, 3 | marker of row 1 | artificials of rows 0, 2
+    assert tab.Aext.shape == (4, 3 + 4 + 2)
+    assert tab.logical.tolist() == [3, 6, 4, 5]
+    assert tab.basis.tolist() == [7, 6, 8, 5]
+    assert np.flatnonzero(tab.is_art).tolist() == [6, 7, 8]
+    with pytest.raises(ValueError, match="unknown sense '<'"):
+        solve_simplex([1.0], [[1.0]], [1.0], ["<"], [0.0], [1.0])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -313,9 +347,9 @@ def test_sparse_pivot_matches_dense_under_bland_and_drive_out(monkeypatch):
     drive_pivots = []
     real_drive = simplex._Tableau.drive_out_artificials
 
-    def counting_drive(self, enterable):
+    def counting_drive(self):
         before = self.basis.copy()
-        real_drive(self, enterable)
+        real_drive(self)
         drive_pivots.append(int(np.sum(before != self.basis)))
 
     monkeypatch.setattr(simplex._Tableau, "drive_out_artificials", counting_drive)
@@ -350,3 +384,119 @@ def test_shortlist_is_the_head_of_a_full_sort():
         k = int(rng.integers(1, max(2, np.isfinite(gain).sum() + 1)))
         order = np.lexsort((np.arange(size), -gain))
         assert np.array_equal(simplex._shortlist(gain, k), order[:k])
+
+
+# ---------------------------------------------------------------------------
+# the vectorized certificate against the per-row loops it replaced: same
+# arithmetic in the same order, so bitwise-equal x, y, gap and residual
+
+
+def _loop_certificate(tab, lower, upper, maximize):
+    """x, y, duality gap and residual recomputed row by row and column by
+    column from the final tableau of a solve."""
+    m, n = tab.m, tab.c_min.size
+    x_all = tab._nonbasic_values()
+    for i in range(m):
+        x_all[int(tab.basis[i])] = tab.xB[i]
+    x = x_all[:n]
+    y_int = np.zeros(m)
+    for i in range(m):
+        if tab.row_alive[i]:
+            j = tab.logical[i]
+            y_int[i] = -tab.d[j] * tab.Aext[i, j] if tab.is_eq[i] else -tab.d[j]
+    y_cert = y_int.copy()
+    for i in range(m):
+        if not tab.is_eq[i] and y_cert[i] > 0.0:
+            y_cert[i] = 0.0
+    cost = np.zeros(tab.n_total)
+    cost[:n] = tab.c_min
+    d_cert = cost[: tab.n_real] - y_cert @ tab.Aext[:, : tab.n_real]
+    zd = float(y_cert @ tab.b)
+    for j in range(tab.n_real):
+        dj = float(d_cert[j])
+        if dj > simplex.DUAL_ZERO_TOL:
+            zd += dj * tab.lower[j] if np.isfinite(tab.lower[j]) else -np.inf
+        elif dj < -simplex.DUAL_ZERO_TOL:
+            zd += dj * tab.upper[j] if np.isfinite(tab.upper[j]) else -np.inf
+    z_int = float(tab.c_min @ x)
+    gap = abs(z_int - zd) if np.isfinite(zd) else float("inf")
+    res = tab.Aext[:, :n] @ x - tab.b
+    max_infeas = 0.0
+    for i in range(m):
+        if tab.row_alive[i]:
+            max_infeas = max(max_infeas, abs(float(res[i])) if tab.is_eq[i] else float(res[i]))
+    for j in range(n):
+        if np.isfinite(lower[j]):
+            max_infeas = max(max_infeas, float(lower[j] - x[j]))
+        if np.isfinite(upper[j]):
+            max_infeas = max(max_infeas, float(x[j] - upper[j]))
+    sense_mult = -1.0 if maximize else 1.0
+    return x, sense_mult * y_int, gap, max_infeas
+
+
+def _beale_with_copies():
+    # Beale's instance plus two opposite copies of an equality row: one
+    # of them is retired as redundant after phase 1
+    return (
+        [0.75, -150.0, 0.02, -6.0],
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, -1.0],
+            [0.0, -1.0, 0.0, 1.0],
+        ],
+        [0.0, 0.0, 1.0, 0.0, 0.0],
+        ["<=", "<=", "<=", "=", "="],
+        [0.0] * 4,
+        [np.inf] * 4,
+        True,
+    )
+
+
+def _planted_lp(seed):
+    """Boxed LP with '<=', '>=' and '=' rows around a planted interior
+    point, so it always has an optimum."""
+    rng = np.random.default_rng(3000 + seed)
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 9))
+    A = rng.normal(size=(m, n))
+    senses = [("<=", ">=", "=")[i % 3] for i in range(m)]
+    room = np.array([{"<=": 0.1, ">=": -0.1, "=": 0.0}[s] for s in senses])
+    b = A @ rng.uniform(0.2, 0.8, size=n) + room
+    return rng.normal(size=n), A, b, senses, np.zeros(n), np.ones(n), bool(seed % 2)
+
+
+def _revenue_lp(domain_tag, n, points):
+    args = _revenue_lp_args(domain_tag, n, points)
+    return tuple(args[k] for k in ("c", "A", "b", "senses", "lower", "upper")) + (True,)
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        pytest.param(MIXED_START_LP, id="mixed_start"),
+        pytest.param(_beale_with_copies(), id="beale_redundant_eq"),
+        pytest.param(_revenue_lp(IDENTICAL, 2, 6), id="id2p6"),
+        pytest.param(_revenue_lp(HETEROGENEOUS, 2, 3), id="het2p3"),
+    ]
+    + [pytest.param(_planted_lp(seed), id=f"planted{seed}") for seed in range(20)],
+)
+def test_certificate_matches_row_loops(monkeypatch, lp):
+    tabs = []
+
+    class Recording(simplex._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tabs.append(self)
+
+    monkeypatch.setattr(simplex, "_Tableau", Recording)
+    c, A, b, senses, lower, upper, maximize = lp
+    res = solve_simplex(c, A, b, senses, lower, upper, maximize=maximize)
+    assert res.status == OPTIMAL
+    x, y, gap, max_infeas = _loop_certificate(
+        tabs[0], np.asarray(lower, dtype=float), np.asarray(upper, dtype=float), maximize
+    )
+    assert res.x.tobytes() == x.tobytes()
+    assert res.y.tobytes() == y.tobytes()
+    assert (res.duality_gap, res.max_infeasibility) == (float(gap), float(max_infeas))
