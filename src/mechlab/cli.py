@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -45,12 +46,10 @@ from .dist import (
 )
 from .mech import (
     AuditReport,
-    MechanismError,
     _report,
     check_feasible_identical,
     check_ic,
     check_ir,
-    expected_revenue,
     write_mechanism_csv,
 )
 from .monotone import (
@@ -60,7 +59,6 @@ from .monotone import (
 )
 from .optlp import (
     AUDIT_TOL,
-    InfeasibleError,
     LpError,
     build_revenue_lp,
     certify_equivalence,
@@ -80,17 +78,6 @@ from .typespace import (
     enumerate_hetero,
     enumerate_identical,
 )
-
-KINDS = (
-    "solve",
-    "certify_equivalence",
-    "certify_theorem1",
-    "robust",
-    "monotonicity",
-    "repair",
-    "deterministic",
-)
-
 
 class ConfigError(ValueError):
     """Invalid config; the message names the field."""
@@ -135,6 +122,18 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 # config parsing
 
+# field type -> (accepted JSON types, name in the error message); a bool
+# is an int to Python but never an integer or a number to a config
+_FIELD_TYPES = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list"),
+    dict: ((dict,), "an object"),
+}
+
+
 def _take(cfg: dict, field: str, kinds, where: str = "", required: bool = True, default=None):
     label = f"{where}.{field}" if where else field
     if field not in cfg:
@@ -142,31 +141,10 @@ def _take(cfg: dict, field: str, kinds, where: str = "", required: bool = True, 
             raise ConfigError(f"missing field '{label}'")
         return default
     val = cfg[field]
-    if kinds is bool:
-        if not isinstance(val, bool):
-            raise ConfigError(f"field '{label}' must be a boolean")
-        return val
-    if kinds is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"field '{label}' must be an integer")
-        return val
-    if kinds is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"field '{label}' must be a number")
-        return float(val)
-    if kinds is str:
-        if not isinstance(val, str):
-            raise ConfigError(f"field '{label}' must be a string")
-        return val
-    if kinds is list:
-        if not isinstance(val, list):
-            raise ConfigError(f"field '{label}' must be a list")
-        return val
-    if kinds is dict:
-        if not isinstance(val, dict):
-            raise ConfigError(f"field '{label}' must be an object")
-        return val
-    raise AssertionError(kinds)
+    accepted, name = _FIELD_TYPES[kinds]
+    if not isinstance(val, accepted) or (isinstance(val, bool) and kinds is not bool):
+        raise ConfigError(f"field '{label}' must be {name}")
+    return float(val) if kinds is float else val
 
 
 def _float_list(cfg: dict, field: str, where: str) -> list:
@@ -222,12 +200,7 @@ def build_distribution(cfg: dict, grid: Grid, domain: str, strict_only: bool, ty
             if domain == HETEROGENEOUS:
                 dist = iid_distribution(marg, grid.n)
                 return restrict_to_strict(dist) if strict_only else dist
-            density = np.ones((grid.m,) * grid.n)
-            arr = np.asarray(pmf)
-            for axis in range(grid.n):
-                shape = [1] * grid.n
-                shape[axis] = grid.m
-                density = density * arr.reshape(shape)
+            density = functools.reduce(np.multiply.outer, [np.asarray(pmf)] * grid.n)
             dist = identical_distribution_from_density(grid, density)
             return restrict_to_strict(dist) if strict_only else dist
         if kind == "table":
@@ -296,6 +269,15 @@ def write_distribution_csv(dist: Distribution, path) -> None:
             writer.writerow([format(x, ".17g") for x in v] + [format(float(w), ".17g")])
 
 
+def _write_model(out_dir: Path, types, dist: Distribution, domain: str, comment: str) -> Path:
+    """Write the full revenue LP of a solve config as out_dir/model.lp."""
+    lp = build_revenue_lp(types, dist, domain)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "model.lp"
+    path.write_text(export_lp_text(lp, comment=comment))
+    return path
+
+
 class RunOutput:
     """Accumulates the summary, audit reports, and file artifacts."""
 
@@ -312,6 +294,13 @@ class RunOutput:
             self.asserted.append(report)
         return report
 
+    def write(self, mech=None, dist=None) -> None:
+        """Write mechanism.csv and distribution.csv, each when given."""
+        if mech is not None:
+            write_mechanism_csv(mech, (self.out_dir / "mechanism.csv").as_posix())
+        if dist is not None:
+            write_distribution_csv(dist, self.out_dir / "distribution.csv")
+
     def finish(self) -> bool:
         ok = all(r.passed for r in self.asserted)
         self.summary["checks"] = {r.check: r.passed for r in self.audits}
@@ -327,7 +316,7 @@ class RunOutput:
 # ---------------------------------------------------------------------------
 # run kinds
 
-def _run_solve(cfg: dict, out: RunOutput, tol: float) -> None:
+def _run_solve(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     mode = _take(cfg, "mode", str, required=False, default="auto")
     if mode not in ("auto", "full", "lazy"):
         raise ConfigError(f"field 'mode' must be 'auto', 'full', or 'lazy', got {mode!r}")
@@ -335,9 +324,7 @@ def _run_solve(cfg: dict, out: RunOutput, tol: float) -> None:
     try:
         res = optimal_mechanism(types, dist, domain, mode=mode)
     except LpError:
-        lp = build_revenue_lp(types, dist, domain)
-        out.out_dir.mkdir(parents=True, exist_ok=True)
-        (out.out_dir / "model.lp").write_text(export_lp_text(lp, comment="failed solve"))
+        _write_model(out.out_dir, types, dist, domain, "failed solve")
         raise
     mech = res.mechanism
     out.audit(check_ic(mech, tol=tol))
@@ -346,7 +333,6 @@ def _run_solve(cfg: dict, out: RunOutput, tol: float) -> None:
         out.audit(check_feasible_identical(mech, tol=tol))
     out.summary.update(
         {
-            "kind": "solve",
             "domain": domain,
             "n_types": len(types),
             "revenue": res.revenue,
@@ -359,11 +345,10 @@ def _run_solve(cfg: dict, out: RunOutput, tol: float) -> None:
             },
         }
     )
-    write_mechanism_csv(mech, out.out_dir.joinpath("mechanism.csv").as_posix())
-    write_distribution_csv(dist, out.out_dir / "distribution.csv")
+    out.write(mech, dist)
 
 
-def _run_equivalence(cfg: dict, out: RunOutput, tol: float) -> None:
+def _run_equivalence(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     grid = build_grid(cfg)
     types_h = enumerate_hetero(grid, strict_only=True)
     dist_h = build_distribution(cfg, grid, HETEROGENEOUS, True, types_h)
@@ -376,7 +361,6 @@ def _run_equivalence(cfg: dict, out: RunOutput, tol: float) -> None:
     out.audit(rep)
     out.summary.update(
         {
-            "kind": "certify_equivalence",
             "n_types_identical": len(types_i),
             "n_types_heterogeneous": len(types_h),
             "revenue_identical": rep.info["revenue_identical"],
@@ -384,7 +368,7 @@ def _run_equivalence(cfg: dict, out: RunOutput, tol: float) -> None:
             "revenue_gap": abs(rep.info["revenue_identical"] - rep.info["revenue_symmetric"]),
         }
     )
-    write_distribution_csv(dist_h, out.out_dir.joinpath("distribution.csv"))
+    out.write(dist=dist_h)
 
 
 def _run_theorem1(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
@@ -424,17 +408,16 @@ def _run_theorem1(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
         )
     out.summary.update(
         {
-            "kind": "certify_theorem1",
             "n_mechanisms": len(rows),
             "mechanisms": rows,
             "seed": seed,
         }
     )
     if mechs:
-        write_mechanism_csv(mechs[-1][1], out.out_dir.joinpath("mechanism.csv").as_posix())
+        out.write(mechs[-1][1])
 
 
-def _run_robust(cfg: dict, out: RunOutput, tol: float) -> None:
+def _run_robust(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     n = _take(cfg, "n", int)
     if n < 1:
         raise ConfigError("field 'n' must be positive")
@@ -464,7 +447,6 @@ def _run_robust(cfg: dict, out: RunOutput, tol: float) -> None:
     out.audit(check_ir(mech, tol=1e-12))
     out.summary.update(
         {
-            "kind": "robust",
             "n": n,
             "price": price,
             "formula_revenue": revenue,
@@ -472,11 +454,10 @@ def _run_robust(cfg: dict, out: RunOutput, tol: float) -> None:
             "worst_case_max": wc_max,
         }
     )
-    write_mechanism_csv(mech, out.out_dir.joinpath("mechanism.csv").as_posix())
-    write_distribution_csv(dist_min, out.out_dir / "distribution.csv")
+    out.write(mech, dist_min)
 
 
-def _run_monotonicity(cfg: dict, out: RunOutput, tol: float) -> None:
+def _run_monotonicity(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     grid = build_grid(cfg)
     sub = _take(cfg, "density", dict)
     expr = _take(sub, "expr", str, "density")
@@ -496,7 +477,6 @@ def _run_monotonicity(cfg: dict, out: RunOutput, tol: float) -> None:
     out.audit(exp)
     out.summary.update(
         {
-            "kind": "monotonicity",
             "density_condition_holds": mm.passed,
             "density_min_value": mm.info["min_value"],
             "revenue": res.revenue,
@@ -508,8 +488,7 @@ def _run_monotonicity(cfg: dict, out: RunOutput, tol: float) -> None:
             "assertion_reason": exp.info["reason"],
         }
     )
-    write_mechanism_csv(res.mechanism, out.out_dir.joinpath("mechanism.csv").as_posix())
-    write_distribution_csv(dist, out.out_dir / "distribution.csv")
+    out.write(res.mechanism, dist)
 
 
 def _run_repair(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
@@ -549,7 +528,6 @@ def _run_repair(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     out.audit(rep)
     out.summary.update(
         {
-            "kind": "repair",
             "count": count,
             "almost_det_count": ad_count,
             "max_utility_drift": drift,
@@ -557,12 +535,12 @@ def _run_repair(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
         }
     )
     if last is not None:
-        write_mechanism_csv(last, out.out_dir.joinpath("mechanism.csv").as_posix())
+        out.write(last)
 
 
-def _run_deterministic(cfg: dict, out: RunOutput, tol: float) -> None:
+def _run_deterministic(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     domain, types, dist = _solve_model(cfg)
-    det = optimal_deterministic(types, dist, domain, collect_all=True)
+    det = optimal_deterministic(types, dist, domain)
     lp = optimal_mechanism(types, dist, domain)
     gap = lp.revenue - det.revenue
     violations = []
@@ -578,7 +556,6 @@ def _run_deterministic(cfg: dict, out: RunOutput, tol: float) -> None:
     out.audit(check_ir(det.mechanism, tol=0.0))
     out.summary.update(
         {
-            "kind": "deterministic",
             "domain": domain,
             "revenue": det.revenue,
             "lp_revenue": lp.revenue,
@@ -587,8 +564,20 @@ def _run_deterministic(cfg: dict, out: RunOutput, tol: float) -> None:
             "n_optimal_menus": len(det.optimal_menus),
         }
     )
-    write_mechanism_csv(det.mechanism, out.out_dir.joinpath("mechanism.csv").as_posix())
-    write_distribution_csv(dist, out.out_dir / "distribution.csv")
+    out.write(det.mechanism, dist)
+
+
+# kind -> (runner, default audit tolerance); the order is the one the
+# unknown-kind message lists
+RUNS = {
+    "solve": (_run_solve, AUDIT_TOL),
+    "certify_equivalence": (_run_equivalence, 1e-7),
+    "certify_theorem1": (_run_theorem1, 1e-9),
+    "robust": (_run_robust, 1e-8),
+    "monotonicity": (_run_monotonicity, 1e-9),
+    "repair": (_run_repair, 1e-9),
+    "deterministic": (_run_deterministic, 1e-9),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -607,44 +596,22 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-DEFAULT_TOLS = {
-    "solve": AUDIT_TOL,
-    "certify_equivalence": 1e-7,
-    "certify_theorem1": 1e-9,
-    "robust": 1e-8,
-    "monotonicity": 1e-9,
-    "repair": 1e-9,
-    "deterministic": 1e-9,
-}
-
-
 def run_config(cfg: dict, out_dir: Path, tol_override=None, seed_override=None) -> bool:
     kind = _take(cfg, "kind", str)
-    if kind not in KINDS:
-        raise ConfigError(f"field 'kind' must be one of {', '.join(KINDS)}; got {kind!r}")
+    if kind not in RUNS:
+        raise ConfigError(f"field 'kind' must be one of {', '.join(RUNS)}; got {kind!r}")
+    runner, default_tol = RUNS[kind]
     tol = tol_override
     if tol is None:
-        tol = _take(cfg, "tol", float, required=False, default=DEFAULT_TOLS[kind])
+        tol = _take(cfg, "tol", float, required=False, default=default_tol)
     if tol < 0:
         raise ConfigError("field 'tol' must be nonnegative")
     seed = seed_override
     if seed is None:
         seed = _take(cfg, "seed", int, required=False, default=0)
     out = RunOutput(out_dir)
-    if kind == "solve":
-        _run_solve(cfg, out, tol)
-    elif kind == "certify_equivalence":
-        _run_equivalence(cfg, out, tol)
-    elif kind == "certify_theorem1":
-        _run_theorem1(cfg, out, tol, seed)
-    elif kind == "robust":
-        _run_robust(cfg, out, tol)
-    elif kind == "monotonicity":
-        _run_monotonicity(cfg, out, tol)
-    elif kind == "repair":
-        _run_repair(cfg, out, tol, seed)
-    else:
-        _run_deterministic(cfg, out, tol)
+    out.summary["kind"] = kind
+    runner(cfg, out, tol, seed)
     return out.finish()
 
 
@@ -653,11 +620,7 @@ def export_config(cfg: dict, out_dir: Path) -> Path:
     if kind != "solve":
         raise ConfigError(f"field 'kind': export-lp supports only 'solve', got {kind!r}")
     domain, types, dist = _solve_model(cfg)
-    lp = build_revenue_lp(types, dist, domain)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "model.lp"
-    path.write_text(export_lp_text(lp, comment=f"revenue model, {len(types)} types"))
-    return path
+    return _write_model(out_dir, types, dist, domain, f"revenue model, {len(types)} types")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -700,7 +663,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (LpError, InfeasibleError, MechanismError, DistributionError, ValueError) as exc:
+    except (LpError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

@@ -286,7 +286,7 @@ def optimal_mechanism(
     if mode == "auto":
         mode = "full" if T * (T - 1) + T * n <= FULL_ROW_CAP else "lazy"
     if mode == "full":
-        seed = itertools.permutations(range(T), 2)
+        seed = ~np.eye(T, dtype=bool)
     elif mode == "lazy":
         # Binding truthfulness rows overwhelmingly involve nearby reports,
         # so seed the working set with each type's nearest neighbors
@@ -319,42 +319,41 @@ def _certify_mechanism(mech: Mechanism, domain_tag: str) -> None:
             raise LpError(f"optimal mechanism failed allocation order: {rep_f.max_slack}")
 
 
-def _neighbor_pairs(types, per_type: int = 4) -> list[tuple[int, int]]:
-    """Deviation pairs between each type and its nearest reports (max-norm)."""
+def _neighbor_pairs(types, per_type: int = 4) -> np.ndarray:
+    """T x T mask of the deviation pairs between each type and its
+    nearest reports (max-norm), in both directions."""
     arr = np.asarray(types, dtype=float)
     count = arr.shape[0]
-    if count <= 1:
-        return []
     k = min(per_type, count - 1)
     gaps = np.max(np.abs(arr[:, None, :] - arr[None, :, :]), axis=2)
     np.fill_diagonal(gaps, np.inf)
     nearest = np.argsort(gaps, axis=1, kind="stable")[:, :k]
-    pairs: set[tuple[int, int]] = set()
-    for a in range(count):
-        for b in nearest[a]:
-            pairs.add((a, int(b)))
-            pairs.add((int(b), a))
-    return sorted(pairs)
+    mask = np.zeros((count, count), dtype=bool)
+    mask[np.repeat(np.arange(count), k), nearest.ravel()] = True
+    return mask | mask.T
 
 
 def _solve_lazy(types, weights, domain_tag, seed):
     """Constraint generation on truthfulness rows, starting from the
-    (k, l) pairs in `seed`.
+    T x T pair mask `seed`: entry (k, l) set means the row of type k
+    against reporting type l is in the working set.
 
     Working-set policy: add the most violated pairs each round (up to
-    2T), drop rows that have been slack for two consecutive solves and
-    were not added in the previous round.  Terminates when the full gain
-    matrix shows no violation beyond GEN_TOL, or at once when the working
-    set is complete (all T(T-1) pairs): then the solve is the full LP and
-    there is nothing left to add.
+    2T), drop rows that have been slack for two consecutive solves (a row
+    added in the previous round has been through one solve only, so it
+    stays).  Rows are built in row-major order of the mask.  Terminates
+    when the full gain matrix shows no violation beyond GEN_TOL, or at
+    once when the working set is complete (all T(T-1) pairs): then the
+    solve is the full LP and there is nothing left to add.
     """
     T = len(types)
     n = len(types[0])
     add_per_round = max(64, 2 * T)
-    working: dict[tuple[int, int], int] = dict.fromkeys(seed, 0)
-    recent: set[tuple[int, int]] = set()
+    working = seed
+    slack_solves = np.zeros((T, T), dtype=int)
     for rounds in range(1, MAX_ROUNDS + 1):
-        pairs = sorted(working)
+        # Python ints, not numpy scalars, keep the row builder fast
+        pairs = np.argwhere(working).tolist()
         lp = _revenue_lp(types, weights, domain_tag, ((k, l, types[k]) for k, l in pairs))
         sol = solve_lp(lp, "revenue LP")
         mech = _extract_mechanism(types, n, sol.x, domain_tag)
@@ -364,34 +363,19 @@ def _solve_lazy(types, weights, domain_tag, seed):
         viol_mask = gain > GEN_TOL
         if not viol_mask.any():
             return mech, sol, len(pairs), rounds
-        # violation bookkeeping for pruning
-        stale = []
-        for pair in pairs:
-            if gain[pair] < -PRUNE_SLACK:
-                working[pair] += 1
-                if working[pair] >= 2 and pair not in recent:
-                    stale.append(pair)
-            else:
-                working[pair] = 0
-        flat = np.argwhere(viol_mask)
+        slack_solves = np.where(working & (gain < -PRUNE_SLACK), slack_solves + 1, 0)
+        # the most violated pairs first, ties in row-major order
+        violated = np.argwhere(viol_mask)
         order = np.argsort(-gain[viol_mask], kind="stable")
-        new_pairs = []
-        for idx in order[: add_per_round * 4]:
-            k, l = (int(x) for x in flat[idx])
-            if (k, l) not in working:
-                new_pairs.append((k, l))
-            if len(new_pairs) >= add_per_round:
-                break
-        if not new_pairs:
+        top = violated[order[: add_per_round * 4]]
+        new = top[~working[top[:, 0], top[:, 1]]][:add_per_round]
+        if not new.size:
             # all violated pairs already in the working set: numerical
             # stall; tighten by failing loudly rather than looping
             raise LpError("constraint generation stalled with persistent violations")
-        for pair in stale:
-            del working[pair]
-        for pair in new_pairs:
-            working[pair] = 0
-        recent = set(new_pairs)
-        if len(working) > MAX_WORKING_ROWS:
+        working = working & (slack_solves < 2)
+        working[new[:, 0], new[:, 1]] = True
+        if np.count_nonzero(working) > MAX_WORKING_ROWS:
             raise LpError(f"working set exceeded {MAX_WORKING_ROWS} rows")
     raise LpError(f"constraint generation exceeded {MAX_ROUNDS} rounds")
 
@@ -405,12 +389,18 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
     Variables live on sorted representatives only; every strict profile
     reads its outcome through the relabeling that sorts it, so the search
     space is exactly the symmetric mechanisms and the output (spread by
-    `symmetric_extension`) is symmetric under exact float equality.
+    `symmetric_extension`) is symmetric under exact float equality.  The
+    types must be strict and hold every relabeling of each profile, so
+    that the spread covers exactly them; any other list raises LpError
+    before the solve.
     """
     types = [tuple(float(x) for x in v) for v in types]
+    type_set = set(types)
     for v in types:
         if not is_strict(v):
             raise LpError("symmetric optimization needs strict profiles")
+        if not type_set.issuperset(itertools.permutations(v)):
+            raise LpError(f"symmetric optimization needs every relabeling of {v}")
     n = len(types[0])
     reps = sorted({sort_descending(v) for v in types})
     rep_index = {w: k for k, w in enumerate(reps)}
@@ -439,13 +429,6 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
     t = sol.x[R * n : R * n + R]
     on_sorted = Mechanism(types=tuple(reps), q=q.copy(), t=t.copy(), domain_tag=IDENTICAL)
     mech = symmetric_extension(on_sorted)
-    if set(mech.types) != set(types):
-        mech = Mechanism(
-            types=tuple(types),
-            q=np.stack([mech.q_at(v) for v in types]),
-            t=np.asarray([mech.t_at(v) for v in types]),
-            domain_tag=HETEROGENEOUS,
-        )
     _certify_mechanism(mech, HETEROGENEOUS)
     sym = is_symmetric(mech)
     if not sym.passed:
@@ -611,9 +594,7 @@ def _deterministic_allocations(n: int, domain_tag: str):
     return out
 
 
-def optimal_deterministic(
-    types, dist: Distribution, domain_tag: str, collect_all: bool = False
-) -> DeterministicResult:
+def optimal_deterministic(types, dist: Distribution, domain_tag: str) -> DeterministicResult:
     """Exhaustive search over deterministic menus.
 
     Allocations are 0/1 bundles (sorted prefixes on the identical
@@ -622,6 +603,9 @@ def optimal_deterministic(
     lists are ordered by descending price so the induced lowest-index
     tie-breaking resolves buyer indifference toward the seller, which is
     itself truthful and loses no revenue.
+
+    One pass over the menus finds the best and collects `optimal_menus`,
+    every menu within 1e-12 of the best revenue, in enumeration order.
     """
     types = [tuple(float(x) for x in v) for v in types]
     weights = embed(dist, types)
@@ -659,28 +643,26 @@ def optimal_deterministic(
 
     best_rev = -np.inf
     best_assign = None
-    count = 0
+    # (assign, revenue) of every menu so far within 1e-12 of the running
+    # best, in enumeration order; the best only rises, so a menu that
+    # falls behind it stays behind, and at the end this is every optimum
+    near = []
     for assign in itertools.product(range(len(choices)), repeat=K):
-        count += 1
         rev = menu_revenue(assign)
         if rev > best_rev + 1e-12:
             best_rev = rev
             best_assign = assign
-    optimal_assigns = []
-    if collect_all:
-        for assign in itertools.product(range(len(choices)), repeat=K):
-            if menu_revenue(assign) >= best_rev - 1e-12:
-                optimal_assigns.append(assign)
+            near = [(a, r) for a, r in near if r >= best_rev - 1e-12]
+        if rev >= best_rev - 1e-12:
+            near.append((assign, rev))
 
     menu = assign_to_menu(best_assign)
-    mech = menu_to_mechanism(menu, types, domain_tag)
-    opt_menus = [assign_to_menu(a) for a in optimal_assigns] if collect_all else []
     return DeterministicResult(
-        mechanism=mech,
+        mechanism=menu_to_mechanism(menu, types, domain_tag),
         revenue=best_rev,
         menu=menu,
-        n_menus_searched=count,
-        optimal_menus=opt_menus,
+        n_menus_searched=n_menus,
+        optimal_menus=[assign_to_menu(a) for a, _ in near],
     )
 
 

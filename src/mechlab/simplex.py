@@ -343,20 +343,6 @@ class _Tableau:
             self.pivot(i, j, self.nb_value(j))
 
 
-def _solve_boxed(c, lower, upper, maximize):
-    """Row-free LP: optimize each variable at a bound independently."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    want_up = (c > 0) if maximize else (c < 0)
-    x = np.where(want_up, upper, lower)
-    pushed_to_inf = ~np.isfinite(x) & (c != 0)
-    if pushed_to_inf.any():
-        return SimplexResult(UNBOUNDED, None, None, None, None, None, 0.0, 0)
-    x = np.where(np.isfinite(x), x, np.where(np.isfinite(lower), lower, upper))
-    obj = float(c @ x)
-    return SimplexResult(OPTIMAL, x, obj, np.zeros(0), c.copy(), 0.0, 0.0, 0)
-
-
 def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) -> SimplexResult:
     """Solve the bounded LP; see module docstring for conventions.
 
@@ -372,9 +358,6 @@ def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) 
     n = c.shape[0]
     if max_iters is None:
         max_iters = 200 * (m + n) + 20000
-
-    if m == 0:
-        return _solve_boxed(c, lower, upper, maximize)
 
     tab = _Tableau(-c if maximize else c, A, b, senses, lower, upper)
     enter_real = ~tab.is_art
@@ -415,7 +398,7 @@ def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) 
     else:
         raise SimplexError("tableau failed to stabilize under refactorization")
 
-    tab.refresh(cost2)
+    # the last run made no pivot, so its opening refresh is current
     x_all = tab._nonbasic_values()
     x_all[tab.basis] = tab.xB
     x = x_all[:n]

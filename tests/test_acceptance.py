@@ -447,7 +447,7 @@ def test_criterion_09_deterministic_search_symmetry_equivalence():
     tol = 1e-9
     for label, types, dist in _criterion_09_instances():
         assert is_exchangeable(dist).passed, label
-        res = optimal_deterministic(types, dist, HETEROGENEOUS, collect_all=True)
+        res = optimal_deterministic(types, dist, HETEROGENEOUS)
 
         # exhaustiveness certificate, recounted from first principles:
         # 0/1 bundles except the empty one, each priced at a type-bundle

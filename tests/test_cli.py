@@ -187,8 +187,10 @@ def test_missing_kind_names_the_field(tmp_path, capsys):
 def test_unknown_kind_names_the_field(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kind": "frobnicate"})
     assert cli.main(["run", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "'kind'" in err and "frobnicate" in err
+    assert capsys.readouterr().err == (
+        "config error: field 'kind' must be one of solve, certify_equivalence, "
+        "certify_theorem1, robust, monotonicity, repair, deterministic; got 'frobnicate'\n"
+    )
 
 
 def test_missing_grid_n_names_the_field(tmp_path, capsys):
@@ -213,6 +215,26 @@ def test_off_grid_table_type_names_the_entry(tmp_path, capsys):
     cfg = write_config(tmp_path, bad)
     assert cli.main(["run", str(cfg)]) == 2
     assert "'distribution.types[0]'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"grid": {"n": "2", "points": 3}}, "field 'grid.n' must be an integer"),
+        ({"grid": {"n": True, "points": 3}}, "field 'grid.n' must be an integer"),
+        ({"grid": {"n": 1, "points": 3, "v_low": True}}, "field 'grid.v_low' must be a number"),
+        ({"strict_only": 1}, "field 'strict_only' must be a boolean"),
+        ({"domain": 3}, "field 'domain' must be a string"),
+        # build_grid prefixes every error inside Grid construction with 'grid'
+        ({"grid": {"n": 1, "levels": 3}}, "field 'grid': field 'grid.levels' must be a list"),
+        ({"distribution": []}, "field 'distribution' must be an object"),
+    ],
+    ids=["int_as_str", "int_as_bool", "number_as_bool", "bool", "str", "list", "object"],
+)
+def test_wrong_field_type_names_the_field(tmp_path, capsys, patch, message):
+    cfg = write_config(tmp_path, dict(SOLVE_SINGLE, **patch))
+    assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_bad_mode_rejected(tmp_path, capsys):

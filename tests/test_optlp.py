@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mechlab.optlp as optlp
+from mechlab import simplex
 from mechlab.dist import (
     MarginalCdf,
     comonotone_fmin,
@@ -125,6 +126,36 @@ class TestRevenueLp:
         assert full.rounds == 1
         assert full.n_ic_rows == T * (T - 1)
 
+    @pytest.mark.parametrize(
+        "domain_tag, n, points, pinned, ic_rows_per_round",
+        [
+            (HETEROGENEOUS, 2, 6, (3, 203, 165), [188, 212, 203]),
+            (IDENTICAL, 4, 4, (3, 220, 246), [218, 288, 220]),
+        ],
+        ids=["het2p6", "id4p4"],
+    )
+    def test_lazy_working_set_is_pinned(
+        self, monkeypatch, domain_tag, n, points, pinned, ic_rows_per_round
+    ):
+        # Both runs add rows in round 2 and prune rows in round 3, so the
+        # pins cover the whole working-set policy: which pairs are added
+        # and pruned, and the row order (through the pivot count).
+        sizes = []
+        build = optlp._revenue_lp
+
+        def counting(types, weights, tag, pairs):
+            lp = build(types, weights, tag, pairs)
+            sizes.append(sum(label.startswith("ic_") for *_, label in lp.rows))
+            return lp
+
+        monkeypatch.setattr(optlp, "_revenue_lp", counting)
+        grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+        types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
+        dist = uniform_distribution(types, domain_tag)
+        res = optimal_mechanism(types, dist, domain_tag, mode="lazy")
+        assert (res.rounds, res.n_ic_rows, res.solution.iterations) == pinned
+        assert sizes == ic_rows_per_round
+
     def test_returned_mechanism_is_audited(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3)
         types = enumerate_identical(grid)
@@ -240,6 +271,21 @@ class TestSymmetricLp:
                 [(0.5, 0.5), (1.0, 0.5)],
                 uniform_distribution([(0.5, 0.5), (1.0, 0.5)], HETEROGENEOUS),
             )
+
+    def test_rejects_type_list_missing_a_relabeling_before_solving(self, monkeypatch):
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
+        types = [v for v in enumerate_hetero(grid, strict_only=True) if v != (0.0, 1.0)]
+        calls = []
+        solve = simplex.solve_simplex
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "solve_simplex", counting)
+        with pytest.raises(LpError, match="relabeling"):
+            optimal_symmetric_mechanism(types, uniform_distribution(types, HETEROGENEOUS))
+        assert calls == []
 
 
 class TestEquivalenceCertificate:
@@ -371,10 +417,22 @@ class TestDeterministicSearch:
     def test_collect_all_returns_every_optimum(self):
         types = [(1.0,), (2.0,)]
         dist = uniform_distribution(types, IDENTICAL)
-        res = optimal_deterministic(types, dist, IDENTICAL, collect_all=True)
-        # price 1 and price 2 both earn 1.0
+        res = optimal_deterministic(types, dist, IDENTICAL)
+        # price 1 and price 2 both earn 1.0; the no-sale menu before them
+        # led until price 1 overtook it
         assert res.revenue == pytest.approx(1.0)
-        assert len(res.optimal_menus) == 2
+        assert [menu.items[0][1] for menu in res.optimal_menus] == [1.0, 2.0]
+
+    def test_optimal_menus_track_a_rising_best(self):
+        # Prices 1, p2, p3 earn 1, 1 + 0.8e-12 and 1 + 1.5e-12 in that
+        # order: p2 stays within 1e-12 of the final best, price 1 falls
+        # behind it, exactly as a second pass against the final best finds.
+        p2, p3 = 2.0 * (1.0 + 0.8e-12), 4.0 * (1.0 + 1.5e-12)
+        types = [(1.0,), (p2,), (p3,)]
+        dist = table_distribution(types, [0.5, 0.25, 0.25], IDENTICAL)
+        res = optimal_deterministic(types, dist, IDENTICAL)
+        assert res.revenue == p3 * 0.25
+        assert [menu.items[0][1] for menu in res.optimal_menus] == [p2, p3]
 
     def test_size_guard(self):
         grid = Grid.uniform(n=3, v_low=0.0, v_high=1.0, points=5)

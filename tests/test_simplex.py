@@ -227,11 +227,23 @@ MIXED_START_LP = (
     True,
 )
 
+# No rows at all: each variable goes to the bound its cost favors, one of
+# them from an infinite lower bound.
+ROW_FREE_LP = (
+    [1.0, -2.0, 0.5],
+    np.zeros((0, 3)),
+    [],
+    [],
+    [0.0, -1.0, -np.inf],
+    [3.0, 4.0, 5.0],
+    True,
+)
+
 
 @pytest.mark.parametrize(
     "lp",
     [pytest.param(_random_lp(seed), id=str(seed)) for seed in range(30)]
-    + [pytest.param(MIXED_START_LP, id="mixed_start")],
+    + [pytest.param(MIXED_START_LP, id="mixed_start"), pytest.param(ROW_FREE_LP, id="row_free")],
 )
 def test_random_cross_check(lp):
     """Boxed LPs: objective must agree with an independent solver."""
@@ -260,6 +272,12 @@ def test_start_basis_layout_and_unknown_sense():
     assert np.flatnonzero(tab.is_art).tolist() == [6, 7, 8]
     with pytest.raises(ValueError, match="unknown sense '<'"):
         solve_simplex([1.0], [[1.0]], [1.0], ["<"], [0.0], [1.0])
+
+
+@pytest.mark.parametrize("m", [0, 1], ids=["row_free", "one_row"])
+def test_crossed_bounds_rejected(m):
+    with pytest.raises(ValueError, match="crossed variable bounds"):
+        solve_simplex([1.0], np.ones((m, 1)), [1.0] * m, ["<="] * m, [2.0], [1.0])
 
 
 @pytest.mark.parametrize("seed", range(10))
