@@ -168,6 +168,8 @@ def build_grid(cfg: dict) -> Grid:
             return Grid(n=n, levels=tuple(levels), v_low=v_low, v_high=v_high)
         points = _take(sub, "points", int, "grid")
         return Grid.uniform(n=n, v_low=v_low, v_high=v_high, points=points)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"field 'grid': {exc}") from exc
 

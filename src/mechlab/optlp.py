@@ -114,12 +114,13 @@ class LinearProgram:
         return A, b, senses
 
 
-def solve_lp(lp: LinearProgram, what: str = "LP") -> simplex.SimplexResult:
+def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.SimplexResult:
     """Solve and certify.  Returns the OPTIMAL result that passed
     `simplex.certify`; an infeasible or unbounded LP raises
     InfeasibleError or UnboundedError naming `what`, and a solver
     breakdown or a failed certificate raises LpError, so no caller ever
-    holds an untrusted optimum."""
+    holds an untrusted optimum.  `start` is passed to the solver as the
+    basis to warm-start from."""
     A, b, senses = lp.dense()
     try:
         res = simplex.certify(
@@ -131,6 +132,7 @@ def solve_lp(lp: LinearProgram, what: str = "LP") -> simplex.SimplexResult:
                 lower=np.asarray(lp.lower),
                 upper=np.asarray(lp.upper),
                 maximize=True,
+                start=start,
             )
         )
     except simplex.SimplexError as exc:
@@ -345,17 +347,23 @@ def _solve_lazy(types, weights, domain_tag, seed):
     when the full gain matrix shows no violation beyond GEN_TOL, or at
     once when the working set is complete (all T(T-1) pairs): then the
     solve is the full LP and there is nothing left to add.
+
+    The first round solves cold.  Every later round warm-starts from the
+    previous round's optimal basis (`_next_start`): the dual values stay
+    feasible, so the bounded dual simplex only has to repair the new,
+    violated rows.
     """
     T = len(types)
     n = len(types[0])
     add_per_round = max(64, 2 * T)
     working = seed
+    start = None
     slack_solves = np.zeros((T, T), dtype=int)
     for rounds in range(1, MAX_ROUNDS + 1):
         # Python ints, not numpy scalars, keep the row builder fast
         pairs = np.argwhere(working).tolist()
         lp = _revenue_lp(types, weights, domain_tag, ((k, l, types[k]) for k, l in pairs))
-        sol = solve_lp(lp, "revenue LP")
+        sol = solve_lp(lp, "revenue LP", start)
         mech = _extract_mechanism(types, n, sol.x, domain_tag)
         if len(pairs) == T * (T - 1):
             return mech, sol, len(pairs), rounds
@@ -373,11 +381,30 @@ def _solve_lazy(types, weights, domain_tag, seed):
             # all violated pairs already in the working set: numerical
             # stall; tighten by failing loudly rather than looping
             raise LpError("constraint generation stalled with persistent violations")
-        working = working & (slack_solves < 2)
-        working[new[:, 0], new[:, 1]] = True
+        next_working = working & (slack_solves < 2)
+        next_working[new[:, 0], new[:, 1]] = True
+        start = _next_start(sol.basis, working, next_working)
+        working = next_working
         if np.count_nonzero(working) > MAX_WORKING_ROWS:
             raise LpError(f"working set exceeded {MAX_WORKING_ROWS} rows")
     raise LpError(f"constraint generation exceeded {MAX_ROUNDS} rounds")
+
+
+def _next_start(basis, working, next_working):
+    """The next round's start basis from this round's optimal `basis`.
+
+    Structural columns and the always-on rows keep their statuses; they
+    lead the basis, and the truthfulness rows follow in row-major order
+    of `working`.  A pair in both masks keeps its row's status, a pair
+    new in `next_working` starts with its slack basic, and a pruned
+    pair's row leaves together with its slack, which is basic because
+    the row was strictly slack."""
+    row = np.full(working.shape, -1)
+    row[working] = np.arange(np.count_nonzero(working))
+    head = basis.size - np.count_nonzero(working)
+    old = row[next_working]
+    tail = np.where(old >= 0, basis[head + old], simplex._BASIC)
+    return np.concatenate([basis[:head], tail.astype(np.int8)])
 
 
 # ---------------------------------------------------------------------------

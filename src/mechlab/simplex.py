@@ -21,12 +21,30 @@ Design constraints, in order:
 
 The work per pivot follows the sparsity of the revenue LPs, not the
 size of the tableau.  The rank-one update touches only the nonzero rows
-of the entering column times the nonzero columns of the pivot row:
-every entry it skips would have received x - (+-0.0), which is x up to
-the sign of a zero.  Pricing finds its shortlist by a partition, not a
-sort of every column, and the shortlist is exactly the head of the full
-sort.  tests/test_simplex.py checks both against the full versions:
-same pivots, bitwise-equal results.
+of the entering column times the nonzero columns of the pivot row, and
+every entry it writes (and every entry of the normalized pivot row and
+of a refactored tableau) below DROP_TOL in magnitude is set to zero.
+Those entries are round-off dust: on the identical n=2, 12-point
+revenue LP, 66,670 of the 79,224 nonzeros of the tableau before its
+first refactor were below 1e-13 and none lay between 1e-11 and
+PIVOT_TOL, so dropping them keeps the update sparse without touching a
+true entry.  Pricing finds its shortlist by a
+partition, not a sort of every column, and the shortlist is exactly the
+head of the full sort.  tests/test_simplex.py checks both against the
+dense versions: same pivots, bitwise-equal results.
+
+A solve may start from a basis instead of from the slack basis: `start`
+takes the `basis` of an earlier result, one status per structural column
+and then per row's logical column.  The tableau refactors at that basis
+and, if it is dual feasible, restores primal feasibility by a bounded
+dual simplex (`_Tableau.dual_run`) before the usual phase 2.  A start it
+cannot use (wrong length, wrong count of basic columns, singular or not
+dual feasible, or a row the dual ratio test cannot repair) falls back to
+the cold two-phase solve, whose result it then returns.  Lazy row
+generation passes each round's optimal basis to the next round.  Reruns
+are bitwise identical for a fixed BLAS thread count: the rounding of
+the dense solves, and through it a tie between pivots, can depend on
+the number of threads.
 
 Every row owns exactly one logical column: a slack for an inequality,
 a marker for an equality (its phase-1 artificial, frozen at 0
@@ -57,6 +75,7 @@ BLAND_AFTER = 512
 PRICE_WINDOW = 64
 RATIO_SLACK = 1e-11
 HEAL_ROUNDS = 8
+DROP_TOL = 1e-12
 
 _LO, _UP, _BASIC = 0, 1, 2
 
@@ -79,6 +98,10 @@ class SimplexResult:
     duality_gap: float | None
     max_infeasibility: float
     iterations: int
+    # int8 status (lower, upper, basic) of each structural column, then of
+    # each row's logical column, in row order; a valid `start` for a
+    # later solve.  None unless optimal.
+    basis: np.ndarray | None = None
 
 
 def _shortlist(gain, k):
@@ -164,8 +187,15 @@ class _Tableau:
         self.n_real = n_real
         self.n_total = n_total
         self.is_art = np.arange(n_total) >= n_real
+        # every non-structural column is a signed unit vector: its row
+        self.unit_row = np.full(n_total, -1)
+        self.unit_row[logical] = np.arange(m)
+        self.unit_row[n + m :] = extra
         self.row_alive = np.ones(m, dtype=bool)
         self.iterations = 0
+        self.refactor_every = REFACTOR_EVERY
+        self.rolled_back = False
+        self.keep_basis()
 
     # -- state helpers ----------------------------------------------------
 
@@ -184,18 +214,72 @@ class _Tableau:
         nz = np.nonzero(vals)[0]
         self.xB = self.rb - (self.T[:, nz] @ vals[nz] if nz.size else 0.0)
 
+    def keep_basis(self):
+        """Remember the basis and bound statuses that a failed refactor
+        rolls back to."""
+        self.kept = (self.basis.copy(), self.status.copy())
+
+    def factor(self):
+        """T = B^-1 Aext and rb = B^-1 b at the current basis; raises
+        LinAlgError on a singular basis matrix.
+
+        Only what is unknown is solved for.  The basic columns of T are
+        unit vectors, written exactly, so only the nonbasic columns and b
+        are right-hand sides.  A basic logical or artificial column is a
+        signed unit vector on its row, so that row drops out of the
+        solve: the basic structural columns are solved on the other rows
+        alone, and each unit row is then read off by one substitution.
+        The old T is released before the solve, and entries below
+        DROP_TOL are dropped.  The dense solve is deterministic for fixed
+        inputs."""
+        self.T = None
+        nb = np.flatnonzero(self.status != _BASIC)
+        rhs = np.column_stack([self.Aext[:, nb], self.b])
+        hit = self.unit_row[self.basis]
+        unit = hit >= 0
+        rows_u = hit[unit]
+        rest = np.ones(self.m, dtype=bool)
+        rest[rows_u] = False
+        A_s = self.Aext[:, self.basis[~unit]]
+        if A_s.shape[1] != np.count_nonzero(rest):
+            # two basic unit columns on one row
+            raise np.linalg.LinAlgError("Singular matrix")
+        z = np.linalg.solve(A_s[rest], rhs[rest])
+        sol = np.empty_like(rhs)
+        sol[~unit] = z
+        scale = self.Aext[rows_u, self.basis[unit]]
+        sol[unit] = (rhs[rows_u] - A_s[rows_u] @ z) / scale[:, None]
+        block = sol[:, :-1]
+        block[np.abs(block) < DROP_TOL] = 0.0
+        T = np.zeros((self.m, self.n_total))
+        T[:, nb] = block
+        T[np.arange(self.m), self.basis] = 1.0
+        self.T = T
+        self.rb = sol[:, -1].copy()
+
     def refactor(self):
         """Rebuild the tableau exactly from the current basis.
 
         Rank-one pivot updates drift; solving against the basis matrix
-        resets T = B^-1 Aext and rb = B^-1 b to working precision.  The
-        dense solve is deterministic for fixed inputs."""
-        B = self.Aext[:, self.basis]
+        resets T and rb to working precision.  Drift can also let a pivot
+        land on an entry that is really zero and leave a singular basis.
+        Then the tableau rolls back to the basis kept at the last refactor
+        that succeeded or at the start of the current phase, whichever is
+        later, refactors there, and from then on refactors every 128
+        pivots.  A second failure raises SimplexError."""
         try:
-            self.T = np.linalg.solve(B, self.Aext)
-            self.rb = np.linalg.solve(B, self.b)
+            self.factor()
         except np.linalg.LinAlgError as exc:
-            raise SimplexError("singular basis during refactorization") from exc
+            if self.rolled_back:
+                raise SimplexError("singular basis during refactorization") from exc
+            self.rolled_back = True
+            self.refactor_every = 128
+            self.basis, self.status = (a.copy() for a in self.kept)
+            try:
+                self.factor()
+            except np.linalg.LinAlgError as again:
+                raise SimplexError("singular basis during refactorization") from again
+        self.keep_basis()
 
     # -- core iteration ----------------------------------------------------
 
@@ -206,17 +290,24 @@ class _Tableau:
         The rank-one update T -= outer(colj, T[r]) runs only over the
         nonzero rows of colj and the nonzero columns of the normalized
         row r.  Every entry it skips would get x - (+-0.0) == x, so the
-        result matches the dense update up to the sign of zero entries."""
+        result matches the dense update up to the sign of zero entries.
+        Entries of the normalized row and of the updated block below
+        DROP_TOL are set to zero."""
         piv = self.T[r, j]
         if abs(piv) <= PIVOT_TOL:
             raise SimplexError("near-zero pivot")
-        self.T[r, :] /= piv
+        row = self.T[r]
+        row /= piv
+        row[np.abs(row) < DROP_TOL] = 0.0
         self.rb[r] /= piv
         colj = self.T[:, j].copy()
         colj[r] = 0.0
         rows = np.flatnonzero(colj)
-        cols = np.flatnonzero(self.T[r])
-        self.T[np.ix_(rows, cols)] -= np.outer(colj[rows], self.T[r, cols])
+        cols = np.flatnonzero(row)
+        block = np.ix_(rows, cols)
+        upd = self.T[block] - np.outer(colj[rows], row[cols])
+        upd[np.abs(upd) < DROP_TOL] = 0.0
+        self.T[block] = upd
         self.rb -= colj * self.rb[r]
         self.d = self.d - self.d[j] * self.T[r, :]
         self.basis[r] = j
@@ -234,8 +325,8 @@ class _Tableau:
         resets the streak.  Both rules are deterministic, so reruns stay
         bitwise identical."""
         self.refresh(cost)
-        since_refresh = 0
-        since_refactor = 0
+        self.keep_basis()
+        self.since_refresh = self.since_refactor = 0
         degen_streak = 0
         movable = enterable & ((self.upper - self.lower) > 0.0)
         while True:
@@ -280,9 +371,6 @@ class _Tableau:
             step = min(row_min, own)
             if not np.isfinite(step):
                 return UNBOUNDED
-            self.iterations += 1
-            since_refresh += 1
-            since_refactor += 1
             degen_streak = 0 if step > PIVOT_TOL else degen_streak + 1
             if bland:
                 # Bland tie-break across blockers: smallest blocking-variable
@@ -317,14 +405,132 @@ class _Tableau:
                 if self.status[leave] == _LO and not np.isfinite(self.lower[leave]):
                     self.status[leave] = _UP
                 self.pivot(r, j, enter_val)
-            if since_refactor >= REFACTOR_EVERY:
-                self.refactor()
-                self.refresh(cost)
-                since_refactor = 0
-                since_refresh = 0
-            elif since_refresh >= REFRESH_EVERY:
-                self.refresh(cost)
-                since_refresh = 0
+            self.upkeep(cost)
+
+    def upkeep(self, cost):
+        """Count one iteration, then refactor or refresh on the schedule
+        that `run` and `dual_run` restart."""
+        self.iterations += 1
+        self.since_refresh += 1
+        self.since_refactor += 1
+        if self.since_refactor >= self.refactor_every:
+            self.refactor()
+            self.refresh(cost)
+            self.since_refresh = self.since_refactor = 0
+        elif self.since_refresh >= REFRESH_EVERY:
+            self.refresh(cost)
+            self.since_refresh = 0
+
+    def dual_run(self, cost, max_iters):
+        """Make a dual-feasible basis primal feasible by the bounded dual
+        simplex.  Returns True once every basic variable is within
+        RATIO_SLACK of its bounds, False if a violated row admits no
+        entering column.
+
+        The leaving row has the largest bound violation, lowest index on
+        ties.  The entering column has the smallest dual ratio
+        |d_j / alpha_j| among the columns whose move pushes the leaving
+        variable toward its violated bound; ratios within RATIO_SLACK of
+        the smallest count as tied, and a tie goes to the largest
+        |alpha_j|, then the smallest index.  A streak of BLAND_AFTER zero
+        dual steps switches to Bland's rule (the violated row with the
+        smallest basic index leaves, the smallest index among the exact
+        smallest ratios enters) until a positive step resets it.  Every
+        pivot goes through `pivot`, so the dual values d stay current."""
+        self.keep_basis()
+        self.since_refresh = self.since_refactor = 0
+        zero_streak = 0
+        movable = ~self.is_art & ((self.upper - self.lower) > 0.0)
+        while True:
+            lo_B = self.lower[self.basis]
+            up_B = self.upper[self.basis]
+            viol = np.maximum(lo_B - self.xB, self.xB - up_B)
+            if not (viol > RATIO_SLACK).any():
+                return True
+            if self.iterations >= max_iters:
+                raise SimplexError(f"iteration limit {max_iters} reached")
+            bland = zero_streak >= BLAND_AFTER
+            if bland:
+                rows = np.flatnonzero(viol > RATIO_SLACK)
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(np.argmax(viol))
+            below = bool(self.xB[r] < lo_B[r])
+            alpha = self.T[r]
+            push = alpha if below else -alpha
+            at_lo = self.status == _LO
+            cand = np.flatnonzero(
+                movable
+                & ((at_lo & (push < -PIVOT_TOL)) | ((self.status == _UP) & (push > PIVOT_TOL)))
+            )
+            if cand.size == 0:
+                return False
+            # dual feasibility makes d_j >= 0 at a lower bound, <= 0 at an
+            # upper one; round-off on the wrong side counts as zero
+            ratio = np.maximum(np.where(at_lo[cand], self.d[cand], -self.d[cand]), 0.0)
+            ratio /= np.abs(alpha[cand])
+            step = float(ratio.min())
+            if bland:
+                q = int(cand[np.argmax(ratio == step)])
+            else:
+                near = cand[ratio <= step + RATIO_SLACK]
+                q = int(near[np.argmax(np.abs(alpha[near]))])
+            zero_streak = 0 if step > PIVOT_TOL else zero_streak + 1
+            # move x_q until the leaving variable sits on its violated bound
+            move = (self.xB[r] - (lo_B[r] if below else up_B[r])) / alpha[q]
+            enter_val = self.nb_value(q) + move
+            self.xB -= move * self.T[:, q]
+            self.status[self.basis[r]] = _LO if below else _UP
+            self.pivot(r, q, enter_val)
+            self.upkeep(cost)
+
+    def warm_start(self, start, cost, max_iters):
+        """Start phase 2 from the basis `start` (a SimplexResult.basis)
+        and make it primal feasible by `dual_run`.
+
+        Returns False if the start cannot be used: wrong length, not
+        exactly one basic column per row, a nonbasic column at an
+        infinite bound, a singular basis matrix, reduced costs that are
+        not dual feasible within PIVOT_TOL, or a violated row without an
+        entering column.  The tableau is then spoiled; the caller solves
+        from a fresh one."""
+        n = self.c_min.size
+        start = np.asarray(start)
+        if start.shape != (n + self.m,) or not np.isin(start, (_LO, _UP, _BASIC)).all():
+            return False
+        status = np.full(self.n_total, _LO, dtype=np.int8)
+        status[:n] = start[:n]
+        status[self.logical] = start[n:]
+        if np.count_nonzero(status == _BASIC) != self.m:
+            return False
+        self.status = status
+        self.fix_artificials()
+        if np.any(
+            ((status == _LO) & ~np.isfinite(self.lower))
+            | ((status == _UP) & ~np.isfinite(self.upper))
+        ):
+            return False
+        # a basic logical column stays in its own row; the basic
+        # structural columns fill the other rows in column order
+        own = status[self.logical] == _BASIC
+        self.basis = self.logical.copy()
+        self.basis[~own] = np.flatnonzero(status[:n] == _BASIC)
+        try:
+            self.factor()
+        except np.linalg.LinAlgError:
+            return False
+        self.refresh(cost)
+        movable = ~self.is_art & ((self.upper - self.lower) > 0.0) & (status != _BASIC)
+        wrong = ((status == _LO) & (self.d < -PIVOT_TOL)) | ((status == _UP) & (self.d > PIVOT_TOL))
+        if np.any(movable & wrong):
+            return False
+        return self.dual_run(cost, max_iters)
+
+    def fix_artificials(self):
+        """Fix every artificial column at 0 for phase 2."""
+        self.lower[self.is_art] = 0.0
+        self.upper[self.is_art] = 0.0
+        self.status[self.is_art & (self.status == _UP)] = _LO
 
     def drive_out_artificials(self):
         """Pivot leftover basic artificials onto real columns; rows that
@@ -343,7 +549,9 @@ class _Tableau:
             self.pivot(i, j, self.nb_value(j))
 
 
-def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) -> SimplexResult:
+def solve_simplex(
+    c, A, b, senses, lower, upper, maximize=True, max_iters=None, start=None
+) -> SimplexResult:
     """Solve the bounded LP; see module docstring for conventions.
 
     Returns duals `y` (one per input row, zero for retired redundant
@@ -351,7 +559,9 @@ def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) 
     optimization sense.  duality_gap is |primal - weak-dual bound|
     recomputed from the returned certificate, not an internal solver
     quantity, so a small gap genuinely certifies optimality; `certify`
-    checks it.
+    checks it.  `start`, the `basis` of an earlier optimal result on an
+    LP with the same columns, warm-starts phase 2 from that basis; a
+    start that cannot be used gives the cold solve's result.
     """
     c = np.asarray(c, dtype=float)
     m = len(b)
@@ -359,10 +569,18 @@ def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) 
     if max_iters is None:
         max_iters = 200 * (m + n) + 20000
 
-    tab = _Tableau(-c if maximize else c, A, b, senses, lower, upper)
-    enter_real = ~tab.is_art
+    def tableau():
+        return _Tableau(-c if maximize else c, A, b, senses, lower, upper)
 
-    if tab.is_art.any():
+    tab = tableau()
+    enter_real = ~tab.is_art
+    cost2 = np.zeros(tab.n_total)
+    cost2[:n] = tab.c_min
+
+    if start is not None and not tab.warm_start(start, cost2, max_iters):
+        start = None
+        tab = tableau()
+    if start is None and tab.is_art.any():
         status = tab.run(tab.is_art.astype(float), np.ones(tab.n_total, dtype=bool), max_iters)
         if status != OPTIMAL:
             raise SimplexError("phase 1 cannot be unbounded")
@@ -373,12 +591,8 @@ def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) 
                 INFEASIBLE, None, None, None, None, None, art_val, tab.iterations
             )
         tab.drive_out_artificials()
-        tab.lower[tab.is_art] = 0.0
-        tab.upper[tab.is_art] = 0.0
-        tab.status[tab.is_art & (tab.status == _UP)] = _LO
+        tab.fix_artificials()
 
-    cost2 = np.zeros(tab.n_total)
-    cost2[:n] = tab.c_min
     status = tab.run(cost2, enter_real, max_iters)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, None, None, None, 0.0, tab.iterations)
@@ -443,8 +657,9 @@ def solve_simplex(c, A, b, senses, lower, upper, maximize=True, max_iters=None) 
     y_ext = sense_mult * y_int
     d_full = cost2[: tab.n_total] - y_int @ tab.Aext
     d_ext = sense_mult * d_full[:n]
+    basis = np.concatenate([tab.status[:n], tab.status[tab.logical]])
     return SimplexResult(
-        OPTIMAL, x, obj_ext, y_ext, d_ext, float(gap), float(max_infeas), tab.iterations
+        OPTIMAL, x, obj_ext, y_ext, d_ext, float(gap), float(max_infeas), tab.iterations, basis
     )
 
 

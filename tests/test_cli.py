@@ -225,8 +225,7 @@ def test_off_grid_table_type_names_the_entry(tmp_path, capsys):
         ({"grid": {"n": 1, "points": 3, "v_low": True}}, "field 'grid.v_low' must be a number"),
         ({"strict_only": 1}, "field 'strict_only' must be a boolean"),
         ({"domain": 3}, "field 'domain' must be a string"),
-        # build_grid prefixes every error inside Grid construction with 'grid'
-        ({"grid": {"n": 1, "levels": 3}}, "field 'grid': field 'grid.levels' must be a list"),
+        ({"grid": {"n": 1, "levels": 3}}, "field 'grid.levels' must be a list"),
         ({"distribution": []}, "field 'distribution' must be an object"),
     ],
     ids=["int_as_str", "int_as_bool", "number_as_bool", "bool", "str", "list", "object"],

@@ -1,7 +1,11 @@
 """Revenue LPs, adversarial LPs, pricing search, equivalence certificate."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mechlab.optlp as optlp
 from mechlab import simplex
@@ -44,6 +48,7 @@ from mechlab.typespace import (
     Grid,
     enumerate_hetero,
     enumerate_identical,
+    sort_descending,
 )
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -129,23 +134,24 @@ class TestRevenueLp:
     @pytest.mark.parametrize(
         "domain_tag, n, points, pinned, ic_rows_per_round",
         [
-            (HETEROGENEOUS, 2, 6, (3, 203, 165), [188, 212, 203]),
-            (IDENTICAL, 4, 4, (3, 220, 246), [218, 288, 220]),
+            (HETEROGENEOUS, 2, 6, (4, 188, 1), [188, 212, 203, 188]),
+            (IDENTICAL, 4, 4, (3, 225, 9), [218, 288, 225]),
         ],
         ids=["het2p6", "id4p4"],
     )
     def test_lazy_working_set_is_pinned(
         self, monkeypatch, domain_tag, n, points, pinned, ic_rows_per_round
     ):
-        # Both runs add rows in round 2 and prune rows in round 3, so the
-        # pins cover the whole working-set policy: which pairs are added
-        # and pruned, and the row order (through the pivot count).
+        # Both runs add rows in round 2 and prune rows later, so the pins
+        # cover the whole working-set policy: which pairs are added and
+        # pruned, and the row order and warm start (through the pivot
+        # count of the last round).
         sizes = []
         build = optlp._revenue_lp
 
         def counting(types, weights, tag, pairs):
             lp = build(types, weights, tag, pairs)
-            sizes.append(sum(label.startswith("ic_") for *_, label in lp.rows))
+            sizes.append([label for *_, label in lp.rows if label.startswith("ic_")])
             return lp
 
         monkeypatch.setattr(optlp, "_revenue_lp", counting)
@@ -154,7 +160,48 @@ class TestRevenueLp:
         dist = uniform_distribution(types, domain_tag)
         res = optimal_mechanism(types, dist, domain_tag, mode="lazy")
         assert (res.rounds, res.n_ic_rows, res.solution.iterations) == pinned
-        assert sizes == ic_rows_per_round
+        assert [len(rows) for rows in sizes] == ic_rows_per_round
+        rounds = [set(rows) for rows in sizes]
+        assert rounds[1] - rounds[0], "round 2 adds no row"
+        assert any(a - b for a, b in zip(rounds[1:], rounds[2:])), "no round prunes a row"
+        full = optimal_mechanism(types, dist, domain_tag, mode="full")
+        assert res.revenue == pytest.approx(full.revenue, abs=1e-9)
+
+    def test_singular_refactor_rolls_back_once(self, monkeypatch):
+        # one refactor in the middle of a run raises: the tableau returns
+        # to the basis of its last good refactor and solves on
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=6)
+        types = enumerate_hetero(grid)
+        dist = uniform_distribution(types, HETEROGENEOUS)
+        monkeypatch.setattr(simplex, "REFACTOR_EVERY", 8)
+        clean = optimal_mechanism(types, dist, HETEROGENEOUS, mode="lazy")
+
+        tabs = []
+
+        class Recording(simplex._Tableau):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tabs.append(self)
+
+        calls = []
+        real_solve = np.linalg.solve
+
+        def fails_once(*args, **kwargs):
+            calls.append(tabs[-1].iterations)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "_Tableau", Recording)
+        monkeypatch.setattr(simplex.np.linalg, "solve", fails_once)
+        res = optimal_mechanism(types, dist, HETEROGENEOUS, mode="lazy")
+        # the third solve is a scheduled refactor 24 pivots into round 1
+        assert calls[:3] == [8, 16, 24]
+        assert tabs[0].rolled_back and tabs[0].refactor_every == 128
+        assert len(tabs) == res.rounds > 1
+        assert not any(tab.rolled_back for tab in tabs[1:])
+        assert res.revenue == pytest.approx(clean.revenue, abs=1e-9)
+        simplex.certify(res.solution)
 
     def test_returned_mechanism_is_audited(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3)
@@ -234,6 +281,72 @@ class TestRevenueLp:
         for mode in modes:
             res = optimal_mechanism(types, dist, domain_tag, mode=mode)
             assert res.revenue == pytest.approx(ref, abs=1e-7), mode
+
+
+@st.composite
+def tie_heavy_grids(draw, n, max_levels):
+    """Grids on a few integer multiples of a step, so that many profiles
+    share a level sum, with a seed for the prior."""
+    step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    count = draw(st.integers(n + 1, max_levels))
+    ks = draw(st.sets(st.integers(0, 2 * max_levels), min_size=count, max_size=count))
+    levels = tuple(step * k for k in sorted(ks))
+    return Grid.explicit(n, levels), draw(st.sampled_from(["dirichlet", "point_mass", "flat"]))
+
+
+def tie_heavy_prior(count, kind, seed):
+    """Dirichlet weights with a small concentration (a few types carry
+    most mass), nine tenths of the mass on one type, or all weights
+    equal."""
+    rng = np.random.default_rng(seed)
+    if kind == "flat":
+        return np.full(count, 1.0 / count)
+    w = rng.dirichlet(np.full(count, 0.3))
+    if kind == "point_mass":
+        w = 0.1 * w
+        w[int(rng.integers(count))] += 0.9
+    return w
+
+
+class TestAgainstHighs:
+    """Lazy (warm-started), full and orbit revenues against HiGHS on the
+    full LP, on random non-uniform grids full of ties."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from([(IDENTICAL, 2, 13), (IDENTICAL, 3, 7), (HETEROGENEOUS, 2, 9)]).flatmap(
+            lambda case: st.tuples(st.just(case[0]), tie_heavy_grids(case[1], case[2]))
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_lazy_and_full_revenue(self, case, seed):
+        domain_tag, (grid, kind) = case
+        types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
+        dist = table_distribution(types, tie_heavy_prior(len(types), kind, seed), domain_tag)
+        ref = scipy_lp_value(build_revenue_lp(types, dist, domain_tag))
+        modes = ("lazy", "full") if len(types) <= 30 else ("lazy",)
+        for mode in modes:
+            res = optimal_mechanism(types, dist, domain_tag, mode=mode)
+            assert res.revenue == pytest.approx(ref, abs=1e-9), mode
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.sampled_from([(2, 9), (3, 6)]).flatmap(lambda case: tie_heavy_grids(*case)),
+        st.integers(0, 2**16),
+    )
+    def test_orbit_revenue(self, grid_kind, seed):
+        # an exchangeable prior on the strict profiles: each sorted profile
+        # spreads its weight evenly over its relabelings
+        grid, kind = grid_kind
+        sorted_types = enumerate_identical(grid, strict_only=True)
+        w_sorted = tie_heavy_prior(len(sorted_types), kind, seed)
+        het = enumerate_hetero(grid, strict_only=True)
+        share = dict(zip(sorted_types, w_sorted / math.factorial(grid.n)))
+        dist_h = table_distribution(het, [share[sort_descending(v)] for v in het], HETEROGENEOUS)
+        dist_i = table_distribution(sorted_types, w_sorted, IDENTICAL)
+        ref = scipy_lp_value(build_revenue_lp(sorted_types, dist_i, IDENTICAL))
+        orbit = optimal_symmetric_mechanism(het, dist_h)
+        assert orbit.revenue == pytest.approx(ref, abs=1e-9)
 
 
 class TestSymmetricLp:

@@ -304,15 +304,18 @@ def test_random_equality_heavy(seed):
 
 
 def _dense_pivot(self, r, j, enter_val):
-    """Reference pivot: the rank-one update over the whole tableau."""
+    """Reference pivot: the rank-one update over the whole tableau, then
+    the dust drop over the whole tableau."""
     piv = self.T[r, j]
     if abs(piv) <= simplex.PIVOT_TOL:
         raise simplex.SimplexError("near-zero pivot")
     self.T[r, :] /= piv
+    self.T[r, np.abs(self.T[r]) < simplex.DROP_TOL] = 0.0
     self.rb[r] /= piv
     colj = self.T[:, j].copy()
     colj[r] = 0.0
     self.T -= np.outer(colj, self.T[r, :])
+    self.T[np.abs(self.T) < simplex.DROP_TOL] = 0.0
     self.rb -= colj * self.rb[r]
     self.d = self.d - self.d[j] * self.T[r, :]
     self.basis[r] = j
@@ -518,3 +521,127 @@ def test_certificate_matches_row_loops(monkeypatch, lp):
     assert res.x.tobytes() == x.tobytes()
     assert res.y.tobytes() == y.tobytes()
     assert (res.duality_gap, res.max_infeasibility) == (float(gap), float(max_infeas))
+
+
+# ---------------------------------------------------------------------------
+# warm start from an earlier basis: the lazy-round pattern of appending
+# violated rows and pruning slack ones, and every start that falls back
+
+
+def _count_tableaus(monkeypatch):
+    built = []
+
+    class Counting(simplex._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(simplex, "_Tableau", Counting)
+    return built
+
+
+def _next_round(seed):
+    """A planted LP, its optimum, and the next round's LP: some rows
+    whose slack is basic pruned, and rows the optimum violates (but the
+    planted point satisfies) appended with their slack basic."""
+    rng = np.random.default_rng(4000 + seed)
+    n = int(rng.integers(3, 8))
+    m = int(rng.integers(3, 9))
+    x0 = rng.uniform(0.2, 0.8, size=n)
+    A = rng.normal(size=(m, n))
+    senses = [("<=", ">=", "=")[i % 3] if seed % 2 else "<=" for i in range(m)]
+    room = np.array([{"<=": 0.2, ">=": -0.2, "=": 0.0}[s] for s in senses])
+    b = A @ x0 + room
+    c = rng.normal(size=n)
+    lower, upper = np.zeros(n), np.ones(n)
+    first = solve_simplex(c, A, b, senses, lower, upper)
+    assert first.status == OPTIMAL
+    slack_basic = np.flatnonzero(first.basis[n:] == simplex._BASIC)
+    keep = np.ones(m, dtype=bool)
+    keep[slack_basic[: (slack_basic.size + 1) // 2]] = False
+    new_A, new_b, new_senses = [], [], []
+    while len(new_A) < 3:
+        a = rng.normal(size=n)
+        lo, hi = sorted((float(a @ x0), float(a @ first.x)))
+        if hi - lo < 1e-3:
+            continue
+        # cut off the optimum halfway to the planted point
+        if a @ first.x > a @ x0:
+            new_A.append(a), new_b.append(0.5 * (lo + hi)), new_senses.append("<=")
+        else:
+            new_A.append(a), new_b.append(0.5 * (lo + hi)), new_senses.append(">=")
+    A2 = np.vstack([A[keep], new_A])
+    b2 = np.concatenate([b[keep], new_b])
+    senses2 = [s for s, k in zip(senses, keep) if k] + new_senses
+    start = np.concatenate(
+        [first.basis[:n], first.basis[n:][keep], np.full(len(new_A), simplex._BASIC, np.int8)]
+    )
+    return (c, A2, b2, senses2, lower, upper), start
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_warm_start_after_adding_and_pruning_rows(monkeypatch, seed):
+    (c, A, b, senses, lower, upper), start = _next_round(seed)
+    cold = solve_simplex(c, A, b, senses, lower, upper)
+    built = _count_tableaus(monkeypatch)
+    warm = solve_simplex(c, A, b, senses, lower, upper, start=start)
+    assert len(built) == 1, "the start fell back to a cold solve"
+    ref = _scipy_solve(c, A, b, senses, lower, upper, True)
+    assert warm.status == cold.status == OPTIMAL and ref.status == 0
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert warm.objective == pytest.approx(-ref.fun, abs=1e-9)
+    simplex.certify(warm)
+    assert (warm.basis == simplex._BASIC).sum() == len(b)
+
+
+# max x0 + x1 + 0.5 x2 with columns 0 and 1 equal, so a basis holding both
+# is singular, and x2 unbounded below
+FALLBACK_LP = (
+    [1.0, 1.0, 0.5],
+    [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]],
+    [2.0, 1.0],
+    ["<=", "<="],
+    [0.0, 0.0, -np.inf],
+    [1.0, 1.0, 1.0],
+)
+# max -x with x >= 2 on [0, 1]: infeasible, so the dual ratio test runs
+# out of entering columns
+INFEASIBLE_LP = ([-1.0], [[1.0]], [2.0], [">="], [0.0], [1.0])
+
+_LO, _UP, _B = simplex._LO, simplex._UP, simplex._BASIC
+
+
+@pytest.mark.parametrize(
+    "lp, start",
+    [
+        (FALLBACK_LP, [_LO, _LO, _UP, _B]),
+        (FALLBACK_LP, [_B, _LO, _UP, _B, _B]),
+        (FALLBACK_LP, [_B, _B, _UP, _LO, _LO]),
+        (FALLBACK_LP, [_LO, _LO, _UP, _B, _B]),
+        (FALLBACK_LP, [_B, _UP, _LO, _B, _LO]),
+        (FALLBACK_LP, [_LO, _LO, _UP, _B, 7]),
+        (INFEASIBLE_LP, [_LO, _B]),
+    ],
+    ids=[
+        "wrong_length",
+        "too_many_basic",
+        "singular",
+        "not_dual_feasible",
+        "infinite_bound",
+        "unknown_status",
+        "no_entering_column",
+    ],
+)
+def test_unusable_start_gives_the_cold_result(monkeypatch, lp, start):
+    cold = solve_simplex(*lp)
+    built = _count_tableaus(monkeypatch)
+    warm = solve_simplex(*lp, start=np.asarray(start, dtype=np.int8))
+    assert len(built) == 2
+    assert (warm.status, warm.objective, warm.iterations) == (
+        cold.status,
+        cold.objective,
+        cold.iterations,
+    )
+    for name in ("x", "y", "reduced_costs", "basis"):
+        a, b = getattr(warm, name), getattr(cold, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
