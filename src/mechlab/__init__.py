@@ -6,8 +6,8 @@ typespace   grids, permutations, ordering cells
 mech        mechanisms, audits, menus, revenue, serialization
 symmetry    relabeling invariance, order preservation, extensions
 dist        distributions, marginals, shifts, density diagnostics
-simplex     bounded-variable tableau simplex (deterministic, steepest-edge, sparse pivots,
-            dual-simplex warm start)
+simplex     bounded-variable tableau simplex (deterministic, steepest-edge weights
+            updated in the sparse pivot, dual-simplex warm start by dual steepest edge)
 optlp       revenue LPs, adversarial LPs, certified comparisons
 monotone    majorization tools, subgradient repairs, monotonicity runs
 gen         seeded random menus and mechanisms for fuzz suites

@@ -5,12 +5,11 @@ Solves   max/min  c.x   s.t.  A x {<=,>=,=} b,   lower <= x <= upper.
 Design constraints, in order:
 
 1. Determinism.  Same inputs give bitwise-identical output on a machine:
-   pricing is steepest-edge over a shortlist of the PRICE_WINDOW most
-   attractive reduced costs with first-index tie-breaking; a streak of
-   BLAND_AFTER degenerate pivots switches to Bland's smallest-index rule
-   (which cannot cycle) until progress resumes; all floating-point
-   reductions run in fixed order, and periodic refreshes happen on a
-   fixed iteration schedule.
+   pricing is steepest-edge over every eligible column with first-index
+   tie-breaking; a streak of BLAND_AFTER degenerate pivots switches to
+   Bland's smallest-index rule (which cannot cycle) until progress
+   resumes; all floating-point reductions run in fixed order, and
+   periodic refreshes happen on a fixed iteration schedule.
 2. Honest certificates.  Every optimal solve reports row duals, reduced
    costs, a weak-duality gap, and the worst primal residual, so callers
    can assert optimality instead of trusting a status flag.
@@ -28,10 +27,12 @@ Those entries are round-off dust: on the identical n=2, 12-point
 revenue LP, 66,670 of the 79,224 nonzeros of the tableau before its
 first refactor were below 1e-13 and none lay between 1e-11 and
 PIVOT_TOL, so dropping them keeps the update sparse without touching a
-true entry.  Pricing finds its shortlist by a
-partition, not a sort of every column, and the shortlist is exactly the
-head of the full sort.  tests/test_simplex.py checks both against the
-dense versions: same pivots, bitwise-equal results.
+true entry.  Pricing reads steepest-edge weights (Forrest & Goldfarb
+1992) that each pivot updates from the block it already gathers: the
+squared norm of every tableau column and, while the dual simplex runs,
+of every row of B^-1; each refresh recomputes them.  tests/test_simplex.py
+checks the kernel against the dense update (same pivots, bitwise-equal
+results) and the weights against recomputed norms.
 
 A solve may start from a basis instead of from the slack basis: `start`
 takes the `basis` of an earlier result, one status per structural column
@@ -72,7 +73,6 @@ GAP_TOL = 1e-7
 REFRESH_EVERY = 64
 REFACTOR_EVERY = 512
 BLAND_AFTER = 512
-PRICE_WINDOW = 64
 RATIO_SLACK = 1e-11
 HEAL_ROUNDS = 8
 DROP_TOL = 1e-12
@@ -104,15 +104,23 @@ class SimplexResult:
     basis: np.ndarray | None = None
 
 
-def _shortlist(gain, k):
-    """Indices of the k largest gains, largest first and lowest index first
-    among equal gains: exactly np.lexsort((np.arange(gain.size), -gain))[:k],
-    found by one partition instead of a sort of every column."""
-    kth = -np.partition(-gain, k - 1)[k - 1]
-    above = np.flatnonzero(gain > kth)
-    ties = np.flatnonzero(gain == kth)[: k - above.size]
-    pool = np.concatenate([above, ties])
-    return pool[np.lexsort((pool, -gain[pool]))]
+def _blocking_row(lim, step, own, coef, basis, j, bland):
+    """Row whose basic variable leaves in the primal ratio test, or -1 for
+    a bound flip of the entering column j.
+
+    Under Bland's rule the blocker with the smallest variable index wins;
+    j's own far bound (`own`) counts as a blocker indexed j.  Otherwise
+    j flips if its own bound blocks, and among the rows whose limit is
+    within RATIO_SLACK of the step the largest |coef| wins, then the
+    smallest basis index."""
+    if bland:
+        blk = np.flatnonzero(lim <= step)
+        i = int(blk[np.argmin(basis[blk])]) if blk.size else -1
+        return -1 if own <= step and (i < 0 or j < basis[i]) else i
+    if own <= step:
+        return -1
+    near = np.flatnonzero(lim <= step + RATIO_SLACK)
+    return int(near[np.lexsort((basis[near], -np.abs(coef[near])))[0]])
 
 
 class _Tableau:
@@ -173,12 +181,10 @@ class _Tableau:
         self.status = np.full(n_total, _LO, dtype=np.int8)
         self.status[:n][lower_inf] = _UP
         self.status[basis] = _BASIC
-        # B0 is diagonal +-1, so the initial tableau is a row rescale of Aext.
-        self.T = self.Aext * sign[:, None]
-        self.rb = b * sign
-        self.xB = r * sign
+        self.sign = sign
 
         self.c_min = c_min
+        self.n = n
         self.m = m
         self.b = b
         self.is_eq = is_eq
@@ -195,6 +201,7 @@ class _Tableau:
         self.iterations = 0
         self.refactor_every = REFACTOR_EVERY
         self.rolled_back = False
+        self.beta = None
         self.keep_basis()
 
     # -- state helpers ----------------------------------------------------
@@ -207,12 +214,28 @@ class _Tableau:
         vals[self.status == _BASIC] = 0.0
         return vals
 
+    def slack_start(self):
+        """Tableau and right-hand side at the start basis.  B0 is diagonal
+        +-1, so T is a row rescale of Aext; a warm start never builds it."""
+        self.T = self.Aext * self.sign[:, None]
+        self.rb = self.b * self.sign
+
     def refresh(self, cost):
-        """Recompute the objective row and basic values from scratch."""
+        """Recompute the objective row, basic values and steepest-edge
+        weights from scratch; every rebuild of T is followed by one."""
         self.d = cost - cost[self.basis] @ self.T
         vals = self._nonbasic_values()
         nz = np.nonzero(vals)[0]
         self.xB = self.rb - (self.T[:, nz] @ vals[nz] if nz.size else 0.0)
+        self.gamma = np.einsum("ij,ij->j", self.T, self.T)
+        if self.beta is not None:
+            self.weigh_rows()
+
+    def weigh_rows(self):
+        """beta_i = |T[i, n:n+m]|^2, the squared norm of row i of B^-1 (the
+        logical columns of Aext are a signed identity), off a view of T."""
+        lg = self.T[:, self.n : self.n + self.m]
+        self.beta = np.einsum("ij,ij->i", lg, lg)
 
     def keep_basis(self):
         """Remember the basis and bound statuses that a failed refactor
@@ -292,7 +315,7 @@ class _Tableau:
         row r.  Every entry it skips would get x - (+-0.0) == x, so the
         result matches the dense update up to the sign of zero entries.
         Entries of the normalized row and of the updated block below
-        DROP_TOL are set to zero."""
+        DROP_TOL are set to zero; `update_weights` reads the same block."""
         piv = self.T[r, j]
         if abs(piv) <= PIVOT_TOL:
             raise SimplexError("near-zero pivot")
@@ -305,7 +328,9 @@ class _Tableau:
         rows = np.flatnonzero(colj)
         cols = np.flatnonzero(row)
         block = np.ix_(rows, cols)
-        upd = self.T[block] - np.outer(colj[rows], row[cols])
+        upd = self.T[block]  # a copy, read by update_weights before the update
+        self.update_weights(r, j, piv, rows, cols, colj[rows], upd)
+        upd -= np.outer(colj[rows], row[cols])
         upd[np.abs(upd) < DROP_TOL] = 0.0
         self.T[block] = upd
         self.rb -= colj * self.rb[r]
@@ -314,16 +339,36 @@ class _Tableau:
         self.status[j] = _BASIC
         self.xB[r] = enter_val
 
+    def update_weights(self, r, j, piv, rows, cols, a, before):
+        """Carry gamma and beta across the pivot on (r, j).  `a` is the
+        entering column on `rows` (its nonzero rows but r), rho the
+        normalized row r on its nonzero columns `cols`, and `before` =
+        T[rows, cols] ahead of the update.  Column k becomes rho_k on row
+        r and T[i, k] - a_i rho_k elsewhere; row i of B^-1 loses a_i rho
+        on the logical columns L.  So gamma_k gains rho_k^2 (|a|^2 + 1 -
+        piv^2) - 2 rho_k a.T[rows, k], beta_i gains a_i^2 |rho_L|^2 -
+        2 a_i T[i, L].rho_L, and beta_r is |rho_L|^2.  The pivot column
+        and row enter by their exact norms, so no weight's drift spreads."""
+        rho = self.T[r, cols]
+        g = self.gamma
+        g[cols] = np.maximum(0.0, g[cols] - 2 * rho * (a @ before) + rho**2 * (a @ a + 1 - piv**2))
+        if self.beta is not None:
+            lg = (cols >= self.n) & (cols < self.n + self.m)
+            rho_l, tau = rho[lg], before[:, lg] @ rho[lg]
+            beta = self.beta
+            beta[rows] = np.maximum(DROP_TOL, beta[rows] - 2.0 * a * tau + a * a * (rho_l @ rho_l))
+            beta[r] = rho_l @ rho_l
+
     def run(self, cost, enterable, max_iters):
         """Minimize cost over the current basis.
 
-        Pricing scores a shortlist of the most attractive reduced costs
-        by steepest-edge ratio (reduced cost squared over tableau column
-        norm), first index on ties, while steps make progress; a streak
-        of BLAND_AFTER degenerate pivots switches to Bland's
-        smallest-index rule, which cannot cycle, until a positive step
-        resets the streak.  Both rules are deterministic, so reruns stay
-        bitwise identical."""
+        Pricing scores every eligible column by its steepest-edge ratio
+        d_j^2 / (1 + gamma_j), gamma_j the squared norm of tableau column
+        j, first index on ties, while steps make progress; a streak of
+        BLAND_AFTER degenerate pivots switches to Bland's smallest-index
+        rule, which cannot cycle, until a positive step resets the
+        streak.  Both rules are deterministic, so reruns stay bitwise
+        identical."""
         self.refresh(cost)
         self.keep_basis()
         self.since_refresh = self.since_refactor = 0
@@ -346,12 +391,7 @@ class _Tableau:
             if bland:
                 j = int(np.argmax(elig))  # smallest eligible index
             else:
-                gain = np.where(self.status == _UP, self.d, -self.d)
-                gain = np.where(elig, gain, -np.inf)
-                cand = _shortlist(gain, min(PRICE_WINDOW, int(elig.sum())))
-                cols = self.T[:, cand]
-                norms = 1.0 + np.einsum("ij,ij->j", cols, cols)
-                j = int(cand[int(np.argmax(gain[cand] ** 2 / norms))])
+                j = int(np.argmax(np.where(elig, self.d * self.d / (1.0 + self.gamma), -1.0)))
             delta = 1.0 if self.status[j] == _LO else -1.0
             w = self.T[:, j]
             coef = delta * w
@@ -372,35 +412,13 @@ class _Tableau:
             if not np.isfinite(step):
                 return UNBOUNDED
             degen_streak = 0 if step > PIVOT_TOL else degen_streak + 1
-            if bland:
-                # Bland tie-break across blockers: smallest blocking-variable
-                # index; the entering variable's own far bound counts as a
-                # blocker indexed by the entering variable itself.
-                best_var = j if own <= step else None
-                best_row = -1
-                for i in np.nonzero(lim <= step)[0]:
-                    bi = int(self.basis[i])
-                    if best_var is None or bi < best_var:
-                        best_var, best_row = bi, int(i)
-            elif own <= step:
-                best_row = -1  # bound flip: exact arithmetic, no pivot
-            else:
-                # among (near-)tied blockers take the largest pivot
-                # magnitude, then the smallest basis index
-                best_row = -1
-                best_key = None
-                for i in np.nonzero(lim <= step + RATIO_SLACK)[0]:
-                    key = (-abs(float(coef[i])), int(self.basis[i]))
-                    if best_key is None or key < best_key:
-                        best_key, best_row = key, int(i)
-            if best_row == -1:
+            r = _blocking_row(lim, step, own, coef, self.basis, j, bland)
+            self.xB -= delta * step * w
+            if r == -1:
                 self.status[j] = _UP if self.status[j] == _LO else _LO
-                self.xB -= delta * step * w
             else:
-                r = best_row
                 enter_val = self.nb_value(j) + delta * step
                 leave = int(self.basis[r])
-                self.xB -= delta * step * w
                 self.status[leave] = _LO if coef[r] > 0 else _UP
                 if self.status[leave] == _LO and not np.isfinite(self.lower[leave]):
                     self.status[leave] = _UP
@@ -427,17 +445,20 @@ class _Tableau:
         RATIO_SLACK of its bounds, False if a violated row admits no
         entering column.
 
-        The leaving row has the largest bound violation, lowest index on
-        ties.  The entering column has the smallest dual ratio
-        |d_j / alpha_j| among the columns whose move pushes the leaving
-        variable toward its violated bound; ratios within RATIO_SLACK of
-        the smallest count as tied, and a tie goes to the largest
-        |alpha_j|, then the smallest index.  A streak of BLAND_AFTER zero
-        dual steps switches to Bland's rule (the violated row with the
-        smallest basic index leaves, the smallest index among the exact
-        smallest ratios enters) until a positive step resets it.  Every
-        pivot goes through `pivot`, so the dual values d stay current."""
+        The leaving row has the largest dual steepest-edge ratio
+        viol_i^2 / beta_i, beta_i the squared norm of row i of B^-1
+        (`weigh_rows`), lowest index on ties.  The entering column has
+        the smallest dual ratio |d_j / alpha_j| among the columns whose
+        move pushes the leaving variable toward its violated bound;
+        ratios within RATIO_SLACK of the smallest count as tied, and a
+        tie goes to the largest |alpha_j|, then the smallest index.  A
+        streak of BLAND_AFTER zero dual steps switches to Bland's rule
+        (the violated row with the smallest basic index leaves, the
+        smallest index among the exact smallest ratios enters) until a
+        positive step resets it.  Every pivot goes through `pivot`, so
+        the dual values d and the weights stay current."""
         self.keep_basis()
+        self.weigh_rows()
         self.since_refresh = self.since_refactor = 0
         zero_streak = 0
         movable = ~self.is_art & ((self.upper - self.lower) > 0.0)
@@ -445,16 +466,17 @@ class _Tableau:
             lo_B = self.lower[self.basis]
             up_B = self.upper[self.basis]
             viol = np.maximum(lo_B - self.xB, self.xB - up_B)
-            if not (viol > RATIO_SLACK).any():
+            bad = viol > RATIO_SLACK
+            if not bad.any():
+                self.beta = None
                 return True
             if self.iterations >= max_iters:
                 raise SimplexError(f"iteration limit {max_iters} reached")
             bland = zero_streak >= BLAND_AFTER
             if bland:
-                rows = np.flatnonzero(viol > RATIO_SLACK)
-                r = int(rows[np.argmin(self.basis[rows])])
+                r = int(np.argmin(np.where(bad, self.basis, self.n_total)))
             else:
-                r = int(np.argmax(viol))
+                r = int(np.argmax(np.where(bad, viol * viol / self.beta, -1.0)))
             below = bool(self.xB[r] < lo_B[r])
             alpha = self.T[r]
             push = alpha if below else -alpha
@@ -494,7 +516,7 @@ class _Tableau:
         not dual feasible within PIVOT_TOL, or a violated row without an
         entering column.  The tableau is then spoiled; the caller solves
         from a fresh one."""
-        n = self.c_min.size
+        n = self.n
         start = np.asarray(start)
         if start.shape != (n + self.m,) or not np.isin(start, (_LO, _UP, _BASIC)).all():
             return False
@@ -580,6 +602,8 @@ def solve_simplex(
     if start is not None and not tab.warm_start(start, cost2, max_iters):
         start = None
         tab = tableau()
+    if start is None:
+        tab.slack_start()
     if start is None and tab.is_art.any():
         status = tab.run(tab.is_art.astype(float), np.ones(tab.n_total, dtype=bool), max_iters)
         if status != OPTIMAL:

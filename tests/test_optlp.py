@@ -134,8 +134,8 @@ class TestRevenueLp:
     @pytest.mark.parametrize(
         "domain_tag, n, points, pinned, ic_rows_per_round",
         [
-            (HETEROGENEOUS, 2, 6, (4, 188, 1), [188, 212, 203, 188]),
-            (IDENTICAL, 4, 4, (3, 225, 9), [218, 288, 225]),
+            (HETEROGENEOUS, 2, 6, (3, 202, 11), [188, 212, 202]),
+            (IDENTICAL, 4, 4, (3, 225, 1), [218, 288, 225]),
         ],
         ids=["het2p6", "id4p4"],
     )

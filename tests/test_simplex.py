@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from mechlab import simplex
 from mechlab.dist import uniform_distribution
-from mechlab.optlp import build_revenue_lp
+from mechlab.optlp import build_revenue_lp, optimal_mechanism
 from mechlab.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -299,8 +299,9 @@ def test_random_equality_heavy(seed):
 
 
 # ---------------------------------------------------------------------------
-# the sparse pivot kernel and the pricing shortlist against their dense
-# references: same pivots, bitwise-equal results
+# the sparse pivot kernel against its dense reference (both carry the
+# weights by `update_weights`): same pivots, bitwise-equal results; the
+# ratio-test tie-breaks against the loops they replaced
 
 
 def _dense_pivot(self, r, j, enter_val):
@@ -314,6 +315,8 @@ def _dense_pivot(self, r, j, enter_val):
     self.rb[r] /= piv
     colj = self.T[:, j].copy()
     colj[r] = 0.0
+    rows, cols = np.flatnonzero(colj), np.flatnonzero(self.T[r])
+    self.update_weights(r, j, piv, rows, cols, colj[rows], self.T[np.ix_(rows, cols)])
     self.T -= np.outer(colj, self.T[r, :])
     self.T[np.abs(self.T) < simplex.DROP_TOL] = 0.0
     self.rb -= colj * self.rb[r]
@@ -395,16 +398,157 @@ def test_sparse_pivot_matches_dense_under_bland_and_drive_out(monkeypatch):
     assert res.objective == pytest.approx(0.05, abs=1e-9)
 
 
-def test_shortlist_is_the_head_of_a_full_sort():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        size = int(rng.integers(1, 300))
-        # few distinct values, so ties straddle the k-th place
-        gain = rng.integers(0, 6, size=size).astype(float)
-        gain[rng.random(size) < 0.3] = -np.inf
-        k = int(rng.integers(1, max(2, np.isfinite(gain).sum() + 1)))
-        order = np.lexsort((np.arange(size), -gain))
-        assert np.array_equal(simplex._shortlist(gain, k), order[:k])
+def _loop_blocking_row(lim, step, own, coef, basis, j, bland):
+    """The ratio-test tie-breaks as the per-row loops that `_blocking_row`
+    replaced."""
+    if bland:
+        best_var = j if own <= step else None
+        best_row = -1
+        for i in np.nonzero(lim <= step)[0]:
+            bi = int(basis[i])
+            if best_var is None or bi < best_var:
+                best_var, best_row = bi, int(i)
+        return best_row
+    if own <= step:
+        return -1
+    best_row, best_key = -1, None
+    for i in np.nonzero(lim <= step + simplex.RATIO_SLACK)[0]:
+        key = (-abs(float(coef[i])), int(basis[i]))
+        if best_key is None or key < best_key:
+            best_key, best_row = key, int(i)
+    return best_row
+
+
+def test_blocking_row_matches_the_loops():
+    rng = np.random.default_rng(11)
+    slack = simplex.RATIO_SLACK
+    checked = 0
+    for _ in range(3000):
+        m = int(rng.integers(1, 40))
+        # few distinct limits (some within RATIO_SLACK of each other) and
+        # few distinct |coef|, so both tie-breaks decide often
+        lim = rng.choice(
+            [0.0, 0.5 * slack, 1.0, 1.0 + 0.5 * slack, 1.0 + 2 * slack, 2.0, np.inf], m
+        )
+        coef = rng.choice([-2.0, -1.0, 1.0, 2.0, 3.0], m)
+        basis = rng.permutation(m + 30)[:m]
+        j = int(rng.choice(np.setdiff1d(np.arange(m + 30), basis)))
+        own = float(rng.choice([0.0, 1.0, 1.0 + 0.5 * slack, 3.0, np.inf]))
+        step = min(float(lim.min()), own)
+        if not np.isfinite(step):
+            continue
+        for bland in (False, True):
+            args = (lim, step, own, coef, basis, j, bland)
+            assert simplex._blocking_row(*args) == _loop_blocking_row(*args)
+            checked += 1
+    assert checked > 4000
+
+
+# ---------------------------------------------------------------------------
+# steepest-edge weights: updated inside every pivot, they track the norms
+# that they stand for, and pricing reads them over every eligible column
+
+
+def _solve_mechanism(domain_tag, n, points, mode):
+    grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+    types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
+    return optimal_mechanism(types, uniform_distribution(types, domain_tag), domain_tag, mode=mode)
+
+
+@pytest.mark.parametrize(
+    "domain_tag, n, points, mode",
+    [(HETEROGENEOUS, 3, 4, "lazy"), (IDENTICAL, 3, 6, "lazy"), (IDENTICAL, 2, 8, "full")],
+    ids=["het3p4-lazy", "id3p6-lazy", "id2p8-full"],
+)
+def test_updated_weights_match_recomputed_norms(monkeypatch, domain_tag, n, points, mode):
+    worst = {"gamma": 0.0, "beta": 0.0}
+    dual_pivots = []
+    real_pivot = simplex._Tableau.pivot
+
+    def rel_err(got, want):
+        return float(np.max(np.abs(got - want) / np.maximum(1.0, want), initial=0.0))
+
+    def checked_pivot(self, r, j, enter_val):
+        real_pivot(self, r, j, enter_val)
+        worst["gamma"] = max(worst["gamma"], rel_err(self.gamma, (self.T**2).sum(axis=0)))
+        if self.beta is not None:
+            logical = self.T[:, self.n : self.n + self.m]
+            worst["beta"] = max(worst["beta"], rel_err(self.beta, (logical**2).sum(axis=1)))
+            dual_pivots.append(r)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", checked_pivot)
+    _solve_mechanism(domain_tag, n, points, mode)
+    assert worst["gamma"] <= 1e-5
+    assert worst["beta"] <= 1e-9
+    # warm lazy rounds run the dual simplex; a full solve never does
+    assert bool(dual_pivots) == (mode == "lazy")
+
+
+def test_pricing_reads_the_weights_of_every_column(monkeypatch):
+    # the state that each choice is made from: the one left by the last
+    # refresh, row weighing or upkeep before the pivot
+    T = simplex._Tableau
+    state, inside, checked = {}, [], {"run": 0, "dual_run": 0}
+
+    def snapshot_after(name):
+        real = getattr(T, name)
+
+        def wrapped(self, *args):
+            out = real(self, *args)
+            state.update(
+                d=self.d.copy(),
+                gamma=self.gamma.copy(),
+                status=self.status.copy(),
+                xB=self.xB.copy(),
+                beta=None if self.beta is None else self.beta.copy(),
+            )
+            return out
+
+        monkeypatch.setattr(T, name, wrapped)
+
+    def track(name):
+        real = getattr(T, name)
+
+        def wrapped(self, *args):
+            inside.append(name)
+            try:
+                return real(self, *args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(T, name, wrapped)
+
+    def first_best(cand, score):
+        return int(cand[np.flatnonzero(score == score.max())[0]])
+
+    real_pivot = T.pivot
+
+    def pivot(self, r, j, enter_val):
+        where = inside[-1] if inside else None
+        if where == "run":
+            d, st = state["d"], state["status"]
+            tol = simplex.PIVOT_TOL
+            cand = np.flatnonzero(
+                (self.upper - self.lower > 0.0)
+                & (((st == _LO) & (d < -tol)) | ((st == _UP) & (d > tol)))
+            )
+            assert j == first_best(cand, d[cand] ** 2 / (1.0 + state["gamma"][cand]))
+        elif where == "dual_run":
+            lo_B, up_B, xB = self.lower[self.basis], self.upper[self.basis], state["xB"]
+            viol = np.maximum(lo_B - xB, xB - up_B)
+            cand = np.flatnonzero(viol > simplex.RATIO_SLACK)
+            assert r == first_best(cand, viol[cand] ** 2 / state["beta"][cand])
+        if where in checked:
+            checked[where] += 1
+        real_pivot(self, r, j, enter_val)
+
+    for name in ("refresh", "weigh_rows", "upkeep"):
+        snapshot_after(name)
+    for name in ("run", "dual_run", "drive_out_artificials"):
+        track(name)
+    monkeypatch.setattr(T, "pivot", pivot)
+    _solve_mechanism(HETEROGENEOUS, 3, 4, "lazy")
+    assert checked["run"] > 300 and checked["dual_run"] > 10, checked
 
 
 # ---------------------------------------------------------------------------
