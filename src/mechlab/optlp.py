@@ -8,12 +8,14 @@ box |t| <= max total surplus + 1, which cuts no optimal solution (any
 optimum can be shifted so its lowest utility is zero, after which
 payments lie in [0, max surplus]).
 
-Row counts grow quadratically in the type count, so `optimal_mechanism`
-switches to lazy constraint generation past a size threshold: solve with
-a working set of truthfulness rows, add the worst violated pairs, prune
-rows that stay slack, repeat until no violation remains.  Every returned
-solution is re-audited against the *full* pairwise constraint set; the
-working set is an implementation detail, never a weaker guarantee.
+Row counts grow quadratically in the type count, so a `LinearProgram`
+holds its rows as COO triplets, written a block of rows at a time by
+array operations, and `optimal_mechanism` switches to lazy constraint
+generation past a size threshold: solve with a working set of
+truthfulness rows, add the worst violated pairs, prune rows that stay
+slack, repeat until no violation remains.  Every returned solution is
+re-audited against the *full* pairwise constraint set; the working set
+is an implementation detail, never a weaker guarantee.
 
 The module also covers: relabeling-invariant optimization via one
 variable block per sorted representative, adversarial (worst-case over
@@ -62,6 +64,7 @@ FULL_ROW_CAP = 1200
 MAX_WORKING_ROWS = 20000
 MAX_ROUNDS = 60
 MAX_MENUS = 500_000
+EXPORT_CHUNK = 4096
 
 
 class LpError(RuntimeError):
@@ -78,13 +81,24 @@ class UnboundedError(LpError):
 
 @dataclass
 class LinearProgram:
-    """Named-variable LP, maximize objective . x."""
+    """Named-variable LP, maximize objective . x.
+
+    Rows are COO triplets sorted by row, then column, at most one per
+    (row, column): row[e] has coefficient val[e] on column col[e].  Zero
+    entries are kept, -0.0 with its sign, so `dense` returns every bit a
+    builder wrote.  Row r has senses[r], rhs[r] and labels[r].  `rows`,
+    a derived view, is kept for bench/; nothing in the package reads it."""
 
     names: list[str] = field(default_factory=list)
     lower: list[float] = field(default_factory=list)
     upper: list[float] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
-    rows: list[tuple[dict, str, float, str]] = field(default_factory=list)
+    row: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    col: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    val: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    senses: list[str] = field(default_factory=list)
+    rhs: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    labels: list[str] = field(default_factory=list)
 
     def add_var(self, name: str, lo: float, up: float, obj: float = 0.0) -> int:
         self.names.append(name)
@@ -93,25 +107,52 @@ class LinearProgram:
         self.objective.append(float(obj))
         return len(self.names) - 1
 
-    def add_row(self, coeffs: dict, sense: str, rhs: float, label: str = "") -> None:
+    def add_rows(self, col, val, sense: str, rhs, labels: list[str], keep=True) -> None:
+        """Append one row per label, all of one sense.  `col`, `val` and
+        `keep` broadcast to (rows, width): entry (r, w) where `keep`
+        holds puts val[r, w] on column col[r, w] of the r-th new row."""
         if sense not in ("<=", ">=", "="):
             raise LpError(f"bad sense {sense!r}")
-        self.rows.append((dict(coeffs), sense, float(rhs), label))
+        shape = (len(labels), np.shape(col)[-1])
+        col = np.broadcast_to(np.asarray(col, dtype=np.intp), shape)
+        order = np.argsort(col, axis=1, kind="stable")
+        col, val, keep = (
+            np.take_along_axis(np.broadcast_to(x, shape), order, axis=1)
+            for x in (col, np.asarray(val, dtype=float), keep)
+        )
+        row = np.broadcast_to(np.arange(len(labels))[:, None] + self.n_rows, shape)
+        self.row = np.concatenate([self.row, row[keep]])
+        self.col = np.concatenate([self.col, col[keep]])
+        self.val = np.concatenate([self.val, val[keep]])
+        self.senses += [sense] * len(labels)
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), len(labels))
+        self.rhs = np.concatenate([self.rhs, rhs])
+        self.labels += labels
+
+    def add_row(self, coeffs: dict, sense: str, rhs: float, label: str = "") -> None:
+        self.add_rows([list(coeffs)], [list(coeffs.values())], sense, rhs, [label])
 
     @property
     def n_vars(self) -> int:
         return len(self.names)
 
+    @property
+    def n_rows(self) -> int:
+        return len(self.senses)
+
+    @property
+    def rows(self) -> list[tuple[dict, str, float, str]]:
+        """A fresh list of (coeffs, sense, rhs, label), coeffs a {column:
+        value} dict in column order."""
+        coeffs = [{} for _ in self.senses]
+        for r, j, c in zip(self.row.tolist(), self.col.tolist(), self.val.tolist()):
+            coeffs[r][j] = c
+        return list(zip(coeffs, self.senses, self.rhs.tolist(), self.labels))
+
     def dense(self):
-        A = np.zeros((len(self.rows), self.n_vars))
-        b = np.zeros(len(self.rows))
-        senses = []
-        for r, (coeffs, sense, rhs, _) in enumerate(self.rows):
-            for j, c in coeffs.items():
-                A[r, j] = c
-            b[r] = rhs
-            senses.append(sense)
-        return A, b, senses
+        A = np.zeros((self.n_rows, self.n_vars))
+        A[self.row, self.col] = self.val
+        return A, self.rhs.copy(), list(self.senses)
 
 
 def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.SimplexResult:
@@ -146,43 +187,55 @@ def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.Simplex
 
 def export_lp_text(lp: LinearProgram, comment: str = "") -> str:
     """Serialize in the standard LP text format (CPLEX dialect)."""
+    obj = np.asarray(lp.objective, dtype=float)
+    cols = np.arange(obj.size)
+    text = [f"\\ {ln}\n" for ln in comment.splitlines()] + ["Maximize\n"]
+    text += _rows_text(lp.names, np.zeros_like(cols), cols, obj, [" obj: "], ["\n"])
+    heads = [f" {label or f'r{r}'}: " for r, label in enumerate(lp.labels)]
+    tails = [f" {sense} {rhs!r}\n" for sense, rhs in zip(lp.senses, lp.rhs.tolist())]
+    text += ["Subject To\n"] + _rows_text(lp.names, lp.row, lp.col, lp.val, heads, tails)
+    text += ["Bounds\n"] + [
+        f" {repr(float(lo)) if math.isfinite(lo) else '-inf'} <= {name}"
+        f" <= {repr(float(up)) if math.isfinite(up) else '+inf'}\n"
+        for name, lo, up in zip(lp.names, lp.lower, lp.upper)
+    ]
+    return "".join(text + ["End\n"])
 
-    def fmt(x: float) -> str:
-        return repr(float(x))
 
-    def linear(coeffs: dict) -> str:
-        parts = []
-        for j in sorted(coeffs):
-            c = coeffs[j]
-            if c == 0.0:
-                continue
-            sign = "-" if c < 0 else "+"
-            parts.append(f"{sign} {fmt(abs(c))} {lp.names[j]}")
-        if not parts:
-            return "0 " + (lp.names[0] if lp.names else "x0")
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else text
-
-    lines = []
-    if comment:
-        for ln in comment.splitlines():
-            lines.append(f"\\ {ln}")
-    lines.append("Maximize")
-    obj = {j: c for j, c in enumerate(lp.objective) if c != 0.0}
-    lines.append(" obj: " + linear(obj))
-    lines.append("Subject To")
-    for r, (coeffs, sense, rhs, label) in enumerate(lp.rows):
-        name = label or f"r{r}"
-        op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
-        lines.append(f" {name}: {linear(coeffs)} {op} {fmt(rhs)}")
-    lines.append("Bounds")
-    for j, name in enumerate(lp.names):
-        lo, up = lp.lower[j], lp.upper[j]
-        lo_s = "-inf" if not math.isfinite(lo) else fmt(lo)
-        up_s = "+inf" if not math.isfinite(up) else fmt(up)
-        lines.append(f" {lo_s} <= {name} <= {up_s}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+def _rows_text(names, row, col, val, heads, tails) -> list[str]:
+    """The text of heads[r], the linear expression of row r, then
+    tails[r], for every row r of triplets sorted by row and column: the
+    nonzero terms in column order, no sign before a positive first term,
+    or "0 <first variable>".  It is joined from shared pieces, one string
+    per EXPORT_CHUNK rows: repr runs once per distinct magnitude, and no
+    string per term is made."""
+    keep = val != 0.0
+    row, col, val = row[keep], col[keep], val[keep]
+    mags, which = np.unique(np.abs(val), return_inverse=True)
+    # each magnitude as a row's first term, +/-, then after another term
+    signs = ("", "- ", " + ", " - ")
+    signed = np.array([f"{s}{m!r}" for m in mags.tolist() for s in signs], dtype=object)
+    key = 4 * which + 2 * np.r_[False, row[1:] == row[:-1]] + (val < 0)
+    spaced = np.array([f" {name}" for name in names], dtype=object)
+    starts = np.searchsorted(row, np.arange(len(heads) + 1))
+    tails = np.array(tails, dtype=object)
+    empty = starts[:-1] == starts[1:]
+    tails[empty] = "0 " + (names[0] if names else "x0") + tails[empty]
+    # row r is its head (piece first[r]), a (signed magnitude, name) pair
+    # per term (entry e from piece at[e]) and its tail
+    first = 2 * (starts + np.arange(len(heads) + 1))
+    at = 2 * (np.arange(row.size) + row) + 1
+    chunks = []
+    for a in range(0, len(heads), EXPORT_CHUNK):
+        b = min(a + EXPORT_CHUNK, len(heads))
+        terms = slice(starts[a], starts[b])
+        pieces = np.empty(first[b] - first[a], dtype=object)
+        pieces[first[a:b] - first[a]] = heads[a:b]
+        pieces[at[terms] - first[a]] = signed[key[terms]]
+        pieces[at[terms] + 1 - first[a]] = spaced[col[terms]]
+        pieces[first[a + 1 : b + 1] - 1 - first[a]] = tails[a:b]
+        chunks.append("".join(pieces.tolist()))
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -198,55 +251,48 @@ class OptimalResult:
     mode: str
 
 
-def _base_lp(types, weights, domain_tag):
-    """Variables and always-on rows (participation, allocation order)."""
+def _revenue_lp(types, weights, domain_tag, pairs) -> LinearProgram:
+    """The revenue LP: participation rows ir_k, allocation order ord_k_i
+    on the identical domain, then truthfulness rows ic_k_l for `pairs`.
+    Column k * n + i is q_i of type k, column T * n + k its payment t(k).
+
+    `pairs` is (k, l, dev), one entry per row: type k values block l's
+    allocation at dev (types[k] itself, except in the orbit LP), so the
+    row reads dev.q(l) - t(l) - own.q(k) + t(k) <= 0, own = types[k].
+    k == l only in the orbit LP: the payments cancel, and q(k) gets
+    dev - own."""
     T = len(types)
     n = len(types[0])
-    lp = LinearProgram()
-    for k in range(T):
-        for i in range(n):
-            lp.add_var(f"q_{k}_{i}", 0.0, 1.0)
     S = max(sum(v) for v in types)
-    for k in range(T):
-        lp.add_var(f"t_{k}", -S - 1.0, S + 1.0, obj=float(weights[k]))
-    tvar = lambda k: T * n + k
-    qvar = lambda k, i: k * n + i
-    for k, v in enumerate(types):
-        coeffs = {qvar(k, i): -float(v[i]) for i in range(n)}
-        coeffs[tvar(k)] = 1.0
-        lp.add_row(coeffs, "<=", 0.0, f"ir_{k}")
+    lp = LinearProgram(
+        names=[f"q_{k}_{i}" for k in range(T) for i in range(n)] + [f"t_{k}" for k in range(T)],
+        lower=[0.0] * (T * n) + [float(-S - 1.0)] * T,
+        upper=[1.0] * (T * n) + [float(S + 1.0)] * T,
+        objective=[0.0] * (T * n) + [float(w) for w in weights],
+    )
+    values = np.asarray(types, dtype=float)
+    q = np.arange(T * n).reshape(T, n)
+    lp.add_rows(
+        np.column_stack([q, T * n + np.arange(T)]), np.column_stack([-values, np.ones(T)]),
+        "<=", 0.0, [f"ir_{k}" for k in range(T)],
+    )
     if domain_tag == IDENTICAL:
-        for k in range(T):
-            for i in range(n - 1):
-                lp.add_row(
-                    {qvar(k, i + 1): 1.0, qvar(k, i): -1.0}, "<=", 0.0, f"ord_{k}_{i}"
-                )
-    return lp, qvar, tvar
-
-
-def _ic_row(qvar, tvar, k, l, own, dev):
-    """Truthfulness of block k against taking block l's outcome:
-    dev.q(l) - t(l) - own.q(k) + t(k) <= 0.
-
-    own values block k's allocation; dev values block l's allocation as
-    the deviator sees it (own itself, except in the orbit LP).  k == l
-    only happens in the orbit LP, where the payments cancel."""
-    coeffs = {}
-    for i in range(len(own)):
-        coeffs[qvar(l, i)] = float(dev[i])
-        coeffs[qvar(k, i)] = coeffs.get(qvar(k, i), 0.0) - float(own[i])
-    coeffs[tvar(l)] = -1.0
-    coeffs[tvar(k)] = 1.0 if k != l else 0.0
-    return coeffs
-
-
-def _revenue_lp(types, weights, domain_tag, pairs) -> LinearProgram:
-    """`_base_lp` plus one truthfulness row per (k, l, dev) in `pairs`,
-    in order.  `pairs` may be a generator, so the full formulation never
-    holds its pair list in memory."""
-    lp, qvar, tvar = _base_lp(types, weights, domain_tag)
-    for k, l, dev in pairs:
-        lp.add_row(_ic_row(qvar, tvar, k, l, types[k], dev), "<=", 0.0, f"ic_{k}_{l}")
+        lp.add_rows(
+            np.stack([q[:, 1:], q[:, :-1]], axis=2).reshape(-1, 2), [[1.0, -1.0]],
+            "<=", 0.0, [f"ord_{k}_{i}" for k in range(T) for i in range(n - 1)],
+        )
+    k, l = (np.asarray(x, dtype=np.intp)[:, None] for x in pairs[:2])
+    dev = np.asarray(pairs[2], dtype=float).reshape(k.size, n)
+    same = k == l
+    # 0.0 - own, not -own: the q(k) entry is +0.0 where own is 0
+    own = np.where(same, dev, 0.0) - values[k[:, 0]]
+    i = np.arange(n)
+    lp.add_rows(
+        np.hstack([l * n + i, k * n + i, T * n + l, T * n + k]),
+        np.hstack([dev, own, np.broadcast_to([-1.0, 1.0], (k.size, 2))]),
+        "<=", 0.0, [f"ic_{a}_{b}" for a, b in zip(k[:, 0].tolist(), l[:, 0].tolist())],
+        keep=np.hstack([np.repeat(~same, n, axis=1), np.ones_like(own, dtype=bool), ~same, ~same]),
+    )
     return lp
 
 
@@ -262,8 +308,8 @@ def build_revenue_lp(types, dist: Distribution, domain_tag: str) -> LinearProgra
     """Full formulation with every ordered truthfulness pair, for text
     export."""
     types = [tuple(v) for v in types]
-    pairs = ((k, l, types[k]) for k, l in itertools.permutations(range(len(types)), 2))
-    return _revenue_lp(types, embed(dist, types), domain_tag, pairs)
+    k, l = np.nonzero(~np.eye(len(types), dtype=bool))
+    return _revenue_lp(types, embed(dist, types), domain_tag, (k, l, np.asarray(types)[k]))
 
 
 def optimal_mechanism(
@@ -360,17 +406,16 @@ def _solve_lazy(types, weights, domain_tag, seed):
     start = None
     slack_solves = np.zeros((T, T), dtype=int)
     for rounds in range(1, MAX_ROUNDS + 1):
-        # Python ints, not numpy scalars, keep the row builder fast
-        pairs = np.argwhere(working).tolist()
-        lp = _revenue_lp(types, weights, domain_tag, ((k, l, types[k]) for k, l in pairs))
+        k, l = np.nonzero(working)
+        lp = _revenue_lp(types, weights, domain_tag, (k, l, np.asarray(types)[k]))
         sol = solve_lp(lp, "revenue LP", start)
         mech = _extract_mechanism(types, n, sol.x, domain_tag)
-        if len(pairs) == T * (T - 1):
-            return mech, sol, len(pairs), rounds
+        if k.size == T * (T - 1):
+            return mech, sol, k.size, rounds
         gain = ic_gains(mech)
         viol_mask = gain > GEN_TOL
         if not viol_mask.any():
-            return mech, sol, len(pairs), rounds
+            return mech, sol, k.size, rounds
         slack_solves = np.where(working & (gain < -PRUNE_SLACK), slack_solves + 1, 0)
         # the most violated pairs first, ties in row-major order
         violated = np.argwhere(viol_mask)
@@ -440,17 +485,18 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
     # Truthfulness of v against reporting v' folds onto the blocks of
     # their representatives: v values sorted slot i of the reported
     # outcome at v[cell(v')[i]].  Rows are deduplicated on exact
-    # coefficients (a dict keeps first-seen order); their labels repeat
-    # across relabelings, which is harmless as this LP is never exported.
+    # coefficients (a dict keeps first-seen order), and the LP's size is
+    # checked before it is built; row labels repeat across relabelings,
+    # which is harmless as this LP is never exported.
     cells = [cell_of(v) for v in types]
     rows = {}
     for a, v in enumerate(types):
         for b, vp in enumerate(types):
             if vp != v:
                 rows.setdefault((block[a], block[b], tuple(v[s] for s in cells[b])), None)
-    lp = _revenue_lp(reps, orbit_weights, HETEROGENEOUS, rows)
-    if len(lp.rows) > MAX_WORKING_ROWS:
+    if R + len(rows) > MAX_WORKING_ROWS:
         raise LpError("symmetric LP too large")
+    lp = _revenue_lp(reps, orbit_weights, HETEROGENEOUS, tuple(zip(*rows)) or ((), (), ()))
     sol = solve_lp(lp, "symmetric revenue LP")
     q = sol.x[: R * n].reshape(R, n)
     t = sol.x[R * n : R * n + R]
@@ -570,25 +616,17 @@ def worst_case_revenue(mech: Mechanism, g_avg: MarginalCdf, sense: str = "min"):
     T = len(types)
     n = mech.n
     levels = sorted({x for v in types for x in v} | set(g_avg.levels))
-    pmf = {lv: 0.0 for lv in levels}
-    for lv, p in zip(g_avg.levels, g_avg.pmf()):
-        pmf[lv] = float(p)
+    pmf = dict(zip(g_avg.levels, g_avg.pmf().tolist()))
     lp = LinearProgram()
-    for k in range(T):
-        lp.add_var(
-            f"w_{k}",
-            0.0,
-            1.0,
-            obj=(-float(mech.t[k]) if sense == "min" else float(mech.t[k])),
-        )
-    lp.add_row({k: 1.0 for k in range(T)}, "=", 1.0, "total")
-    for lv_i, lv in enumerate(levels):
-        coeffs = {}
-        for k, v in enumerate(types):
-            cnt = sum(1 for x in v if x == lv)
-            if cnt:
-                coeffs[k] = cnt / n
-        lp.add_row(coeffs, "=", pmf[lv], f"avg_{lv_i}")
+    for k, t in enumerate(mech.t.tolist()):
+        lp.add_var(f"w_{k}", 0.0, 1.0, obj=-t if sense == "min" else t)
+    # the weights sum to 1, and avg_i gives each type the share of its n
+    # values that equal level i
+    counts = (np.asarray(levels)[:, None, None] == np.asarray(types, dtype=float)).sum(axis=2)
+    lp.add_rows([np.arange(T)], 1.0, "=", 1.0, ["total"])
+    rhs = [pmf.get(lv, 0.0) for lv in levels]
+    labels = [f"avg_{i}" for i in range(len(levels))]
+    lp.add_rows([np.arange(T)], counts / n, "=", rhs, labels, keep=counts > 0)
     sol = solve_lp(lp, "adversarial LP")
     value = -sol.objective if sense == "min" else sol.objective
     w = np.maximum(sol.x, 0.0)

@@ -18,7 +18,7 @@ import pytest
 from mechlab import cli
 from mechlab.dist import uniform_distribution
 from mechlab.optlp import build_revenue_lp
-from mechlab.typespace import IDENTICAL, Grid, enumerate_identical
+from mechlab.typespace import HETEROGENEOUS, IDENTICAL, Grid, enumerate_hetero, enumerate_identical
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -60,15 +60,20 @@ def test_tracer_installs_every_span_and_uninstall_restores_it(bench):
 
 
 def test_highs_problem_reads_the_revenue_lp(bench):
+    # highs_problem reads `LinearProgram.rows`, a view kept for it; the
+    # heterogeneous LP's participation rows carry -0.0 entries
     _, workloads = bench
     grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3)
-    types = enumerate_identical(grid)
-    lp = build_revenue_lp(types, uniform_distribution(types, IDENTICAL), IDENTICAL)
-    c, A, b = workloads.highs_problem(lp)
-    A_dense, b_dense, _ = lp.dense()
-    assert np.array_equal(c, -np.asarray(lp.objective))
-    assert np.array_equal(A.toarray(), A_dense)
-    assert np.array_equal(b, b_dense)
+    for domain, enumerate_types in ((IDENTICAL, enumerate_identical), (HETEROGENEOUS, enumerate_hetero)):
+        types = enumerate_types(grid)
+        lp = build_revenue_lp(types, uniform_distribution(types, domain), domain)
+        c, A, b = workloads.highs_problem(lp)
+        A_dense, b_dense, _ = lp.dense()
+        assert np.array_equal(c, -np.asarray(lp.objective))
+        assert np.array_equal(A.toarray(), A_dense)
+        assert np.array_equal(b, b_dense)
+        assert A.nnz == sum(len(coeffs) for coeffs, *_ in lp.rows)
+    assert (np.signbit(A_dense) & (A_dense == 0.0)).any()
 
 
 def test_cli_helpers_called_by_the_benchmark_exist():

@@ -1,5 +1,6 @@
 """Revenue LPs, adversarial LPs, pricing search, equivalence certificate."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -400,6 +401,35 @@ class TestSymmetricLp:
             optimal_symmetric_mechanism(types, uniform_distribution(types, HETEROGENEOUS))
         assert calls == []
 
+    def test_size_guard_runs_before_the_lp_is_built(self, monkeypatch):
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
+        het = enumerate_hetero(grid, strict_only=True)
+        dist = uniform_distribution(het, HETEROGENEOUS)
+        sizes = []
+        build = optlp._revenue_lp
+
+        def recording(*args):
+            lp = build(*args)
+            sizes.append(lp.n_rows)
+            return lp
+
+        monkeypatch.setattr(optlp, "_revenue_lp", recording)
+        monkeypatch.setattr(optlp, "MAX_WORKING_ROWS", 10**6)
+        optimal_symmetric_mechanism(het, dist)
+        (rows,) = sizes
+        # a row count at the cap still solves, one row over it is refused
+        monkeypatch.setattr(optlp, "MAX_WORKING_ROWS", rows)
+        optimal_symmetric_mechanism(het, dist)
+        assert sizes == [rows, rows]
+
+        def never(*args):
+            raise AssertionError("the LP was built")
+
+        monkeypatch.setattr(optlp, "_revenue_lp", never)
+        monkeypatch.setattr(optlp, "MAX_WORKING_ROWS", rows - 1)
+        with pytest.raises(LpError, match="symmetric LP too large"):
+            optimal_symmetric_mechanism(het, dist)
+
 
 class TestEquivalenceCertificate:
     def test_uniform_iid_instance_passes(self):
@@ -579,3 +609,197 @@ class TestLpPlumbing:
         lp.add_row({0: 1.0}, ">=", 2.0)
         with pytest.raises(InfeasibleError, match="LP infeasible"):
             solve_lp(lp)
+
+    # sha256 of the LP text for grids the shipped solve configs do not
+    # cover: a heterogeneous LP and an identical n=3 LP with two
+    # allocation-order rows per type, both under a non-uniform prior and
+    # with a 0.0 level, whose -0.0 participation entries the text skips
+    @pytest.mark.parametrize(
+        "domain_tag, n, points, seed, sha256",
+        [
+            (HETEROGENEOUS, 2, 4, 3, "1e5d9dd16bae667a7f386aabae570daa8be8335879607e3c1b1ce7439e84fade"),
+            (IDENTICAL, 3, 4, 5, "4ba330df198858fe9ce1f61d5090b57b8ede3ae74f8dd2037e67440cd8da4ad9"),
+        ],
+        ids=["het2p4", "id3p4"],
+    )
+    def test_export_text_is_pinned(self, domain_tag, n, points, seed, sha256):
+        grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+        types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
+        w = np.random.default_rng(seed).dirichlet(np.ones(len(types)))
+        lp = build_revenue_lp(types, table_distribution(types, w, domain_tag), domain_tag)
+        text = export_lp_text(lp, comment=f"{domain_tag} n={n}")
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+    def test_export_text_edge_cases(self):
+        lp = LinearProgram()
+        lp.add_var("x", float("-inf"), float("inf"))
+        lp.add_var("y", 0.0, 1.0)
+        lp.add_row({0: 0.0, 1: -0.0}, "<=", 1.0, "zero")
+        lp.add_row({1: 2.5, 0: -0.0}, ">=", -1.0)
+        lp.add_row({1: 0.5, 0: -1.0}, "=", 0.0, "mixed")
+        assert export_lp_text(lp, comment="edges\nsecond line") == (
+            "\\ edges\n"
+            "\\ second line\n"
+            "Maximize\n"
+            " obj: 0 x\n"
+            "Subject To\n"
+            " zero: 0 x <= 1.0\n"
+            " r1: 2.5 y >= -1.0\n"
+            " mixed: - 1.0 x + 0.5 y = 0.0\n"
+            "Bounds\n"
+            " -inf <= x <= +inf\n"
+            " 0.0 <= y <= 1.0\n"
+            "End\n"
+        )
+
+
+def reference_lp(types, weights, domain_tag, pairs):
+    """The dict-row builder that the triplet builder replaced, kept as its
+    reference: the variables as (names, lower, upper, objective), and one
+    ({column: value}, sense, rhs, label) per row."""
+    T = len(types)
+    n = len(types[0])
+    lp = LinearProgram()
+    for k in range(T):
+        for i in range(n):
+            lp.add_var(f"q_{k}_{i}", 0.0, 1.0)
+    S = max(sum(v) for v in types)
+    for k in range(T):
+        lp.add_var(f"t_{k}", -S - 1.0, S + 1.0, obj=float(weights[k]))
+    tvar = lambda k: T * n + k
+    qvar = lambda k, i: k * n + i
+    rows = []
+    for k, v in enumerate(types):
+        coeffs = {qvar(k, i): -float(v[i]) for i in range(n)}
+        coeffs[tvar(k)] = 1.0
+        rows.append((coeffs, "<=", 0.0, f"ir_{k}"))
+    if domain_tag == IDENTICAL:
+        for k in range(T):
+            for i in range(n - 1):
+                rows.append(({qvar(k, i + 1): 1.0, qvar(k, i): -1.0}, "<=", 0.0, f"ord_{k}_{i}"))
+    for k, l, dev in pairs:
+        own = types[k]
+        coeffs = {}
+        for i in range(n):
+            coeffs[qvar(l, i)] = float(dev[i])
+            coeffs[qvar(k, i)] = coeffs.get(qvar(k, i), 0.0) - float(own[i])
+        coeffs[tvar(l)] = -1.0
+        coeffs[tvar(k)] = 1.0 if k != l else 0.0
+        rows.append((coeffs, "<=", 0.0, f"ic_{k}_{l}"))
+    return (lp.names, lp.lower, lp.upper, lp.objective), rows
+
+
+def reference_dense(rows, n_vars):
+    A = np.zeros((len(rows), n_vars))
+    for r, (coeffs, _, _, _) in enumerate(rows):
+        for j, c in coeffs.items():
+            A[r, j] = c
+    return A
+
+
+def without_zeros(rows):
+    return [
+        ({j: c for j, c in coeffs.items() if c != 0.0}, sense, rhs, label)
+        for coeffs, sense, rhs, label in rows
+    ]
+
+
+class TestTripletRows:
+    """The triplet builder against the dict-row reference, bit for bit."""
+
+    GRIDS = [(IDENTICAL, 2, 4), (IDENTICAL, 3, 3), (HETEROGENEOUS, 2, 3)]
+    GRID_IDS = ["id2p4", "id3p3", "het2p3"]
+
+    @staticmethod
+    def instance(domain_tag, n, points):
+        grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+        types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
+        weights = np.random.default_rng(points).dirichlet(np.ones(len(types)))
+        return types, weights
+
+    @staticmethod
+    def assert_matches_reference(lp, types, weights, domain_tag, pairs):
+        k, l, dev = pairs
+        dev = np.asarray(dev, dtype=float).reshape(len(k), len(types[0]))
+        variables, rows = reference_lp(
+            types, weights, domain_tag, zip(np.asarray(k).tolist(), np.asarray(l).tolist(), dev.tolist())
+        )
+        assert (lp.names, lp.lower, lp.upper, lp.objective) == variables
+        A, b, senses = lp.dense()
+        A_ref = reference_dense(rows, len(variables[0]))
+        assert np.array_equal(A, A_ref)
+        assert np.array_equal(np.signbit(A), np.signbit(A_ref))
+        # the grids hold a 0.0 level, so participation rows carry -0.0
+        assert (np.signbit(A_ref) & (A_ref == 0.0)).any()
+        assert b.tolist() == [rhs for _, _, rhs, _ in rows]
+        assert senses == [sense for _, sense, _, _ in rows]
+        assert without_zeros(lp.rows) == without_zeros(rows)
+
+    @pytest.mark.parametrize("domain_tag, n, points", GRIDS, ids=GRID_IDS)
+    def test_full_lp(self, domain_tag, n, points):
+        types, weights = self.instance(domain_tag, n, points)
+        k, l = np.nonzero(~np.eye(len(types), dtype=bool))
+        pairs = (k, l, np.asarray(types)[k])
+        lp = optlp._revenue_lp(types, weights, domain_tag, pairs)
+        self.assert_matches_reference(lp, types, weights, domain_tag, pairs)
+        # build_revenue_lp is the same LP
+        dist = table_distribution(types, weights, domain_tag)
+        assert export_lp_text(build_revenue_lp(types, dist, domain_tag)) == export_lp_text(lp)
+
+    @pytest.mark.parametrize("domain_tag, n, points", GRIDS, ids=GRID_IDS)
+    def test_lazy_pair_mask(self, domain_tag, n, points):
+        types, weights = self.instance(domain_tag, n, points)
+        k, l = np.nonzero(optlp._neighbor_pairs(types, per_type=2))
+        pairs = (k, l, np.asarray(types)[k])
+        lp = optlp._revenue_lp(types, weights, domain_tag, pairs)
+        self.assert_matches_reference(lp, types, weights, domain_tag, pairs)
+
+    @pytest.mark.parametrize("n, points", [(2, 4), (3, 3)], ids=["p4n2", "p3n3"])
+    def test_orbit_lp(self, monkeypatch, n, points):
+        grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+        het = enumerate_hetero(grid, strict_only=True)
+        w = np.random.default_rng(points).dirichlet(np.ones(len(het)))
+        built = []
+        build = optlp._revenue_lp
+
+        def recording(types, weights, tag, pairs):
+            lp = build(types, weights, tag, pairs)
+            built.append((lp, types, weights, tag, pairs))
+            return lp
+
+        monkeypatch.setattr(optlp, "_revenue_lp", recording)
+        optimal_symmetric_mechanism(het, table_distribution(het, w, HETEROGENEOUS))
+        ((lp, types, weights, tag, pairs),) = built
+        k, l, _ = pairs
+        assert any(a == b for a, b in zip(k, l)), "no row of a block against itself"
+        self.assert_matches_reference(lp, types, weights, tag, pairs)
+
+    def test_worst_case_rows_count_each_level(self, monkeypatch):
+        # the per-level loop that the array comparison replaced
+        grid = Grid.explicit(n=3, levels=(0.1, 0.4, 0.7), v_low=0.0, v_high=1.0)
+        types = enumerate_identical(grid)
+        # level 0.25 is no type's value: its row is empty, with rhs 0
+        g = MarginalCdf.from_pmf((0.1, 0.25, 0.4, 0.7), (0.2, 0.0, 0.5, 0.3))
+        mech = uniform_price_mechanism(types, 0.4)
+        solved = []
+        solve = optlp.solve_lp
+
+        def recording(lp, what="LP", start=None):
+            solved.append(lp)
+            return solve(lp, what, start)
+
+        monkeypatch.setattr(optlp, "solve_lp", recording)
+        worst_case_revenue(mech, g)
+        (lp,) = solved
+        levels = sorted({x for v in types for x in v} | set(g.levels))
+        rows = [({k: 1.0 for k in range(len(types))}, "=", 1.0, "total")]
+        for i, lv in enumerate(levels):
+            coeffs = {}
+            for k, v in enumerate(types):
+                cnt = sum(1 for x in v if x == lv)
+                if cnt:
+                    coeffs[k] = cnt / 3
+            rows.append((coeffs, "=", float(dict(zip(g.levels, g.pmf())).get(lv, 0.0)), f"avg_{i}"))
+        assert lp.rows == rows
+        A, _, _ = lp.dense()
+        assert np.array_equal(A, reference_dense(rows, len(types)))
