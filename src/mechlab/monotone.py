@@ -4,10 +4,13 @@ allocations, non-bossiness, and the lexicographic subgradient repair.
 
 The repair treats the buyer's truthful utility u as the primitive: at
 each grid type the set of allocation vectors consistent with u (the
-subgradient polytope, intersected with the unit box) is probed with tiny
-LPs, and the lexicographically maximal point is selected.  Payments are
-rebuilt from u, so the buyer is indifferent between the input and the
-output, while the selection rule makes the output non-bossy.
+subgradient polytope, intersected with the unit box) is searched for its
+lexicographically maximal point.  The polytopes of all types are
+selected together: consecutive ones are stacked, up to BLOCK_ROWS rows,
+into one block-diagonal LP, solved once per coordinate, each solve
+warm-started from the last one's basis.  Payments are rebuilt from u, so
+the buyer is indifferent between the input and the output, while the
+selection rule makes the output non-bossy.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ PAYMENT_TOL = 1e-9
 ALMOST_DET_TOL = 1e-6
 SINGLETON_TOL = 1e-10
 HYPOTHESIS_TOL = 1e-12
+# rows of one block LP in the lexicographic selection; a single larger
+# polytope gets a block of its own
+BLOCK_ROWS = 512
 
 
 def _prefix_sums_desc(vec) -> list:
@@ -197,34 +203,11 @@ class SubgradientPolytope:
             return False
         return bool(np.all(self.directions @ x <= self.slacks + tol))
 
-    def _solve(self, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-        """Certified optimum over the polytope within [lower, upper]; a
-        solver breakdown, a failed certificate or an empty polytope is a
-        ValueError."""
-        try:
-            res = simplex.certify(
-                simplex.solve_simplex(
-                    c=cost,
-                    A=self.directions,
-                    b=self.slacks,
-                    senses=["<="] * len(self.slacks),
-                    lower=lower,
-                    upper=upper,
-                    maximize=True,
-                )
-            )
-        except simplex.SimplexError as exc:
-            raise ValueError(f"subgradient LP at {self.anchor} failed: {exc}") from exc
-        if res.status != simplex.OPTIMAL:
-            raise ValueError(
-                f"subgradient polytope at {self.anchor} is {res.status}; "
-                "the utility profile is not consistent with truthfulness"
-            )
-        return res
-
     def maximize(self, direction) -> tuple[float, np.ndarray]:
-        cost = np.asarray(direction, dtype=float)
-        res = self._solve(cost, np.zeros(self.n), np.ones(self.n))
+        box = np.zeros(self.n), np.ones(self.n)
+        res = _solve(str(self.anchor), direction, self.directions, self.slacks, *box)
+        if res.status != simplex.OPTIMAL:
+            raise _inconsistent(self.anchor, res.status)
         return float(res.objective), res.x.copy()
 
     def coordinate_interval(self, i: int) -> tuple[float, float]:
@@ -240,20 +223,8 @@ class SubgradientPolytope:
 
     def lexicographic_max(self) -> np.ndarray:
         """Maximize coordinate 1, freeze it, maximize coordinate 2, and so
-        on: n LP solves with progressively fixed variable bounds."""
-        lower = np.zeros(self.n)
-        upper = np.ones(self.n)
-        x = None
-        for i in range(self.n):
-            cost = np.zeros(self.n)
-            cost[i] = 1.0
-            res = self._solve(cost, lower, upper)
-            val = float(res.objective)
-            lower[i] = val
-            upper[i] = val
-            x = res.x.copy()
-        x = np.clip(x, 0.0, 1.0)
-        return x
+        on: one LP per coordinate (see `_lexicographic_max`)."""
+        return _lexicographic_max([self])[0]
 
     def lexicographic_max_almost_deterministic(self, tol: float = 1e-9) -> np.ndarray:
         """Lexicographic maximum over sorted vectors with at most one
@@ -291,21 +262,106 @@ class SubgradientPolytope:
         )
 
 
-def subgradient_polytope(mech: Mechanism, v) -> SubgradientPolytope:
-    v = tuple(float(x) for x in v)
-    k = mech.index_of(v)
-    u = mech.utilities()
-    dirs = []
-    slacks = []
-    for kp, vp in enumerate(mech.types):
-        if kp == k:
-            continue
-        dirs.append(np.asarray(vp) - np.asarray(v))
-        slacks.append(float(u[kp] - u[k]))
-    directions = np.asarray(dirs) if dirs else np.zeros((0, mech.n))
+def _polytope(V: np.ndarray, u: np.ndarray, k: int) -> SubgradientPolytope:
+    """The subgradient polytope at row k of the type matrix V, given the
+    utility u of every type."""
+    others = np.arange(len(u)) != k
     return SubgradientPolytope(
-        anchor=v, directions=directions, slacks=np.asarray(slacks)
+        anchor=tuple(float(x) for x in V[k]), directions=V[others] - V[k], slacks=u[others] - u[k]
     )
+
+
+def subgradient_polytope(mech: Mechanism, v) -> SubgradientPolytope:
+    k = mech.index_of(tuple(float(x) for x in v))
+    return _polytope(mech.V, mech.utilities(), k)
+
+
+def _solve(where: str, cost, A, b, lower, upper, start=None) -> simplex.SimplexResult:
+    """max cost.x over {A x <= b, lower <= x <= upper}, certified; a
+    solver breakdown or a failed certificate is a ValueError naming
+    `where`.  An infeasible result is returned for the caller to name."""
+    try:
+        return simplex.certify(
+            simplex.solve_simplex(
+                c=np.asarray(cost, dtype=float),
+                A=A,
+                b=b,
+                senses=["<="] * len(b),
+                lower=lower,
+                upper=upper,
+                maximize=True,
+                start=start,
+            )
+        )
+    except simplex.SimplexError as exc:
+        raise ValueError(f"subgradient LP at {where} failed: {exc}") from exc
+
+
+def _inconsistent(anchor, status) -> ValueError:
+    return ValueError(
+        f"subgradient polytope at {anchor} is {status}; "
+        "the utility profile is not consistent with truthfulness"
+    )
+
+
+def _groups(polys):
+    """Consecutive runs of polytopes with at most BLOCK_ROWS rows in all;
+    a polytope with more rows than that is a run of its own."""
+    group, rows = [], 0
+    for p in polys:
+        m = len(p.slacks)
+        if group and rows + m > BLOCK_ROWS:
+            yield group
+            group, rows = [], 0
+        group.append(p)
+        rows += m
+    if group:
+        yield group
+
+
+def _lexicographic_max(polys) -> list[np.ndarray]:
+    """The lexicographic maximum of each polytope (all of one dimension
+    n), in order.
+
+    Each group of `_groups` becomes one block-diagonal LP, built once.
+    For each coordinate i it maximizes the sum over the group of x_{k,i},
+    then fixes every x_{k,i} at its optimum through its bounds and passes
+    the optimal basis to the next coordinate's solve, which starts there
+    primal feasible.  The blocks are separable, so the sum is optimal
+    exactly when every block is, and the selection is the one n solves
+    per polytope would make.  Besides `simplex.certify`, each block LP's
+    weak-duality gap must be at most GAP_TOL in absolute terms: every
+    block's gap is at most the group's, so each polytope keeps the bound
+    that a solve of its own would have to meet."""
+    return [x for group in _groups(polys) for x in _block_lexmax(group)]
+
+
+def _block_lexmax(polys) -> list[np.ndarray]:
+    n, K = polys[0].n, len(polys)
+    rows = np.cumsum([0] + [len(p.slacks) for p in polys])
+    A = np.zeros((rows[-1], K * n))
+    for k, p in enumerate(polys):
+        A[rows[k] : rows[k + 1], k * n : (k + 1) * n] = p.directions
+    b = np.concatenate([np.asarray(p.slacks, dtype=float) for p in polys])
+    lower, upper = np.zeros(K * n), np.ones(K * n)
+    where = str(polys[0].anchor) if K == 1 else f"{polys[0].anchor}..{polys[-1].anchor}"
+    res = None
+    for i in range(n):
+        cost = np.zeros(K * n)
+        cost[i::n] = 1.0
+        res = _solve(where, cost, A, b, lower, upper, start=None if res is None else res.basis)
+        if res.status != simplex.OPTIMAL:
+            if K > 1:  # a group is infeasible only where a block is: name it
+                for p in polys:
+                    _block_lexmax([p])
+            raise _inconsistent(where, res.status)
+        if not res.duality_gap <= simplex.GAP_TOL:
+            raise ValueError(
+                f"subgradient LP at {where} failed: "
+                f"duality gap {res.duality_gap} exceeds {simplex.GAP_TOL}"
+            )
+        lower[i::n] = upper[i::n] = res.x[i::n]
+    return list(np.clip(res.x, 0.0, 1.0).reshape(K, n))
 
 
 def _with_sorted_cone(poly: SubgradientPolytope) -> SubgradientPolytope:
@@ -343,9 +399,11 @@ def lmax_repair(mech: Mechanism, almost_deterministic: bool = False) -> Mechanis
     input's.  The selection depends only on the utility profile, never on
     the input allocation, which is what makes the output non-bossy.
 
-    Every selection LP goes through `simplex.certify`; a solver breakdown
-    or an uncertified optimum raises ValueError, as an input that is not
-    truthful or participating does.
+    The selection solves one block LP per coordinate and group of types
+    (`_lexicographic_max`), not n LPs per type.  Every selection LP goes
+    through `simplex.certify` and an absolute duality-gap bound; a solver
+    breakdown or an uncertified optimum raises ValueError, as an input
+    that is not truthful or participating does.
     """
     ic = check_ic(mech, tol=PAYMENT_TOL)
     if not ic.passed:
@@ -354,20 +412,16 @@ def lmax_repair(mech: Mechanism, almost_deterministic: bool = False) -> Mechanis
     if not ir.passed:
         raise ValueError(f"repair needs a participating input; worst deficit {ir.max_slack}")
     u = mech.utilities()
-    T = len(mech.types)
-    q = np.zeros((T, mech.n))
-    t = np.zeros(T)
-    for k, v in enumerate(mech.types):
-        poly = subgradient_polytope(mech, v)
-        if almost_deterministic:
-            x = poly.lexicographic_max_almost_deterministic()
-        else:
-            if mech.domain_tag == IDENTICAL:
-                poly = _with_sorted_cone(poly)
-            x = poly.lexicographic_max()
-        q[k] = x
-        t[k] = float(np.dot(v, x) - u[k])
-    return Mechanism(types=mech.types, q=q, t=t, domain_tag=mech.domain_tag)
+    V = mech.V
+    polys = [_polytope(V, u, k) for k in range(len(u))]
+    if almost_deterministic:
+        q = [p.lexicographic_max_almost_deterministic() for p in polys]
+    else:
+        if mech.domain_tag == IDENTICAL:
+            polys = [_with_sorted_cone(p) for p in polys]
+        q = _lexicographic_max(polys)
+    t = [float(np.dot(v, x) - u[k]) for k, (v, x) in enumerate(zip(mech.types, q))]
+    return Mechanism(types=mech.types, q=np.array(q), t=np.array(t), domain_tag=mech.domain_tag)
 
 
 def run_revenue_monotonicity_experiment(

@@ -36,13 +36,16 @@ results) and the weights against recomputed norms.
 
 A solve may start from a basis instead of from the slack basis: `start`
 takes the `basis` of an earlier result, one status per structural column
-and then per row's logical column.  The tableau refactors at that basis
-and, if it is dual feasible, restores primal feasibility by a bounded
-dual simplex (`_Tableau.dual_run`) before the usual phase 2.  A start it
-cannot use (wrong length, wrong count of basic columns, singular or not
-dual feasible, or a row the dual ratio test cannot repair) falls back to
-the cold two-phase solve, whose result it then returns.  Lazy row
-generation passes each round's optimal basis to the next round.  Reruns
+and then per row's logical column.  The tableau refactors at that basis.
+If it is primal feasible, phase 2 starts there; if it is dual feasible
+instead, a bounded dual simplex (`_Tableau.dual_run`) restores primal
+feasibility before phase 2.  A start it cannot use (wrong length, wrong
+count of basic columns, singular, neither primal nor dual feasible, or a
+row the dual ratio test cannot repair) falls back to the cold two-phase
+solve, whose result it then returns.  Lazy row generation passes each
+round's optimal basis to the next round; the lexicographic repair passes
+each coordinate's optimal basis, with that coordinate's values fixed
+through their bounds, to the next coordinate's solve.  Reruns
 are bitwise identical for a fixed BLAS thread count: the rounding of
 the dense solves, and through it a tie between pivots, can depend on
 the number of threads.
@@ -201,6 +204,7 @@ class _Tableau:
         self.iterations = 0
         self.refactor_every = REFACTOR_EVERY
         self.rolled_back = False
+        self.exact = False
         self.beta = None
         self.keep_basis()
 
@@ -216,9 +220,14 @@ class _Tableau:
 
     def slack_start(self):
         """Tableau and right-hand side at the start basis.  B0 is diagonal
-        +-1, so T is a row rescale of Aext; a warm start never builds it."""
+        +-1, so T is a row rescale of Aext; a warm start never builds it.
+        It equals what `factor` gives at this basis, up to the sign of
+        zeros in the basic columns, unless A has an entry below DROP_TOL,
+        which `factor` would drop."""
         self.T = self.Aext * self.sign[:, None]
         self.rb = self.b * self.sign
+        a = self.Aext[:, : self.n]
+        self.exact = not np.any(np.abs(a[a != 0.0]) < DROP_TOL)
 
     def refresh(self, cost):
         """Recompute the objective row, basic values and steepest-edge
@@ -237,6 +246,10 @@ class _Tableau:
         lg = self.T[:, self.n : self.n + self.m]
         self.beta = np.einsum("ij,ij->i", lg, lg)
 
+    def violation(self):
+        """How far each basic value lies outside its bounds (<= 0 inside)."""
+        return np.maximum(self.lower[self.basis] - self.xB, self.xB - self.upper[self.basis])
+
     def keep_basis(self):
         """Remember the basis and bound statuses that a failed refactor
         rolls back to."""
@@ -254,7 +267,8 @@ class _Tableau:
         alone, and each unit row is then read off by one substitution.
         The old T is released before the solve, and entries below
         DROP_TOL are dropped.  The dense solve is deterministic for fixed
-        inputs."""
+        inputs, so `exact` marks T as what a refactor would give again
+        until the next iteration or pivot clears it."""
         self.T = None
         nb = np.flatnonzero(self.status != _BASIC)
         rhs = np.column_stack([self.Aext[:, nb], self.b])
@@ -279,6 +293,7 @@ class _Tableau:
         T[np.arange(self.m), self.basis] = 1.0
         self.T = T
         self.rb = sol[:, -1].copy()
+        self.exact = True
 
     def refactor(self):
         """Rebuild the tableau exactly from the current basis.
@@ -319,6 +334,7 @@ class _Tableau:
         piv = self.T[r, j]
         if abs(piv) <= PIVOT_TOL:
             raise SimplexError("near-zero pivot")
+        self.exact = False
         row = self.T[r]
         row /= piv
         row[np.abs(row) < DROP_TOL] = 0.0
@@ -427,7 +443,9 @@ class _Tableau:
 
     def upkeep(self, cost):
         """Count one iteration, then refactor or refresh on the schedule
-        that `run` and `dual_run` restart."""
+        that `run` and `dual_run` restart.  A bound flip leaves T exact
+        but moves xB by an update, so every iteration clears `exact`."""
+        self.exact = False
         self.iterations += 1
         self.since_refresh += 1
         self.since_refactor += 1
@@ -465,7 +483,7 @@ class _Tableau:
         while True:
             lo_B = self.lower[self.basis]
             up_B = self.upper[self.basis]
-            viol = np.maximum(lo_B - self.xB, self.xB - up_B)
+            viol = self.violation()
             bad = viol > RATIO_SLACK
             if not bad.any():
                 self.beta = None
@@ -507,15 +525,18 @@ class _Tableau:
             self.upkeep(cost)
 
     def warm_start(self, start, cost, max_iters):
-        """Start phase 2 from the basis `start` (a SimplexResult.basis)
-        and make it primal feasible by `dual_run`.
+        """Start phase 2 from the basis `start` (a SimplexResult.basis).
 
-        Returns False if the start cannot be used: wrong length, not
-        exactly one basic column per row, a nonbasic column at an
-        infinite bound, a singular basis matrix, reduced costs that are
-        not dual feasible within PIVOT_TOL, or a violated row without an
-        entering column.  The tableau is then spoiled; the caller solves
-        from a fresh one."""
+        A start whose basic values all lie within RATIO_SLACK of their
+        bounds goes to phase 2 as it is, whatever its reduced costs: a
+        previous optimum with some columns fixed through their bounds is
+        one.  Any other start must be dual feasible within PIVOT_TOL, and
+        `dual_run` then makes it primal feasible.  Returns False if the
+        start cannot be used: wrong length, not exactly one basic column
+        per row, a nonbasic column at an infinite bound, a singular basis
+        matrix, neither primal nor dual feasible, or a violated row
+        without an entering column.  The tableau is then spoiled; the
+        caller solves from a fresh one."""
         n = self.n
         start = np.asarray(start)
         if start.shape != (n + self.m,) or not np.isin(start, (_LO, _UP, _BASIC)).all():
@@ -542,6 +563,8 @@ class _Tableau:
         except np.linalg.LinAlgError:
             return False
         self.refresh(cost)
+        if not (self.violation() > RATIO_SLACK).any():
+            return True
         movable = ~self.is_art & ((self.upper - self.lower) > 0.0) & (status != _BASIC)
         wrong = ((status == _LO) & (self.d < -PIVOT_TOL)) | ((status == _UP) & (self.d > PIVOT_TOL))
         if np.any(movable & wrong):
@@ -582,8 +605,9 @@ def solve_simplex(
     recomputed from the returned certificate, not an internal solver
     quantity, so a small gap genuinely certifies optimality; `certify`
     checks it.  `start`, the `basis` of an earlier optimal result on an
-    LP with the same columns, warm-starts phase 2 from that basis; a
-    start that cannot be used gives the cold solve's result.
+    LP with the same columns, warm-starts phase 2 from that basis when
+    it is primal or dual feasible there; a start that cannot be used
+    gives the cold solve's result.
     """
     c = np.asarray(c, dtype=float)
     m = len(b)
@@ -623,20 +647,22 @@ def solve_simplex(
 
     # Certify-or-heal: a rebuilt tableau can expose drift as new eligible
     # pivots; iterate until a freshly refactored basis is already optimal.
-    for _ in range(HEAL_ROUNDS):
-        before = tab.iterations
+    # A tableau still exact (built by slack_start or factor, no iteration
+    # since) is what a refactor would rebuild, so it is not refactored.
+    heal = 0
+    while not tab.exact:
+        if heal == HEAL_ROUNDS:
+            raise SimplexError("tableau failed to stabilize under refactorization")
+        heal += 1
         tab.refactor()
         status = tab.run(cost2, enter_real, max_iters)
         if status == UNBOUNDED:
             return SimplexResult(
                 UNBOUNDED, None, None, None, None, None, 0.0, tab.iterations
             )
-        if tab.iterations == before:
-            break
-    else:
-        raise SimplexError("tableau failed to stabilize under refactorization")
 
-    # the last run made no pivot, so its opening refresh is current
+    # T is exact and the last run made no pivot, so its opening refresh
+    # is current
     x_all = tab._nonbasic_values()
     x_all[tab.basis] = tab.xB
     x = x_all[:n]

@@ -267,7 +267,7 @@ def test_simplex_breakdown_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch
 
 
 def test_singular_basis_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch):
-    # every solve refactors at least once, so a singular basis matrix
+    # every solve that pivots refactors at least once, so a singular basis matrix
     # surfaces inside the simplex and must still be a solver error
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")

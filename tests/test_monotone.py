@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechlab import simplex
+from mechlab import gen, monotone, simplex
 from mechlab.dist import one_step_map, uniform_distribution
 from mechlab.mech import (
     Mechanism,
@@ -19,6 +19,9 @@ from mechlab.mech import (
 )
 from mechlab.monotone import (
     SubgradientPolytope,
+    _groups,
+    _lexicographic_max,
+    _with_sorted_cone,
     check_majorization_monotonicity,
     check_object_nonbossy,
     check_prop_schur,
@@ -326,6 +329,41 @@ class TestLmaxRepair:
         with pytest.raises(ValueError, match="exceeds"):
             lmax_repair(incomparable_menu_mech())
 
+    def test_block_gap_bound_is_absolute(self, monkeypatch):
+        # a gap of GAP_TOL * |objective| passes `certify` once the summed
+        # objective of a block LP exceeds 1, but one block's gap alone
+        # could then exceed GAP_TOL, so the repair must reject it
+        real_solve = simplex.solve_simplex
+        gaps = []
+
+        def loose(*args, **kwargs):
+            res = real_solve(*args, **kwargs)
+            res = dataclasses.replace(res, duality_gap=simplex.GAP_TOL * abs(res.objective))
+            gaps.append(simplex.certify(res).duality_gap)
+            return res
+
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
+        mech = uniform_price_mechanism(enumerate_identical(grid), 1.0 / 3.0)
+        monkeypatch.setattr(simplex, "solve_simplex", loose)
+        with pytest.raises(ValueError, match="exceeds"):
+            lmax_repair(mech)
+        assert gaps[-1] > simplex.GAP_TOL
+
+    def test_one_block_solve_per_coordinate(self, monkeypatch):
+        grid = Grid.uniform(n=3, v_low=0.0, v_high=1.0, points=3)
+        mech = gen.random_ic_identical(np.random.default_rng(5), grid, max_items=3)
+        assert len(mech.types) == 10
+        real_solve = simplex.solve_simplex
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("start") is not None)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "solve_simplex", counted)
+        lmax_repair(mech)
+        assert calls == [False, True, True]
+
     def test_almost_deterministic_variant_keeps_structure(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
         mech = uniform_price_mechanism(enumerate_identical(grid), 1.0 / 3.0)
@@ -334,6 +372,86 @@ class TestLmaxRepair:
         assert check_feasible_identical(out, tol=1e-9).passed
         assert check_ic(out, tol=1e-8).passed
         np.testing.assert_allclose(out.utilities(), mech.utilities(), atol=1e-10)
+
+
+def _loop_lexmax(poly: SubgradientPolytope) -> np.ndarray:
+    """The reference selection: n cold solves on the polytope alone, each
+    fixing the coordinate it maximized through its bounds."""
+    lower, upper = np.zeros(poly.n), np.ones(poly.n)
+    for i in range(poly.n):
+        cost = np.zeros(poly.n)
+        cost[i] = 1.0
+        senses = ["<="] * len(poly.slacks)
+        res = simplex.solve_simplex(cost, poly.directions, poly.slacks, senses, lower, upper)
+        assert simplex.certify(res).status == simplex.OPTIMAL
+        lower[i] = upper[i] = res.objective
+    return np.clip(res.x, 0.0, 1.0)
+
+
+def _random_polys(kind, points, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "hetero":
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=points)
+        mech = gen.random_ic_heterogeneous(rng, grid, max_items=3)
+        return [subgradient_polytope(mech, v) for v in mech.types]
+    grid = Grid.uniform(n=int(kind[-1]), v_low=0.0, v_high=1.0, points=points)
+    mech = gen.random_ic_identical(rng, grid, max_items=3)
+    return [_with_sorted_cone(subgradient_polytope(mech, v)) for v in mech.types]
+
+
+def _assert_matches_loop(polys):
+    got = _lexicographic_max(polys)
+    assert len(got) == len(polys)
+    for poly, x in zip(polys, got):
+        np.testing.assert_allclose(x, _loop_lexmax(poly), rtol=0.0, atol=1e-12)
+
+
+class TestBlockLexicographicMax:
+    @pytest.mark.parametrize(
+        "kind, points",
+        [("identical2", 3), ("identical2", 4), ("identical2", 5), ("identical3", 3), ("hetero", 4)],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_per_polytope_loop(self, kind, points, seed):
+        _assert_matches_loop(_random_polys(kind, points, seed))
+
+    def test_polytope_over_the_budget_gets_its_own_block(self, monkeypatch):
+        polys = _random_polys("identical3", 3, 7)  # 11 rows each
+        monkeypatch.setattr(monotone, "BLOCK_ROWS", 5)
+        assert [len(g) for g in _groups(polys)] == [1] * len(polys)
+        _assert_matches_loop(polys)
+
+    def test_group_filling_the_budget_exactly(self, monkeypatch):
+        polys = _random_polys("identical3", 3, 8)  # 11 rows each
+        monkeypatch.setattr(monotone, "BLOCK_ROWS", 22)
+        assert [len(g) for g in _groups(polys)] == [2] * 5
+        _assert_matches_loop(polys)
+
+    def test_infeasible_group_names_the_polytope_at_fault(self):
+        types = ((0.0,), (0.5,), (1.0,))
+        mech = Mechanism(
+            types=types,
+            q=np.ones((3, 1)),
+            t=np.array([-1.0, 1.0, -1.0]),  # u = (1, -0.5, 2)
+            domain_tag=IDENTICAL,
+        )
+        polys = [subgradient_polytope(mech, v) for v in ((0.5,), (0.0,))]
+        with pytest.raises(ValueError, match=r"at \(0\.0,\) is infeasible"):
+            _lexicographic_max(polys)
+
+    def test_zero_row_polytope(self, monkeypatch):
+        single = Mechanism(
+            types=((0.5, 0.5),), q=np.array([[0.5, 0.0]]), t=np.zeros(1), domain_tag=HETEROGENEOUS
+        )
+        empty = subgradient_polytope(single, (0.5, 0.5))
+        assert empty.directions.shape == (0, 2)
+        np.testing.assert_allclose(empty.lexicographic_max(), [1.0, 1.0], atol=1e-12)
+        # inside a group that fills the budget exactly
+        polys = _random_polys("identical2", 3, 9)  # 5 + 1 rows each
+        monkeypatch.setattr(monotone, "BLOCK_ROWS", 12)
+        mixed = [polys[0], empty, polys[1], polys[2]]
+        assert [len(g) for g in _groups(mixed)] == [3, 1]
+        _assert_matches_loop(mixed)
 
 
 class TestExchangeArgument:

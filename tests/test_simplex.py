@@ -761,7 +761,7 @@ _LO, _UP, _B = simplex._LO, simplex._UP, simplex._BASIC
         (FALLBACK_LP, [_LO, _LO, _UP, _B]),
         (FALLBACK_LP, [_B, _LO, _UP, _B, _B]),
         (FALLBACK_LP, [_B, _B, _UP, _LO, _LO]),
-        (FALLBACK_LP, [_LO, _LO, _UP, _B, _B]),
+        (FALLBACK_LP, [_UP, _UP, _B, _B, _LO]),
         (FALLBACK_LP, [_B, _UP, _LO, _B, _LO]),
         (FALLBACK_LP, [_LO, _LO, _UP, _B, 7]),
         (INFEASIBLE_LP, [_LO, _B]),
@@ -770,7 +770,7 @@ _LO, _UP, _B = simplex._LO, simplex._UP, simplex._BASIC
         "wrong_length",
         "too_many_basic",
         "singular",
-        "not_dual_feasible",
+        "neither_primal_nor_dual_feasible",
         "infinite_bound",
         "unknown_status",
         "no_entering_column",
@@ -789,3 +789,57 @@ def test_unusable_start_gives_the_cold_result(monkeypatch, lp, start):
     for name in ("x", "y", "reduced_costs", "basis"):
         a, b = getattr(warm, name), getattr(cold, name)
         assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
+
+def test_primal_feasible_start_skips_phase_1(monkeypatch):
+    # max x0 + 2 x1 with x0 + x1 >= 1: the all-lower start point violates
+    # the first row, so the cold solve runs phase 1.  The start with x0
+    # basic on that row is primal feasible but not dual feasible (x1 at
+    # its lower bound prices out), so it goes straight to phase 2.
+    lp = ([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.5], [">=", "<="], [0.0, 0.0], [1.0, 1.0])
+    cold = solve_simplex(*lp)
+    built = _count_tableaus(monkeypatch)
+    warm = simplex.certify(solve_simplex(*lp, start=np.asarray([_B, _LO, _LO, _B], dtype=np.int8)))
+    assert len(built) == 1
+    assert built[0].is_art.any(), "the cold solve would not need phase 1"
+    assert warm.status == cold.status == OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert warm.iterations < cold.iterations
+
+
+def _count_factors(monkeypatch, stale_first=False):
+    """Record every `_Tableau.factor` call; with stale_first the first
+    tableau it builds is not marked exact, so the solve refactors again
+    before it certifies, as it did before exact tableaus were tracked."""
+    calls = []
+    real = simplex._Tableau.factor
+
+    def factor(self):
+        real(self)
+        calls.append(self)
+        if stale_first and len(calls) == 1:
+            self.exact = False
+
+    monkeypatch.setattr(simplex._Tableau, "factor", factor)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_pivot_warm_start_factors_once(monkeypatch, seed):
+    (c, A, b, senses, lower, upper), _ = _next_round(seed)
+    cold = solve_simplex(c, A, b, senses, lower, upper)
+    with monkeypatch.context() as m:
+        calls = _count_factors(m, stale_first=True)
+        refactored = solve_simplex(c, A, b, senses, lower, upper, start=cold.basis)
+        assert len(calls) == 2
+    calls = _count_factors(monkeypatch)
+    warm = solve_simplex(c, A, b, senses, lower, upper, start=cold.basis)
+    assert len(calls) == 1
+    assert warm.iterations == refactored.iterations == 0
+    assert (warm.objective, warm.duality_gap, warm.max_infeasibility) == (
+        refactored.objective,
+        refactored.duality_gap,
+        refactored.max_infeasibility,
+    )
+    for name in ("x", "y", "reduced_costs", "basis"):
+        assert getattr(warm, name).tobytes() == getattr(refactored, name).tobytes(), name
