@@ -6,8 +6,9 @@ typespace   grids, permutations, ordering cells
 mech        mechanisms, audits, menus, revenue, serialization
 symmetry    relabeling invariance, order preservation, extensions
 dist        distributions, marginals, shifts, density diagnostics
-simplex     bounded-variable tableau simplex (deterministic, steepest-edge weights
-            updated in the sparse pivot, dual-simplex warm start by dual steepest edge)
+simplex     bounded-variable revised simplex on the inverse of the basis kernel
+            (deterministic, steepest-edge weights, dual-simplex warm start by dual
+            steepest edge, per-solve trace of counts)
 optlp       revenue LPs, adversarial LPs, certified comparisons
 monotone    majorization tools, subgradient repairs, monotonicity runs
 gen         seeded random menus and mechanisms for fuzz suites

@@ -53,6 +53,7 @@ from mechlab.typespace import (
 )
 
 scipy_opt = pytest.importorskip("scipy.optimize")
+sparse = pytest.importorskip("scipy.sparse")
 
 
 def scipy_lp_value(lp: LinearProgram) -> float:
@@ -135,8 +136,8 @@ class TestRevenueLp:
     @pytest.mark.parametrize(
         "domain_tag, n, points, pinned, ic_rows_per_round",
         [
-            (HETEROGENEOUS, 2, 6, (3, 202, 11), [188, 212, 202]),
-            (IDENTICAL, 4, 4, (3, 225, 1), [218, 288, 225]),
+            (HETEROGENEOUS, 2, 6, (3, 203, 13), [188, 212, 203]),
+            (IDENTICAL, 4, 4, (3, 241, 11), [218, 288, 241]),
         ],
         ids=["het2p6", "id4p4"],
     )
@@ -199,6 +200,7 @@ class TestRevenueLp:
         # the third solve is a scheduled refactor 24 pivots into round 1
         assert calls[:3] == [8, 16, 24]
         assert tabs[0].rolled_back and tabs[0].refactor_every == 128
+        assert tabs[0].trace.rollbacks == 1 and res.solution.trace.rollbacks == 0
         assert len(tabs) == res.rounds > 1
         assert not any(tab.rolled_back for tab in tabs[1:])
         assert res.revenue == pytest.approx(clean.revenue, abs=1e-9)
@@ -329,6 +331,41 @@ class TestAgainstHighs:
         for mode in modes:
             res = optimal_mechanism(types, dist, domain_tag, mode=mode)
             assert res.revenue == pytest.approx(ref, abs=1e-9), mode
+
+    def test_id2p16_lazy_at_scale(self, monkeypatch):
+        # 136 types: HiGHS solves the full LP (18,360 truthfulness rows)
+        # from its nonzeros; no round of the lazy solve rolls back
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=16)
+        types = enumerate_identical(grid)
+        dist = uniform_distribution(types, IDENTICAL)
+        lp = build_revenue_lp(types, dist, IDENTICAL)
+        sign = np.where(np.asarray(lp.senses) == ">=", -1.0, 1.0)
+        ub = np.asarray(lp.senses) != "="
+        shape = (lp.n_rows, lp.n_vars)
+        A = sparse.csr_matrix((lp.val * sign[lp.row], (lp.row, lp.col)), shape=shape)
+        ref = scipy_opt.linprog(
+            -np.asarray(lp.objective),
+            A_ub=A[ub],
+            b_ub=(lp.rhs * sign)[ub],
+            A_eq=A[~ub],
+            b_eq=lp.rhs[~ub],
+            bounds=list(zip(lp.lower, lp.upper)),
+            method="highs",
+        )
+        assert ref.status == 0
+        solves = []
+        real = simplex.solve_simplex
+
+        def recording(*args, **kwargs):
+            solves.append(real(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(simplex, "solve_simplex", recording)
+        res = optimal_mechanism(types, dist, IDENTICAL, mode="lazy")
+        assert res.revenue == pytest.approx(-ref.fun, abs=1e-9)
+        simplex.certify(res.solution)
+        assert len(solves) == res.rounds
+        assert all(sol.trace.rollbacks == 0 for sol in solves)
 
     @settings(max_examples=8, deadline=None)
     @given(

@@ -1,8 +1,11 @@
 """Solver unit tests: known optima, statuses, certificates, determinism,
 and randomized cross-checks against an independent LP solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import linprog
 
 from mechlab import simplex
@@ -265,8 +268,9 @@ def test_random_cross_check(lp):
 def test_start_basis_layout_and_unknown_sense():
     c, A, b, senses, lower, upper, _ = MIXED_START_LP
     tab = simplex._Tableau(c, A, b, senses, lower, upper)
+    tab.slack_start()
     # structural | slacks of rows 0, 2, 3 | marker of row 1 | artificials of rows 0, 2
-    assert tab.Aext.shape == (4, 3 + 4 + 2)
+    assert tab.n_total == 3 + 4 + 2
     assert tab.logical.tolist() == [3, 6, 4, 5]
     assert tab.basis.tolist() == [7, 6, 8, 5]
     assert np.flatnonzero(tab.is_art).tolist() == [6, 7, 8]
@@ -299,43 +303,60 @@ def test_random_equality_heavy(seed):
 
 
 # ---------------------------------------------------------------------------
-# the sparse pivot kernel against its dense reference (both carry the
-# weights by `update_weights`): same pivots, bitwise-equal results; the
-# ratio-test tie-breaks against the loops they replaced
+# the basis kernel against a dense reference built here: at every pivot the
+# FTRAN column and the BTRAN row match a dense LU of the basis matrix and
+# K^-1 inverts the kernel, and the carried weights match norms recomputed
+# by np.linalg.solve; the ratio-test tie-breaks against the loops they
+# replaced
 
 
-def _dense_pivot(self, r, j, enter_val):
-    """Reference pivot: the rank-one update over the whole tableau, then
-    the dust drop over the whole tableau."""
-    piv = self.T[r, j]
-    if abs(piv) <= simplex.PIVOT_TOL:
-        raise simplex.SimplexError("near-zero pivot")
-    self.T[r, :] /= piv
-    self.T[r, np.abs(self.T[r]) < simplex.DROP_TOL] = 0.0
-    self.rb[r] /= piv
-    colj = self.T[:, j].copy()
-    colj[r] = 0.0
-    rows, cols = np.flatnonzero(colj), np.flatnonzero(self.T[r])
-    self.update_weights(r, j, piv, rows, cols, colj[rows], self.T[np.ix_(rows, cols)])
-    self.T -= np.outer(colj, self.T[r, :])
-    self.T[np.abs(self.T) < simplex.DROP_TOL] = 0.0
-    self.rb -= colj * self.rb[r]
-    self.d = self.d - self.d[j] * self.T[r, :]
-    self.basis[r] = j
-    self.status[j] = simplex._BASIC
-    self.xB[r] = enter_val
+def _extended(tab):
+    """[A | unit columns] as the solver holds it (rows signed), dense, from
+    the caller's A and the solver's column layout."""
+    Aext = np.zeros((tab.m, tab.n_total))
+    Aext[:, : tab.n] = tab.A * tab.row_sign[:, None]
+    cols = np.arange(tab.n, tab.n_total)
+    Aext[tab.unit_row[cols], cols] = tab.unit_sign[cols]
+    return Aext
 
 
-def _assert_same_solve(monkeypatch, args):
-    sparse = solve_simplex(**args)
-    with monkeypatch.context() as mp:
-        mp.setattr(simplex._Tableau, "pivot", _dense_pivot)
-        dense = solve_simplex(**args)
-    assert sparse.status == dense.status == OPTIMAL
-    assert sparse.iterations == dense.iterations > 0
-    for name in ("x", "y", "reduced_costs"):
-        assert getattr(sparse, name).tobytes() == getattr(dense, name).tobytes(), name
-    return sparse
+def _close(got, want):
+    return np.max(np.abs(got - want), initial=0.0) <= 1e-9 * max(1.0, np.linalg.norm(want))
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, want), initial=0.0))
+
+
+def _check_kernel(monkeypatch, weigh_every):
+    """Wrap `pivot` so that every pivot checks the FTRAN column and the
+    BTRAN row against the column and row of B^-1 [A | I] (one dense LU of
+    the basis matrix B) and K^-1 against the kernel, and every
+    `weigh_every`-th pivot also the weights against the norms of
+    np.linalg.solve(B, [A | I]); returns the counts of both."""
+    real_pivot = simplex._Tableau.pivot
+    done = {"pivots": 0, "weighed": 0}
+
+    def pivot(self, r, j, enter_val):
+        Aext = _extended(self)
+        lu = lu_factor(Aext[:, self.basis])
+        assert _close(self.column(j), lu_solve(lu, Aext[:, j]))
+        y = lu_solve(lu, np.eye(self.m)[r], trans=1)  # row r of B^-1
+        alpha, row = self.pivot_row(r)
+        assert _close(row, y) and _close(alpha, y @ Aext)
+        real_pivot(self, r, j, enter_val)
+        K = Aext[np.ix_(self.kr, self.kc)]
+        assert np.max(np.abs(self.Kinv @ K - np.eye(self.k)), initial=0.0) <= 1e-9
+        done["pivots"] += 1
+        if done["pivots"] % weigh_every == 0:
+            ref = np.linalg.solve(Aext[:, self.basis], np.hstack([Aext, np.eye(self.m)]))
+            assert _rel_err(self.gamma, (ref[:, : self.n_total] ** 2).sum(axis=0)) <= 1e-5
+            if self.beta is not None:
+                assert _rel_err(self.beta, (ref[:, self.n_total :] ** 2).sum(axis=1)) <= 1e-9
+            done["weighed"] += 1
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
+    return done
 
 
 def _revenue_lp_args(domain_tag, n, points):
@@ -353,21 +374,36 @@ def _revenue_lp_args(domain_tag, n, points):
     )
 
 
+def _solve_mechanism(domain_tag, n, points, mode):
+    grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+    types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
+    return optimal_mechanism(types, uniform_distribution(types, domain_tag), domain_tag, mode=mode)
+
+
 @pytest.mark.parametrize(
-    "domain_tag, n, points",
-    [(IDENTICAL, 2, 6), (HETEROGENEOUS, 2, 3), (IDENTICAL, 3, 4)],
-    ids=["id2p6", "het2p3", "id3p4"],
+    "domain_tag, n, points, mode",
+    [
+        (IDENTICAL, 2, 6, "full"),
+        (HETEROGENEOUS, 2, 3, "full"),
+        (IDENTICAL, 3, 4, "full"),
+        (HETEROGENEOUS, 3, 4, "lazy"),
+    ],
+    ids=["id2p6-full", "het2p3-full", "id3p4-full", "het3p4-lazy"],
 )
-def test_sparse_pivot_matches_dense_on_revenue_lps(monkeypatch, domain_tag, n, points):
-    _assert_same_solve(monkeypatch, _revenue_lp_args(domain_tag, n, points))
+def test_kernel_matches_dense_reference(monkeypatch, domain_tag, n, points, mode):
+    done = _check_kernel(monkeypatch, weigh_every=16)
+    res = _solve_mechanism(domain_tag, n, points, mode)
+    simplex.certify(res.solution)
+    assert done["pivots"] > 0 and done["weighed"] > 0
 
 
-def test_sparse_pivot_matches_dense_under_bland_and_drive_out(monkeypatch):
+def test_kernel_matches_dense_reference_under_bland_and_drive_out(monkeypatch):
     # Beale's cycling instance plus two opposite copies of x2 - x4 = 0:
     # phase 1 starts optimal with both markers basic at zero, so
     # drive_out_artificials pivots x2 into the first row and retires the
     # second; BLAND_AFTER = 0 runs every pivot under Bland's rule.
     monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
+    done = _check_kernel(monkeypatch, weigh_every=1)
     drive_pivots = []
     real_drive = simplex._Tableau.drive_out_artificials
 
@@ -377,24 +413,10 @@ def test_sparse_pivot_matches_dense_under_bland_and_drive_out(monkeypatch):
         drive_pivots.append(int(np.sum(before != self.basis)))
 
     monkeypatch.setattr(simplex._Tableau, "drive_out_artificials", counting_drive)
-    res = _assert_same_solve(
-        monkeypatch,
-        dict(
-            c=[0.75, -150.0, 0.02, -6.0],
-            A=[
-                [0.25, -60.0, -0.04, 9.0],
-                [0.5, -90.0, -0.02, 3.0],
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 1.0, 0.0, -1.0],
-                [0.0, -1.0, 0.0, 1.0],
-            ],
-            b=[0.0, 0.0, 1.0, 0.0, 0.0],
-            senses=["<=", "<=", "<=", "=", "="],
-            lower=[0.0] * 4,
-            upper=[np.inf] * 4,
-        ),
-    )
-    assert drive_pivots == [1, 1]
+    res = solve_simplex(*_beale_with_copies())
+    assert drive_pivots == [1]
+    assert res.status == OPTIMAL and res.trace.bland_switches > 0
+    assert done["weighed"] == done["pivots"] > res.iterations > 0
     assert res.objective == pytest.approx(0.05, abs=1e-9)
 
 
@@ -449,31 +471,48 @@ def test_blocking_row_matches_the_loops():
 # that they stand for, and pricing reads them over every eligible column
 
 
-def _solve_mechanism(domain_tag, n, points, mode):
-    grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
-    types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
-    return optimal_mechanism(types, uniform_distribution(types, domain_tag), domain_tag, mode=mode)
-
-
 @pytest.mark.parametrize(
     "domain_tag, n, points, mode",
     [(HETEROGENEOUS, 3, 4, "lazy"), (IDENTICAL, 3, 6, "lazy"), (IDENTICAL, 2, 8, "full")],
     ids=["het3p4-lazy", "id3p6-lazy", "id2p8-full"],
 )
 def test_updated_weights_match_recomputed_norms(monkeypatch, domain_tag, n, points, mode):
+    # the norms recomputed densely here after every eighth pivot: with R
+    # the rows no basic unit column covers and C the positions of the
+    # basic structural columns, B^-1 [A | I] is A[R, C]^-1 [A | I][R] on C
+    # by np.linalg.solve, and on the other positions the covered rows
+    # minus their part in C, over the sign of their unit column
     worst = {"gamma": 0.0, "beta": 0.0}
-    dual_pivots = []
+    pivots, dual_pivots = [], []
     real_pivot = simplex._Tableau.pivot
 
-    def rel_err(got, want):
-        return float(np.max(np.abs(got - want) / np.maximum(1.0, want), initial=0.0))
+    def norms(tab):
+        A = np.hstack([tab.A * tab.row_sign[:, None], np.eye(tab.m)])
+        B = _extended(tab)[:, tab.basis]
+        unit = tab.basis >= tab.n
+        rows, sign = tab.unit_row[tab.basis[unit]], tab.unit_sign[tab.basis[unit]]
+        R = np.setdiff1d(np.arange(tab.m), rows)
+        C = np.flatnonzero(~unit)
+        top = np.linalg.solve(B[np.ix_(R, C)], A[R])
+        rest = (A[rows] - B[np.ix_(rows, C)] @ top) * sign[:, None]
+        # columns of B^-1 A, then of B^-1; a unit column is +-1 times one
+        # column of B^-1
+        sq = (top**2).sum(axis=0) + (rest**2).sum(axis=0)
+        gamma = np.concatenate([sq[: tab.n], sq[tab.n + tab.unit_row[tab.n :]]])
+        beta = np.empty(tab.m)
+        beta[C] = (top[:, tab.n :] ** 2).sum(axis=1)
+        beta[unit] = (rest[:, tab.n :] ** 2).sum(axis=1)
+        return gamma, beta
 
     def checked_pivot(self, r, j, enter_val):
         real_pivot(self, r, j, enter_val)
-        worst["gamma"] = max(worst["gamma"], rel_err(self.gamma, (self.T**2).sum(axis=0)))
+        pivots.append(r)
+        if len(pivots) % 8:
+            return
+        gamma, beta = norms(self)
+        worst["gamma"] = max(worst["gamma"], _rel_err(self.gamma, gamma))
         if self.beta is not None:
-            logical = self.T[:, self.n : self.n + self.m]
-            worst["beta"] = max(worst["beta"], rel_err(self.beta, (logical**2).sum(axis=1)))
+            worst["beta"] = max(worst["beta"], _rel_err(self.beta, beta))
             dual_pivots.append(r)
 
     monkeypatch.setattr(simplex._Tableau, "pivot", checked_pivot)
@@ -556,10 +595,11 @@ def test_pricing_reads_the_weights_of_every_column(monkeypatch):
 # arithmetic in the same order, so bitwise-equal x, y, gap and residual
 
 
-def _loop_certificate(tab, lower, upper, maximize):
+def _loop_certificate(tab, A, lower, upper, maximize):
     """x, y, duality gap and residual recomputed row by row and column by
-    column from the final tableau of a solve."""
+    column from the final state of a solve and the caller's A."""
     m, n = tab.m, tab.c_min.size
+    A = np.asarray(A, dtype=float).reshape(m, n) * tab.row_sign[:, None]
     x_all = tab._nonbasic_values()
     for i in range(m):
         x_all[int(tab.basis[i])] = tab.xB[i]
@@ -568,14 +608,13 @@ def _loop_certificate(tab, lower, upper, maximize):
     for i in range(m):
         if tab.row_alive[i]:
             j = tab.logical[i]
-            y_int[i] = -tab.d[j] * tab.Aext[i, j] if tab.is_eq[i] else -tab.d[j]
+            y_int[i] = -tab.d[j] * tab.unit_sign[j] if tab.is_eq[i] else -tab.d[j]
     y_cert = y_int.copy()
     for i in range(m):
         if not tab.is_eq[i] and y_cert[i] > 0.0:
             y_cert[i] = 0.0
-    cost = np.zeros(tab.n_total)
-    cost[:n] = tab.c_min
-    d_cert = cost[: tab.n_real] - y_cert @ tab.Aext[:, : tab.n_real]
+    # the slack of row i has reduced cost 0 - y_i
+    d_cert = np.concatenate([tab.c_min - y_cert @ A, 0.0 - y_cert[~tab.is_eq]])
     zd = float(y_cert @ tab.b)
     for j in range(tab.n_real):
         dj = float(d_cert[j])
@@ -585,7 +624,7 @@ def _loop_certificate(tab, lower, upper, maximize):
             zd += dj * tab.upper[j] if np.isfinite(tab.upper[j]) else -np.inf
     z_int = float(tab.c_min @ x)
     gap = abs(z_int - zd) if np.isfinite(zd) else float("inf")
-    res = tab.Aext[:, :n] @ x - tab.b
+    res = A @ x - tab.b
     max_infeas = 0.0
     for i in range(m):
         if tab.row_alive[i]:
@@ -660,7 +699,7 @@ def test_certificate_matches_row_loops(monkeypatch, lp):
     res = solve_simplex(c, A, b, senses, lower, upper, maximize=maximize)
     assert res.status == OPTIMAL
     x, y, gap, max_infeas = _loop_certificate(
-        tabs[0], np.asarray(lower, dtype=float), np.asarray(upper, dtype=float), maximize
+        tabs[0], A, np.asarray(lower, dtype=float), np.asarray(upper, dtype=float), maximize
     )
     assert res.x.tobytes() == x.tobytes()
     assert res.y.tobytes() == y.tobytes()
@@ -801,7 +840,8 @@ def test_primal_feasible_start_skips_phase_1(monkeypatch):
     built = _count_tableaus(monkeypatch)
     warm = simplex.certify(solve_simplex(*lp, start=np.asarray([_B, _LO, _LO, _B], dtype=np.int8)))
     assert len(built) == 1
-    assert built[0].is_art.any(), "the cold solve would not need phase 1"
+    assert cold.trace.phase1.iterations > 0, "the cold solve would not need phase 1"
+    assert not built[0].is_art.any(), "the warm start built artificial columns"
     assert warm.status == cold.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     assert warm.iterations < cold.iterations
@@ -843,3 +883,75 @@ def test_zero_pivot_warm_start_factors_once(monkeypatch, seed):
     )
     for name in ("x", "y", "reduced_costs", "basis"):
         assert getattr(warm, name).tobytes() == getattr(refactored, name).tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the solve trace: deterministic counts that add up, and no dense tableau
+
+
+def _traced_solves(monkeypatch):
+    results = []
+    real = simplex.solve_simplex
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(simplex, "solve_simplex", recording)
+    return results
+
+
+@pytest.mark.parametrize("case", ["mixed_start", "warm_start", "het3p4-lazy"])
+def test_trace_repeats_and_adds_up(monkeypatch, case):
+    def solve():
+        if case == "mixed_start":
+            return [solve_simplex(*MIXED_START_LP)]
+        if case == "warm_start":
+            (c, A, b, senses, lower, upper), start = _next_round(3)
+            return [solve_simplex(c, A, b, senses, lower, upper, start=start)]
+        with monkeypatch.context() as mp:
+            results = _traced_solves(mp)
+            _solve_mechanism(HETEROGENEOUS, 3, 4, "lazy")
+        return results
+
+    first, again = solve(), solve()
+    assert [res.trace for res in first] == [res.trace for res in again]
+    for res in first:
+        tr = res.trace
+        assert tr.phase1.iterations + tr.dual.iterations + tr.phase2.iterations == res.iterations
+        assert tr.rollbacks == 0 and tr.refactors >= tr.heal_rounds
+        for phase in (tr.phase1, tr.dual, tr.phase2):
+            assert 0 <= phase.degenerate <= phase.iterations
+    phases = [(t.phase1.iterations > 0, t.dual.iterations > 0) for t in (r.trace for r in first)]
+    if case == "mixed_start":
+        assert phases == [(True, False)]
+    elif case == "warm_start":
+        assert phases == [(False, True)]
+    else:
+        assert len(phases) > 1 and all(dual for _, dual in phases[1:])
+
+
+def test_no_dense_tableau_under_tracemalloc(monkeypatch):
+    # the traced peak of a whole lazy solve stays below one m x (n + m)
+    # float array at its last round, the size of the dense tableau
+    shapes = []
+    real = simplex.solve_simplex
+
+    def recording(c, A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return real(c, A, *args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_simplex", recording)
+    grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12)
+    types = enumerate_identical(grid)
+    dist = uniform_distribution(types, IDENTICAL)
+    tracemalloc.start()
+    try:
+        optimal_mechanism(types, dist, IDENTICAL, mode="lazy")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m, n = shapes[-1]
+    assert (m, n + m) == (657, 891)
+    assert peak < m * (n + m) * 8
