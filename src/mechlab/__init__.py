@@ -81,6 +81,7 @@ from .symmetry import (  # noqa: F401
 )
 from .optlp import (  # noqa: F401
     InfeasibleError,
+    LazyRound,
     LinearProgram,
     LpError,
     OptimalResult,

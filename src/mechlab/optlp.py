@@ -15,7 +15,14 @@ generation past a size threshold: solve with a working set of
 truthfulness rows, add the worst violated pairs, prune rows that stay
 slack, repeat until no violation remains.  Every returned solution is
 re-audited against the *full* pairwise constraint set; the working set
-is an implementation detail, never a weaker guarantee.
+is an implementation detail, never a weaker guarantee.  `OptimalResult`
+keeps one record per round: rows added and pruned, the worst
+truthfulness gain, and the solve's trace of counts.
+
+Every revenue LP has the no-sale mechanism (q = 0, t = 0, every
+participation row binding) as a vertex, so its first solve starts
+phase 2 there instead of at the slack basis; each later round
+warm-starts from the previous round's optimal basis.
 
 The module also covers: relabeling-invariant optimization via one
 variable block per sorted representative, adversarial (worst-case over
@@ -242,13 +249,30 @@ def _rows_text(names, row, col, val, heads, tails) -> list[str]:
 # revenue LP over mechanism tables
 
 @dataclass
+class LazyRound:
+    """One solve of the constraint-generation loop: how many truthfulness
+    rows its LP added to and pruned from the previous round's (the first
+    round adds its whole working set), the largest truthfulness gain of
+    its mechanism over every ordered type pair, and the solve's counts."""
+
+    added: int
+    pruned: int
+    max_gain: float
+    trace: simplex.SolveTrace
+
+
+@dataclass
 class OptimalResult:
+    """`solution` is the last solve; `round_log` holds one record per
+    solve, in order."""
+
     mechanism: Mechanism
     revenue: float
     solution: simplex.SimplexResult
     n_ic_rows: int
     rounds: int
     mode: str
+    round_log: list[LazyRound]
 
 
 def _revenue_lp(types, weights, domain_tag, pairs) -> LinearProgram:
@@ -294,6 +318,17 @@ def _revenue_lp(types, weights, domain_tag, pairs) -> LinearProgram:
         keep=np.hstack([np.repeat(~same, n, axis=1), np.ones_like(own, dtype=bool), ~same, ~same]),
     )
     return lp
+
+
+def _no_sale_start(lp: LinearProgram, T: int) -> np.ndarray:
+    """The `start` basis of the no-sale vertex q = 0, t = 0 of a
+    `_revenue_lp` over T types: every q column nonbasic at 0, every
+    payment basic on its participation row ir_k, whose logical column is
+    nonbasic at 0, and every other logical column basic.  Each row then
+    reads 0 <= 0 and the kernel A[ir rows, payment columns] is I, so the
+    solve starts phase 2 there."""
+    statuses = np.array([simplex._LO, simplex._BASIC, simplex._LO, simplex._BASIC], dtype=np.int8)
+    return np.repeat(statuses, [lp.n_vars - T, T, T, lp.n_rows - T])
 
 
 def _extract_mechanism(types, n, values, domain_tag) -> Mechanism:
@@ -342,15 +377,16 @@ def optimal_mechanism(
         seed = _neighbor_pairs(types)
     else:
         raise LpError(f"unknown mode {mode!r}")
-    mech, sol, n_ic, rounds = _solve_lazy(types, weights, domain_tag, seed)
+    mech, sol, n_ic, log = _solve_lazy(types, weights, domain_tag, seed)
     _certify_mechanism(mech, domain_tag)
     return OptimalResult(
         mechanism=mech,
         revenue=float(sol.objective),
         solution=sol,
         n_ic_rows=n_ic,
-        rounds=rounds,
+        rounds=len(log),
         mode=mode,
+        round_log=log,
     )
 
 
@@ -394,28 +430,35 @@ def _solve_lazy(types, weights, domain_tag, seed):
     once when the working set is complete (all T(T-1) pairs): then the
     solve is the full LP and there is nothing left to add.
 
-    The first round solves cold.  Every later round warm-starts from the
-    previous round's optimal basis (`_next_start`): the dual values stay
-    feasible, so the bounded dual simplex only has to repair the new,
-    violated rows.
+    The first round starts phase 2 at the no-sale vertex
+    (`_no_sale_start`).  Every later round warm-starts from the previous
+    round's optimal basis (`_next_start`): the dual values stay feasible,
+    so the bounded dual simplex only has to repair the new, violated rows.
     """
     T = len(types)
     n = len(types[0])
     add_per_round = max(64, 2 * T)
     working = seed
-    start = None
     slack_solves = np.zeros((T, T), dtype=int)
+    previous = np.zeros_like(working)
+    log = []
     for rounds in range(1, MAX_ROUNDS + 1):
         k, l = np.nonzero(working)
         lp = _revenue_lp(types, weights, domain_tag, (k, l, np.asarray(types)[k]))
+        if rounds == 1:
+            start = _no_sale_start(lp, T)
         sol = solve_lp(lp, "revenue LP", start)
         mech = _extract_mechanism(types, n, sol.x, domain_tag)
-        if k.size == T * (T - 1):
-            return mech, sol, k.size, rounds
         gain = ic_gains(mech)
+        log.append(LazyRound(
+            added=int(np.count_nonzero(working & ~previous)),
+            pruned=int(np.count_nonzero(previous & ~working)),
+            max_gain=float(gain.max()),
+            trace=sol.trace,
+        ))
         viol_mask = gain > GEN_TOL
-        if not viol_mask.any():
-            return mech, sol, k.size, rounds
+        if k.size == T * (T - 1) or not viol_mask.any():
+            return mech, sol, k.size, log
         slack_solves = np.where(working & (gain < -PRUNE_SLACK), slack_solves + 1, 0)
         # the most violated pairs first, ties in row-major order
         violated = np.argwhere(viol_mask)
@@ -429,7 +472,7 @@ def _solve_lazy(types, weights, domain_tag, seed):
         next_working = working & (slack_solves < 2)
         next_working[new[:, 0], new[:, 1]] = True
         start = _next_start(sol.basis, working, next_working)
-        working = next_working
+        previous, working = working, next_working
         if np.count_nonzero(working) > MAX_WORKING_ROWS:
             raise LpError(f"working set exceeded {MAX_WORKING_ROWS} rows")
     raise LpError(f"constraint generation exceeded {MAX_ROUNDS} rounds")
@@ -497,7 +540,7 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
     if R + len(rows) > MAX_WORKING_ROWS:
         raise LpError("symmetric LP too large")
     lp = _revenue_lp(reps, orbit_weights, HETEROGENEOUS, tuple(zip(*rows)) or ((), (), ()))
-    sol = solve_lp(lp, "symmetric revenue LP")
+    sol = solve_lp(lp, "symmetric revenue LP", _no_sale_start(lp, R))
     q = sol.x[: R * n].reshape(R, n)
     t = sol.x[R * n : R * n + R]
     on_sorted = Mechanism(types=tuple(reps), q=q.copy(), t=t.copy(), domain_tag=IDENTICAL)
@@ -513,6 +556,7 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
         n_ic_rows=len(rows),
         rounds=1,
         mode="orbit",
+        round_log=[LazyRound(len(rows), 0, float(ic_gains(mech).max()), sol.trace)],
     )
 
 

@@ -53,8 +53,9 @@ instead, a bounded dual simplex (`_Tableau.dual_run`) restores primal
 feasibility before phase 2.  A start it cannot use (wrong length, wrong
 count of basic columns, singular, neither primal nor dual feasible, or a
 row the dual ratio test cannot repair) falls back to the cold two-phase
-solve, whose result it then returns.  Lazy row generation passes each
-round's optimal basis to the next round; the lexicographic repair passes
+solve, whose result it then returns.  The revenue LPs pass the no-sale
+vertex to their first solve, and lazy row generation each round's
+optimal basis to the next round; the lexicographic repair passes
 each coordinate's optimal basis, with that coordinate's values fixed
 through their bounds, to the next coordinate's solve.  Reruns
 are bitwise identical for a fixed BLAS thread count: the rounding of
@@ -99,7 +100,9 @@ UNBOUNDED = "unbounded"
 
 
 class SimplexError(RuntimeError):
-    """Numerical failure or iteration-limit breach inside the solver."""
+    """Numerical failure or iteration-limit breach inside the solver.  The
+    message names the phase, the iteration and the refactor count where
+    the solve stood."""
 
 
 @dataclass
@@ -238,6 +241,13 @@ class _Tableau:
         self.phase = self.trace.phase2
 
     # -- state helpers ----------------------------------------------------
+
+    def error(self, what):
+        """A SimplexError for `what`, naming the phase, the iteration and
+        the refactor count where the solve stands."""
+        t, i = self.trace, self.iterations
+        phase = {id(t.phase1): "phase 1", id(t.dual): "dual simplex"}.get(id(self.phase), "phase 2")
+        return SimplexError(f"{what} ({phase}, iteration {i}, refactors {t.refactors})")
 
     def nb_value(self, j):
         return self.lower[j] if self.status[j] == _LO else self.upper[j]
@@ -498,7 +508,7 @@ class _Tableau:
             self.factor()
         except np.linalg.LinAlgError as exc:
             if self.rolled_back:
-                raise SimplexError("singular basis during refactorization") from exc
+                raise self.error("singular basis during refactorization") from exc
             self.rolled_back = True
             self.trace.rollbacks += 1
             self.refactor_every = 128
@@ -506,7 +516,7 @@ class _Tableau:
             try:
                 self.factor()
             except np.linalg.LinAlgError as again:
-                raise SimplexError("singular basis during refactorization") from again
+                raise self.error("singular basis during refactorization") from again
             self.weigh_columns()
             if self.beta is not None:
                 self.weigh_rows()
@@ -522,7 +532,7 @@ class _Tableau:
         w = self.column(j)
         piv = w[r]
         if abs(piv) <= PIVOT_TOL:
-            raise SimplexError("near-zero pivot")
+            raise self.error("near-zero pivot")
         alpha, y = self.pivot_row(r)
         leave = self.basis[r]
         self.exact = False
@@ -637,7 +647,7 @@ class _Tableau:
         movable = enterable & ((self.upper - self.lower) > 0.0)
         while True:
             if self.iterations >= max_iters:
-                raise SimplexError(f"iteration limit {max_iters} reached")
+                raise self.error(f"iteration limit {max_iters} reached")
             # d is exactly 0 on the basic columns, so they are never eligible
             elig = movable & (np.where(self.status == _UP, -self.d, self.d) < -PIVOT_TOL)
             bland = degen_streak >= BLAND_AFTER
@@ -726,7 +736,7 @@ class _Tableau:
                 self.beta = None
                 return True
             if self.iterations >= max_iters:
-                raise SimplexError(f"iteration limit {max_iters} reached")
+                raise self.error(f"iteration limit {max_iters} reached")
             bland = zero_streak >= BLAND_AFTER
             self.trace.bland_switches += bland and not was_bland
             was_bland = bland
@@ -876,7 +886,7 @@ def solve_simplex(
     if start is None and tab.is_art.any():
         everything = np.ones(tab.n_total, dtype=bool)
         if tab.run(tab.is_art.astype(float), everything, max_iters, tab.trace.phase1) != OPTIMAL:
-            raise SimplexError("phase 1 cannot be unbounded")
+            raise tab.error("phase 1 cannot be unbounded")
         # summed left to right over the rows
         art_val = float(sum(tab.xB[tab.is_art[tab.basis]]))
         if art_val > FEAS_TOL * max(1.0, float(np.max(np.abs(tab.b)))):
@@ -895,7 +905,7 @@ def solve_simplex(
     # since) is what a refactor would rebuild, so it is not refactored.
     while not tab.exact:
         if tab.trace.heal_rounds == HEAL_ROUNDS:
-            raise SimplexError("basis failed to stabilize under refactorization")
+            raise tab.error("basis failed to stabilize under refactorization")
         tab.trace.heal_rounds += 1
         tab.refactor()
         if tab.run(cost2, enter_real, max_iters, tab.trace.phase2) == UNBOUNDED:
@@ -960,8 +970,11 @@ def certify(res: SimplexResult) -> SimplexResult:
     fails.  INFEASIBLE and UNBOUNDED results carry no certificate and
     pass as they are, for the caller to map to its own error."""
     if res.status == OPTIMAL:
+        where = f"(certificate, iteration {res.iterations}, refactors {res.trace.refactors})"
         if not res.max_infeasibility <= FEAS_TOL:
-            raise SimplexError(f"solution residual {res.max_infeasibility} exceeds {FEAS_TOL}")
+            raise SimplexError(
+                f"solution residual {res.max_infeasibility} exceeds {FEAS_TOL} {where}"
+            )
         if not res.duality_gap <= GAP_TOL * max(1.0, abs(res.objective)):
-            raise SimplexError(f"duality gap {res.duality_gap} exceeds {GAP_TOL}")
+            raise SimplexError(f"duality gap {res.duality_gap} exceeds {GAP_TOL} {where}")
     return res

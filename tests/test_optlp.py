@@ -136,8 +136,8 @@ class TestRevenueLp:
     @pytest.mark.parametrize(
         "domain_tag, n, points, pinned, ic_rows_per_round",
         [
-            (HETEROGENEOUS, 2, 6, (3, 203, 13), [188, 212, 203]),
-            (IDENTICAL, 4, 4, (3, 241, 11), [218, 288, 241]),
+            (HETEROGENEOUS, 2, 6, (3, 203, 8), [188, 212, 203]),
+            (IDENTICAL, 4, 4, (3, 225, 2), [218, 288, 225]),
         ],
         ids=["het2p6", "id4p4"],
     )
@@ -190,20 +190,105 @@ class TestRevenueLp:
 
         def fails_once(*args, **kwargs):
             calls.append(tabs[-1].iterations)
-            if len(calls) == 3:
+            if len(calls) == 4:
                 raise np.linalg.LinAlgError("Singular matrix")
             return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(simplex, "_Tableau", Recording)
         monkeypatch.setattr(simplex.np.linalg, "solve", fails_once)
         res = optimal_mechanism(types, dist, HETEROGENEOUS, mode="lazy")
-        # the third solve is a scheduled refactor 24 pivots into round 1
-        assert calls[:3] == [8, 16, 24]
+        # round 1 factors its no-sale start; the fourth solve is a
+        # scheduled refactor 24 pivots into round 1
+        assert calls[:4] == [0, 8, 16, 24]
         assert tabs[0].rolled_back and tabs[0].refactor_every == 128
         assert tabs[0].trace.rollbacks == 1 and res.solution.trace.rollbacks == 0
+        assert [r.trace.rollbacks for r in res.round_log] == [1] + [0] * (res.rounds - 1)
         assert len(tabs) == res.rounds > 1
         assert not any(tab.rolled_back for tab in tabs[1:])
         assert res.revenue == pytest.approx(clean.revenue, abs=1e-9)
+        simplex.certify(res.solution)
+
+    def test_round_log_adds_up(self, monkeypatch):
+        # each record's counts against the working sets of its round and
+        # the one before, and its trace against that round's solve
+        labels, solves = [], []
+        build, solve = optlp._revenue_lp, optlp.solve_lp
+
+        def building(*args):
+            lp = build(*args)
+            labels.append({label for label in lp.labels if label.startswith("ic_")})
+            return lp
+
+        def solving(*args):
+            solves.append(solve(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(optlp, "_revenue_lp", building)
+        monkeypatch.setattr(optlp, "solve_lp", solving)
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12)
+        types = enumerate_identical(grid)
+        res = optimal_mechanism(types, uniform_distribution(types, IDENTICAL), IDENTICAL, "lazy")
+        log = res.round_log
+        assert len(log) == len(labels) == res.rounds > 1
+        before = [set()] + labels[:-1]
+        assert [(r.added, r.pruned) for r in log] == [
+            (len(now - old), len(old - now)) for now, old in zip(labels, before)
+        ]
+        assert sum(r.added - r.pruned for r in log) == res.n_ic_rows
+        assert [r.trace for r in log] == [sol.trace for sol in solves]
+        assert log[-1].trace is res.solution.trace
+        assert all(r.max_gain > optlp.GEN_TOL for r in log[:-1])
+        assert log[-1].max_gain <= optlp.GEN_TOL
+        assert log[-1].max_gain == float(np.max(optlp.ic_gains(res.mechanism)))
+
+    @pytest.mark.parametrize(
+        "domain_tag, n, points, mode",
+        [(IDENTICAL, 2, 8, "lazy"), (HETEROGENEOUS, 3, 4, "lazy"), (HETEROGENEOUS, 2, 4, "orbit")],
+        ids=["id2p8-lazy", "het3p4-lazy", "het2p4-orbit"],
+    )
+    def test_first_solve_starts_at_the_no_sale_vertex(
+        self, monkeypatch, domain_tag, n, points, mode
+    ):
+        # the first LP starts phase 2 at q = 0, t = 0: no phase 1, no dual
+        # simplex, fewer pivots and the same revenue as its cold solve
+        firsts, warm = [], []
+        solve, warm_start = optlp.solve_lp, simplex._Tableau.warm_start
+
+        def solving(lp, what="LP", start=None):
+            res = solve(lp, what, start)
+            if not firsts:
+                firsts.append((lp, res))
+            return res
+
+        def recording(self, *args):
+            warm.append(warm_start(self, *args))
+            return warm[-1]
+
+        monkeypatch.setattr(optlp, "solve_lp", solving)
+        monkeypatch.setattr(simplex._Tableau, "warm_start", recording)
+        grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+        if mode == "orbit":
+            het = enumerate_hetero(grid, strict_only=True)
+            optimal_symmetric_mechanism(het, uniform_distribution(het, HETEROGENEOUS))
+        else:
+            types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
+            optimal_mechanism(types, uniform_distribution(types, domain_tag), domain_tag, mode)
+        lp, first = firsts[0]
+        assert warm[0] is True
+        assert first.trace.phase1.iterations == first.trace.dual.iterations == 0
+        cold = solve(lp)
+        assert first.iterations < cold.iterations
+        assert first.objective == pytest.approx(cold.objective, abs=1e-12)
+
+    def test_full_id2p12_matches_stored_highs_value(self):
+        # 6,006 truthfulness rows; solved from the slack basis instead of
+        # the no-sale start, this LP fails on a singular basis.  HiGHS
+        # value computed once and stored.
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12)
+        types = enumerate_identical(grid)
+        res = optimal_mechanism(types, uniform_distribution(types, IDENTICAL), IDENTICAL, "full")
+        assert res.rounds == 1 and res.n_ic_rows == 78 * 77
+        assert res.revenue == pytest.approx(0.5769230769230768, abs=1e-9)
         simplex.certify(res.solution)
 
     def test_returned_mechanism_is_audited(self):

@@ -381,17 +381,18 @@ def _solve_mechanism(domain_tag, n, points, mode):
 
 
 @pytest.mark.parametrize(
-    "domain_tag, n, points, mode",
+    "domain_tag, n, points, mode, weigh_every",
     [
-        (IDENTICAL, 2, 6, "full"),
-        (HETEROGENEOUS, 2, 3, "full"),
-        (IDENTICAL, 3, 4, "full"),
-        (HETEROGENEOUS, 3, 4, "lazy"),
+        (IDENTICAL, 2, 6, "full", 16),
+        # 10 pivots from the no-sale start: weigh at every one
+        (HETEROGENEOUS, 2, 3, "full", 1),
+        (IDENTICAL, 3, 4, "full", 16),
+        (HETEROGENEOUS, 3, 4, "lazy", 16),
     ],
     ids=["id2p6-full", "het2p3-full", "id3p4-full", "het3p4-lazy"],
 )
-def test_kernel_matches_dense_reference(monkeypatch, domain_tag, n, points, mode):
-    done = _check_kernel(monkeypatch, weigh_every=16)
+def test_kernel_matches_dense_reference(monkeypatch, domain_tag, n, points, mode, weigh_every):
+    done = _check_kernel(monkeypatch, weigh_every=weigh_every)
     res = _solve_mechanism(domain_tag, n, points, mode)
     simplex.certify(res.solution)
     assert done["pivots"] > 0 and done["weighed"] > 0
@@ -586,7 +587,8 @@ def test_pricing_reads_the_weights_of_every_column(monkeypatch):
     for name in ("run", "dual_run", "drive_out_artificials"):
         track(name)
     monkeypatch.setattr(T, "pivot", pivot)
-    _solve_mechanism(HETEROGENEOUS, 3, 4, "lazy")
+    # 405 primal and 76 dual pivots from the no-sale start
+    _solve_mechanism(IDENTICAL, 2, 14, "lazy")
     assert checked["run"] > 300 and checked["dual_run"] > 10, checked
 
 
@@ -930,6 +932,29 @@ def test_trace_repeats_and_adds_up(monkeypatch, case):
         assert phases == [(False, True)]
     else:
         assert len(phases) > 1 and all(dual for _, dual in phases[1:])
+
+
+@pytest.mark.parametrize(
+    "case, max_iters, where",
+    [
+        ("mixed_start", 2, "phase 1, iteration 2, refactors 1"),
+        ("warm_start", 1, "dual simplex, iteration 1, refactors 1"),
+        ("id2p3", 5, "phase 2, iteration 5, refactors 2"),
+    ],
+)
+def test_simplex_error_names_phase_iteration_and_refactors(monkeypatch, case, max_iters, where):
+    # a refactor every 2 iterations, so the count moves within a few
+    monkeypatch.setattr(simplex, "REFACTOR_EVERY", 2)
+    if case == "mixed_start":
+        solve = lambda: solve_simplex(*MIXED_START_LP, max_iters=max_iters)
+    elif case == "warm_start":
+        lp, start = _next_round(3)
+        solve = lambda: solve_simplex(*lp, start=start, max_iters=max_iters)
+    else:
+        solve = lambda: solve_simplex(**_revenue_lp_args(IDENTICAL, 2, 3), max_iters=max_iters)
+    with pytest.raises(simplex.SimplexError) as exc:
+        solve()
+    assert str(exc.value) == f"iteration limit {max_iters} reached ({where})"
 
 
 def test_no_dense_tableau_under_tracemalloc(monkeypatch):
