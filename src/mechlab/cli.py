@@ -342,7 +342,11 @@ def _run_solve(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
                 "mode": res.mode,
                 "rounds": res.rounds,
                 "n_ic_rows": res.n_ic_rows,
-                "iterations": res.solution.iterations,
+                "iterations": sum(
+                    phase.iterations
+                    for r in res.round_log
+                    for phase in (r.trace.phase1, r.trace.dual, r.trace.phase2)
+                ),
                 "duality_gap": res.solution.duality_gap,
             },
         }

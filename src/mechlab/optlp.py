@@ -355,56 +355,41 @@ def optimal_mechanism(
 ) -> OptimalResult:
     """Revenue-maximal truthful mechanism on the given type list.
 
-    Both modes run the same constraint-generation loop and differ only in
-    its starting working set: "full" starts from every ordered
-    truthfulness pair, a complete set that is solved once, "lazy" from
-    nearest-neighbor pairs; "auto" picks by instance size.  The returned
-    mechanism always passes the full truthfulness and participation
-    audits at 1e-8 regardless of mode; failure to certify raises.
+    Both modes run the same constraint-generation loop, `_solve_lazy`,
+    with every type as a row of its pair mask.  The returned mechanism
+    always passes the full truthfulness and participation audits at 1e-8
+    regardless of mode; failure to certify raises.
     """
     types = [tuple(float(x) for x in v) for v in types]
-    T = len(types)
     n = len(types[0])
     weights = embed(dist, types)
-    if mode == "auto":
-        mode = "full" if T * (T - 1) + T * n <= FULL_ROW_CAP else "lazy"
-    if mode == "full":
-        seed = ~np.eye(T, dtype=bool)
-    elif mode == "lazy":
-        # Binding truthfulness rows overwhelmingly involve nearby reports,
-        # so seed the working set with each type's nearest neighbors
-        # instead of discovering that chain one round at a time.
-        seed = _neighbor_pairs(types)
-    else:
-        raise LpError(f"unknown mode {mode!r}")
-    mech, sol, n_ic, log = _solve_lazy(types, weights, domain_tag, seed)
-    _certify_mechanism(mech, domain_tag)
-    return OptimalResult(
-        mechanism=mech,
-        revenue=float(sol.objective),
-        solution=sol,
-        n_ic_rows=n_ic,
-        rounds=len(log),
-        mode=mode,
-        round_log=log,
-    )
+    values = np.asarray(types)
+
+    def build(k, l):
+        return _revenue_lp(types, weights, domain_tag, (k, l, values[k]))
+
+    def outcome(x):
+        mech = _extract_mechanism(types, n, x, domain_tag)
+        return mech, ic_gains(mech)
+
+    return _solve_lazy(types, np.arange(len(types)), mode, build, outcome)
 
 
-def _certify_mechanism(mech: Mechanism, domain_tag: str) -> None:
+def _certify_mechanism(mech: Mechanism) -> None:
     rep_ic = check_ic(mech, tol=AUDIT_TOL)
     if not rep_ic.passed:
         raise LpError(f"optimal mechanism failed truthfulness audit: {rep_ic.max_slack}")
     rep_ir = check_ir(mech, tol=AUDIT_TOL)
     if not rep_ir.passed:
         raise LpError(f"optimal mechanism failed participation audit: {rep_ir.max_slack}")
-    if domain_tag == IDENTICAL:
+    if mech.domain_tag == IDENTICAL:
         rep_f = check_feasible_identical(mech, tol=AUDIT_TOL)
         if not rep_f.passed:
             raise LpError(f"optimal mechanism failed allocation order: {rep_f.max_slack}")
 
 
 def _neighbor_pairs(types, per_type: int = 4) -> np.ndarray:
-    """T x T mask of the deviation pairs between each type and its
+    """Type-by-type mask of the deviation pairs between each type and its
     nearest reports (max-norm), in both directions."""
     arr = np.asarray(types, dtype=float)
     count = arr.shape[0]
@@ -417,39 +402,58 @@ def _neighbor_pairs(types, per_type: int = 4) -> np.ndarray:
     return mask | mask.T
 
 
-def _solve_lazy(types, weights, domain_tag, seed):
-    """Constraint generation on truthfulness rows, starting from the
-    T x T pair mask `seed`: entry (k, l) set means the row of type k
-    against reporting type l is in the working set.
+def _solve_lazy(types, rows, mode, build, outcome) -> OptimalResult:
+    """Constraint generation on truthfulness rows over a pair mask with
+    one row per entry of `rows` (indices into `types`) and one column per
+    type: entry (a, b) set means the row of type types[rows[a]] against
+    reporting type b is in the working set.  `build(a, b)` returns the
+    revenue LP, over one block per entry of `rows`, with the rows of the
+    pairs (a[e], b[e]); `outcome(x)` returns the mechanism of its solution
+    x and that mechanism's gain matrix over the mask.
 
-    Working-set policy: add the most violated pairs each round (up to
-    2T), drop rows that have been slack for two consecutive solves (a row
-    added in the previous round has been through one solve only, so it
-    stays).  Rows are built in row-major order of the mask.  Terminates
-    when the full gain matrix shows no violation beyond GEN_TOL, or at
-    once when the working set is complete (all T(T-1) pairs): then the
-    solve is the full LP and there is nothing left to add.
+    The modes differ only in the starting working set: "full" starts from
+    every pair, a complete set that is solved once, "lazy" from each
+    type's nearest-neighbor pairs (`_neighbor_pairs`); "auto" picks by
+    instance size.  Working-set policy: add the most violated pairs each
+    round (up to 2 per mask row), drop rows that have been slack for two
+    consecutive solves (a row added in the previous round has been
+    through one solve only, so it stays).  Rows are built in row-major
+    order of the mask.  Terminates when the gain matrix shows no
+    violation beyond GEN_TOL, or at once when the working set is
+    complete: then the solve is the full LP and there is nothing left to
+    add.  The final mechanism is audited over every ordered type pair.
 
     The first round starts phase 2 at the no-sale vertex
     (`_no_sale_start`).  Every later round warm-starts from the previous
     round's optimal basis (`_next_start`): the dual values stay feasible,
     so the bounded dual simplex only has to repair the new, violated rows.
     """
-    T = len(types)
+    R = len(rows)
     n = len(types[0])
-    add_per_round = max(64, 2 * T)
-    working = seed
-    slack_solves = np.zeros((T, T), dtype=int)
+    allowed = np.arange(len(types)) != rows[:, None]
+    complete = np.count_nonzero(allowed)
+    if mode == "auto":
+        mode = "full" if complete + R * n <= FULL_ROW_CAP else "lazy"
+    if mode == "full":
+        working = allowed
+    elif mode == "lazy":
+        # Binding truthfulness rows overwhelmingly involve nearby reports,
+        # so seed the working set with each type's nearest neighbors
+        # instead of discovering that chain one round at a time.
+        working = _neighbor_pairs(types)[rows]
+    else:
+        raise LpError(f"unknown mode {mode!r}")
+    add_per_round = max(64, 2 * R)
+    slack_solves = np.zeros(working.shape, dtype=int)
     previous = np.zeros_like(working)
     log = []
     for rounds in range(1, MAX_ROUNDS + 1):
         k, l = np.nonzero(working)
-        lp = _revenue_lp(types, weights, domain_tag, (k, l, np.asarray(types)[k]))
+        lp = build(k, l)
         if rounds == 1:
-            start = _no_sale_start(lp, T)
+            start = _no_sale_start(lp, R)
         sol = solve_lp(lp, "revenue LP", start)
-        mech = _extract_mechanism(types, n, sol.x, domain_tag)
-        gain = ic_gains(mech)
+        mech, gain = outcome(sol.x)
         log.append(LazyRound(
             added=int(np.count_nonzero(working & ~previous)),
             pruned=int(np.count_nonzero(previous & ~working)),
@@ -457,8 +461,9 @@ def _solve_lazy(types, weights, domain_tag, seed):
             trace=sol.trace,
         ))
         viol_mask = gain > GEN_TOL
-        if k.size == T * (T - 1) or not viol_mask.any():
-            return mech, sol, k.size, log
+        if k.size == complete or not viol_mask.any():
+            _certify_mechanism(mech)
+            return OptimalResult(mech, float(sol.objective), sol, k.size, rounds, mode, log)
         slack_solves = np.where(working & (gain < -PRUNE_SLACK), slack_solves + 1, 0)
         # the most violated pairs first, ties in row-major order
         violated = np.argwhere(viol_mask)
@@ -508,8 +513,17 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
     types must be strict and hold every relabeling of each profile, so
     that the spread covers exactly them; any other list raises LpError
     before the solve.
+
+    The pair mask of `_solve_lazy` has the representatives as rows and
+    every profile as a column.  Truthfulness of v against reporting v'
+    folds onto the blocks of their representatives: v values sorted slot
+    i of the reported outcome at v[cell(v')[i]].  Relabeling both
+    profiles leaves that row as it is, so the rows of each representative
+    cover every ordered pair, each distinct row once.
     """
-    types = [tuple(float(x) for x in v) for v in types]
+    # sorted, as `symmetric_extension` orders the spread: mask column b
+    # is then column b of the spread's gain matrix
+    types = sorted({tuple(float(x) for x in v) for v in types})
     type_set = set(types)
     for v in types:
         if not is_strict(v):
@@ -517,47 +531,29 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
         if not type_set.issuperset(itertools.permutations(v)):
             raise LpError(f"symmetric optimization needs every relabeling of {v}")
     n = len(types[0])
-    reps = sorted({sort_descending(v) for v in types})
-    rep_index = {w: k for k, w in enumerate(reps)}
+    rows = np.array([b for b, v in enumerate(types) if v == sort_descending(v)])
+    reps = [types[b] for b in rows]
     R = len(reps)
-    block = [rep_index[sort_descending(v)] for v in types]
-    orbit_weights = [0.0] * R
-    for k, w in zip(block, embed(dist, types)):
-        orbit_weights[k] += float(w)
+    rep_index = {w: a for a, w in enumerate(reps)}
+    block = np.array([rep_index[sort_descending(v)] for v in types])
+    orbit_weights = np.bincount(block, embed(dist, types), minlength=R)
+    cells = np.array([cell_of(v) for v in types])
+    rep_values = np.asarray(reps)
 
-    # Truthfulness of v against reporting v' folds onto the blocks of
-    # their representatives: v values sorted slot i of the reported
-    # outcome at v[cell(v')[i]].  Rows are deduplicated on exact
-    # coefficients (a dict keeps first-seen order), and the LP's size is
-    # checked before it is built; row labels repeat across relabelings,
-    # which is harmless as this LP is never exported.
-    cells = [cell_of(v) for v in types]
-    rows = {}
-    for a, v in enumerate(types):
-        for b, vp in enumerate(types):
-            if vp != v:
-                rows.setdefault((block[a], block[b], tuple(v[s] for s in cells[b])), None)
-    if R + len(rows) > MAX_WORKING_ROWS:
-        raise LpError("symmetric LP too large")
-    lp = _revenue_lp(reps, orbit_weights, HETEROGENEOUS, tuple(zip(*rows)) or ((), (), ()))
-    sol = solve_lp(lp, "symmetric revenue LP", _no_sale_start(lp, R))
-    q = sol.x[: R * n].reshape(R, n)
-    t = sol.x[R * n : R * n + R]
-    on_sorted = Mechanism(types=tuple(reps), q=q.copy(), t=t.copy(), domain_tag=IDENTICAL)
-    mech = symmetric_extension(on_sorted)
-    _certify_mechanism(mech, HETEROGENEOUS)
-    sym = is_symmetric(mech)
-    if not sym.passed:
+    def build(a, b):
+        dev = np.take_along_axis(rep_values[a], cells[b], axis=1)
+        return _revenue_lp(reps, orbit_weights, HETEROGENEOUS, (a, block[b], dev))
+
+    def outcome(x):
+        q, t = x[: R * n].reshape(R, n), x[R * n : R * n + R]
+        on_sorted = Mechanism(types=tuple(reps), q=q.copy(), t=t.copy(), domain_tag=IDENTICAL)
+        mech = symmetric_extension(on_sorted)
+        return mech, ic_gains(mech)[rows]
+
+    res = _solve_lazy(types, rows, "auto", build, outcome)
+    if not is_symmetric(res.mechanism).passed:
         raise LpError("symmetric optimum failed exact symmetry audit")
-    return OptimalResult(
-        mechanism=mech,
-        revenue=float(sol.objective),
-        solution=sol,
-        n_ic_rows=len(rows),
-        rounds=1,
-        mode="orbit",
-        round_log=[LazyRound(len(rows), 0, float(ic_gains(mech).max()), sol.trace)],
-    )
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -838,5 +834,7 @@ def certify_equivalence(
         "revenue_restriction": rev_restr,
         "identical_rounds": res_i.rounds,
         "identical_mode": res_i.mode,
+        "symmetric_rounds": res_h.rounds,
+        "symmetric_mode": res_h.mode,
     }
     return _report("equivalence", violations, info=info)

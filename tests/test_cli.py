@@ -70,6 +70,24 @@ def test_solve_single_unit(tmp_path):
         assert (out / name).is_file()
 
 
+def test_solve_reports_the_pivots_of_every_lazy_round(tmp_path, monkeypatch):
+    solves = []
+    solve = simplex.solve_simplex
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(simplex, "solve_simplex", recording)
+    grid = {"n": 2, "points": 12, "v_low": 0.0, "v_high": 1.0}
+    payload = dict(SOLVE_SINGLE, grid=grid, mode="lazy")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+    lp = json.loads((out / "summary.json").read_text())["lp"]
+    assert lp["rounds"] == len(solves) > 1
+    assert lp["iterations"] == sum(sol.iterations for sol in solves) > solves[-1].iterations
+
+
 def test_solve_writes_parseable_audits(tmp_path):
     cfg = write_config(tmp_path, SOLVE_SINGLE)
     out = tmp_path / "out"

@@ -209,15 +209,17 @@ class TestRevenueLp:
         simplex.certify(res.solution)
 
     def test_round_log_adds_up(self, monkeypatch):
-        # each record's counts against the working sets of its round and
-        # the one before, and its trace against that round's solve
+        # on a lazy solve and on a lazy orbit solve: each record's counts
+        # against the working sets of its round and the one before, and
+        # its trace against that round's solve; a truthfulness row is
+        # named by its blocks and its deviation, as orbit rows share labels
         labels, solves = [], []
         build, solve = optlp._revenue_lp, optlp.solve_lp
 
-        def building(*args):
-            lp = build(*args)
-            labels.append({label for label in lp.labels if label.startswith("ic_")})
-            return lp
+        def building(types, weights, tag, pairs):
+            k, l, dev = (np.asarray(x).tolist() for x in pairs)
+            labels.append(set(zip(k, l, map(tuple, dev))))
+            return build(types, weights, tag, pairs)
 
         def solving(*args):
             solves.append(solve(*args))
@@ -227,19 +229,29 @@ class TestRevenueLp:
         monkeypatch.setattr(optlp, "solve_lp", solving)
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12)
         types = enumerate_identical(grid)
-        res = optimal_mechanism(types, uniform_distribution(types, IDENTICAL), IDENTICAL, "lazy")
-        log = res.round_log
-        assert len(log) == len(labels) == res.rounds > 1
-        before = [set()] + labels[:-1]
-        assert [(r.added, r.pruned) for r in log] == [
-            (len(now - old), len(old - now)) for now, old in zip(labels, before)
-        ]
-        assert sum(r.added - r.pruned for r in log) == res.n_ic_rows
-        assert [r.trace for r in log] == [sol.trace for sol in solves]
-        assert log[-1].trace is res.solution.trace
-        assert all(r.max_gain > optlp.GEN_TOL for r in log[:-1])
-        assert log[-1].max_gain <= optlp.GEN_TOL
-        assert log[-1].max_gain == float(np.max(optlp.ic_gains(res.mechanism)))
+        het = enumerate_hetero(grid, strict_only=True)
+        dist = uniform_distribution(types, IDENTICAL)
+        dist_h = uniform_distribution(het, HETEROGENEOUS)
+        for run in (
+            lambda: optimal_mechanism(types, dist, IDENTICAL, "lazy"),
+            lambda: optimal_symmetric_mechanism(het, dist_h),
+        ):
+            labels.clear()
+            solves.clear()
+            res = run()
+            log = res.round_log
+            assert res.mode == "lazy"
+            assert len(log) == len(labels) == res.rounds > 1
+            before = [set()] + labels[:-1]
+            assert [(r.added, r.pruned) for r in log] == [
+                (len(now - old), len(old - now)) for now, old in zip(labels, before)
+            ]
+            assert sum(r.added - r.pruned for r in log) == res.n_ic_rows
+            assert [r.trace for r in log] == [sol.trace for sol in solves]
+            assert log[-1].trace is res.solution.trace
+            assert all(r.max_gain > optlp.GEN_TOL for r in log[:-1])
+            assert log[-1].max_gain <= optlp.GEN_TOL
+            assert log[-1].max_gain == float(np.max(optlp.ic_gains(res.mechanism)))
 
     @pytest.mark.parametrize(
         "domain_tag, n, points, mode",
@@ -523,33 +535,40 @@ class TestSymmetricLp:
             optimal_symmetric_mechanism(types, uniform_distribution(types, HETEROGENEOUS))
         assert calls == []
 
-    def test_size_guard_runs_before_the_lp_is_built(self, monkeypatch):
-        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
+    def test_large_orbit_lp_goes_lazy(self):
+        # 132 strict profiles, 66 representatives: 8,646 folded rows in
+        # full, which the lazy loop never builds; the value is that of
+        # the full orbit LP, computed once and stored
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12)
+        het = enumerate_hetero(grid, strict_only=True)
+        res = optimal_symmetric_mechanism(het, uniform_distribution(het, HETEROGENEOUS))
+        assert res.mode == "lazy" and res.rounds > 1 and res.n_ic_rows < 66 * 131
+        assert res.revenue == pytest.approx(0.5867768595041323, abs=1e-9)
+        assert is_symmetric(res.mechanism, tol=0.0).passed
+        simplex.certify(res.solution)
+
+    def test_orbit_lp_is_bound_by_the_working_set_cap(self, monkeypatch):
+        # the orbit LP's working set is capped as the ordinary LP's is:
+        # a cap at its largest later round still solves, one row under
+        # it is refused
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12)
         het = enumerate_hetero(grid, strict_only=True)
         dist = uniform_distribution(het, HETEROGENEOUS)
         sizes = []
         build = optlp._revenue_lp
 
-        def recording(*args):
-            lp = build(*args)
-            sizes.append(lp.n_rows)
-            return lp
+        def recording(types, weights, tag, pairs):
+            sizes.append(len(pairs[0]))
+            return build(types, weights, tag, pairs)
 
         monkeypatch.setattr(optlp, "_revenue_lp", recording)
-        monkeypatch.setattr(optlp, "MAX_WORKING_ROWS", 10**6)
-        optimal_symmetric_mechanism(het, dist)
-        (rows,) = sizes
-        # a row count at the cap still solves, one row over it is refused
-        monkeypatch.setattr(optlp, "MAX_WORKING_ROWS", rows)
-        optimal_symmetric_mechanism(het, dist)
-        assert sizes == [rows, rows]
-
-        def never(*args):
-            raise AssertionError("the LP was built")
-
-        monkeypatch.setattr(optlp, "_revenue_lp", never)
-        monkeypatch.setattr(optlp, "MAX_WORKING_ROWS", rows - 1)
-        with pytest.raises(LpError, match="symmetric LP too large"):
+        res = optimal_symmetric_mechanism(het, dist)
+        assert len(sizes) == res.rounds > 1
+        cap = max(sizes[1:])
+        monkeypatch.setattr(optlp, "MAX_WORKING_ROWS", cap)
+        assert optimal_symmetric_mechanism(het, dist).revenue == res.revenue
+        monkeypatch.setattr(optlp, "MAX_WORKING_ROWS", cap - 1)
+        with pytest.raises(LpError, match="working set exceeded"):
             optimal_symmetric_mechanism(het, dist)
 
 
@@ -567,6 +586,20 @@ class TestEquivalenceCertificate:
         assert rep.info["revenue_identical"] == pytest.approx(
             rep.info["revenue_symmetric"], abs=1e-7
         )
+
+    def test_het2p16_orbit_lp_certifies(self):
+        # 240 strict profiles: the orbit LP's 28,680 folded rows in full
+        # were refused before it ran through the lazy loop
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=16)
+        het = enumerate_hetero(grid, strict_only=True)
+        marg = MarginalCdf.from_pmf(grid.levels, [1 / 16] * 16)
+        dist_h = restrict_to_strict(iid_distribution(marg, 2))
+        dist_i = to_identical_density(dist_h)
+        rep = certify_equivalence((list(dist_i.types), dist_i), (het, dist_h), tol=1e-7)
+        assert rep.passed
+        assert rep.info["symmetric_mode"] == "lazy" and rep.info["symmetric_rounds"] > 1
+        revenue = rep.info["revenue_identical"]
+        assert rep.info["revenue_symmetric"] == pytest.approx(revenue, abs=1e-9)
 
     def test_mismatched_densities_refused(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3)
