@@ -250,13 +250,22 @@ def _g_avg(cfg: dict) -> MarginalCdf:
         raise ConfigError(f"field 'g_avg': {exc}") from exc
 
 
+def _enumerate(grid: Grid, domain: str, strict_only: bool) -> list:
+    """The grid's types on the domain, which a strict-only run on fewer
+    levels than objects leaves empty: a config error."""
+    enumerate_types = enumerate_identical if domain == IDENTICAL else enumerate_hetero
+    types = enumerate_types(grid, strict_only=strict_only)
+    if not types:
+        raise ConfigError(f"field 'grid': {grid.m} levels, no strict profile of {grid.n} objects")
+    return types
+
+
 def _solve_model(cfg: dict):
     """Domain, enumerated types and prior of a solve-shaped config."""
     grid = build_grid(cfg)
     domain = _domain(cfg)
     strict_only = _take(cfg, "strict_only", bool, required=False, default=False)
-    enumerate_types = enumerate_identical if domain == IDENTICAL else enumerate_hetero
-    types = enumerate_types(grid, strict_only=strict_only)
+    types = _enumerate(grid, domain, strict_only)
     return domain, types, build_distribution(cfg, grid, domain, strict_only, types)
 
 
@@ -356,13 +365,13 @@ def _run_solve(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
 
 def _run_equivalence(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     grid = build_grid(cfg)
-    types_h = enumerate_hetero(grid, strict_only=True)
+    types_h = _enumerate(grid, HETEROGENEOUS, True)
     dist_h = build_distribution(cfg, grid, HETEROGENEOUS, True, types_h)
     try:
         dist_i = to_identical_density(dist_h)
     except DistributionError as exc:
         raise ConfigError(f"field 'distribution': {exc}") from exc
-    types_i = enumerate_identical(grid, strict_only=True)
+    types_i = _enumerate(grid, IDENTICAL, True)
     rep = certify_equivalence((types_i, dist_i), (types_h, dist_h), tol=tol)
     out.audit(rep)
     out.summary.update(
@@ -381,9 +390,9 @@ def _run_theorem1(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     grid = build_grid(cfg)
     sub = _take(cfg, "mechanism", dict)
     source = _take(sub, "kind", str, "mechanism")
+    types_h = _enumerate(grid, HETEROGENEOUS, True)
     mechs = []
     if source == "lp":
-        types_h = enumerate_hetero(grid, strict_only=True)
         dist_h = build_distribution(cfg, grid, HETEROGENEOUS, True, types_h)
         res = optimal_symmetric_mechanism(types_h, dist_h)
         mechs.append(("lp_optimum", res.mechanism))
@@ -433,8 +442,10 @@ def _run_robust(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
         price, revenue = optimal_uniform_price(g, n)
     else:
         revenue = n * price * g.mass_at_or_above(price)
-    v_low = 0.0 if g.levels[0] >= 0.0 else g.levels[0]
-    grid = Grid(n=n, levels=g.levels, v_low=v_low, v_high=g.levels[-1])
+    try:
+        grid = Grid(n=n, levels=g.levels, v_low=0.0, v_high=g.levels[-1])
+    except ValueError as exc:
+        raise ConfigError(f"field 'g_avg': {exc}") from exc
     types = enumerate_identical(grid)
     mech = uniform_price_mechanism(types, price, IDENTICAL)
     wc_min, dist_min, _ = worst_case_revenue(mech, g, sense="min")

@@ -134,6 +134,8 @@ def table_distribution(types, weights, domain_tag) -> Distribution:
 
 def uniform_distribution(types, domain_tag) -> Distribution:
     T = len(types)
+    if T == 0:
+        raise DistributionError("empty support")
     return table_distribution(types, np.full(T, 1.0 / T), domain_tag)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dist import Distribution, MarginalCdf, iid_distribution, restrict_to_strict
-from .mech import Mechanism, Menu, menu_to_mechanism
+from .mech import Mechanism, Menu, menu_to_mechanism, seller_ordered_menu
 from .typespace import (
     Grid,
     HETEROGENEOUS,
@@ -26,12 +26,6 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def _finish_menu(items: list, n: int) -> Menu:
-    items.append((tuple(0.0 for _ in range(n)), 0.0))
-    items.sort(key=lambda ap: (-ap[1], tuple(-x for x in ap[0])))
-    return Menu(items=tuple(items))
-
-
 def random_menu(rng: np.random.Generator, n: int, max_items: int = 4) -> Menu:
     """Arbitrary allocations in [0,1]^n at prices wide enough that some
     types opt out (flat utility regions are the interesting case)."""
@@ -41,7 +35,7 @@ def random_menu(rng: np.random.Generator, n: int, max_items: int = 4) -> Menu:
         alloc = tuple(float(x) for x in rng.uniform(0.0, 1.0, size=n))
         price = float(rng.uniform(0.0, 0.9 * n))
         items.append((alloc, price))
-    return _finish_menu(items, n)
+    return seller_ordered_menu(items, n)
 
 
 def random_sorted_menu(rng: np.random.Generator, n: int, max_items: int = 4) -> Menu:
@@ -53,7 +47,7 @@ def random_sorted_menu(rng: np.random.Generator, n: int, max_items: int = 4) -> 
         alloc = tuple(sorted((float(x) for x in rng.uniform(0.0, 1.0, size=n)), reverse=True))
         price = float(rng.uniform(0.0, 0.9 * n))
         items.append((alloc, price))
-    return _finish_menu(items, n)
+    return seller_ordered_menu(items, n)
 
 
 def random_almost_deterministic_menu(
@@ -71,7 +65,7 @@ def random_almost_deterministic_menu(
         )
         price = float(rng.uniform(0.0, 0.9 * n))
         items.append((alloc, price))
-    return _finish_menu(items, n)
+    return seller_ordered_menu(items, n)
 
 
 def random_ic_identical(

@@ -271,6 +271,14 @@ def make_menu(items: Sequence[tuple[Sequence[float], float]], n: int | None = No
     return Menu(items=tuple(items))
 
 
+def seller_ordered_menu(items, n: int) -> Menu:
+    """The (allocation, price) items and the null item, each once, by
+    descending price, then descending allocation: lowest-index
+    tie-breaking then favors the seller, and opting out comes last."""
+    items = dict.fromkeys([*items, ((0.0,) * n, 0.0)])
+    return Menu(items=tuple(sorted(items, key=lambda ap: (-ap[1], tuple(-x for x in ap[0])))))
+
+
 def _exact_utility(v, a, price) -> Fraction:
     total = -Fraction(float(price))
     for x, y in zip(v, a):

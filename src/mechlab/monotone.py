@@ -10,7 +10,8 @@ selected together: consecutive ones are stacked, up to BLOCK_ROWS rows,
 into one block-diagonal LP, solved once per coordinate, each solve
 warm-started from the last one's basis.  Payments are rebuilt from u, so
 the buyer is indifferent between the input and the output, while the
-selection rule makes the output non-bossy.
+selection rule makes the output non-bossy.  Every LP goes through
+`optlp.solve_lp`: ValueError means bad input, LpError a solver failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import simplex
+from . import optlp, simplex
 from .dist import Distribution, fosd_shift
 from .mech import (
     AuditReport,
@@ -204,10 +205,12 @@ class SubgradientPolytope:
         return bool(np.all(self.directions @ x <= self.slacks + tol))
 
     def maximize(self, direction) -> tuple[float, np.ndarray]:
-        box = np.zeros(self.n), np.ones(self.n)
-        res = _solve(str(self.anchor), direction, self.directions, self.slacks, *box)
-        if res.status != simplex.OPTIMAL:
-            raise _inconsistent(self.anchor, res.status)
+        lp = _subgradient_lp([self])
+        lp.objective = [float(c) for c in direction]
+        try:
+            res = optlp.solve_lp(lp, f"subgradient LP at {self.anchor}")
+        except optlp.InfeasibleError:
+            raise _inconsistent(self.anchor) from None
         return float(res.objective), res.x.copy()
 
     def coordinate_interval(self, i: int) -> tuple[float, float]:
@@ -276,32 +279,28 @@ def subgradient_polytope(mech: Mechanism, v) -> SubgradientPolytope:
     return _polytope(mech.V, mech.utilities(), k)
 
 
-def _solve(where: str, cost, A, b, lower, upper, start=None) -> simplex.SimplexResult:
-    """max cost.x over {A x <= b, lower <= x <= upper}, certified; a
-    solver breakdown or a failed certificate is a ValueError naming
-    `where`.  An infeasible result is returned for the caller to name."""
-    try:
-        return simplex.certify(
-            simplex.solve_simplex(
-                c=np.asarray(cost, dtype=float),
-                A=A,
-                b=b,
-                senses=["<="] * len(b),
-                lower=lower,
-                upper=upper,
-                maximize=True,
-                start=start,
-            )
-        )
-    except simplex.SimplexError as exc:
-        raise ValueError(f"subgradient LP at {where} failed: {exc}") from exc
-
-
-def _inconsistent(anchor, status) -> ValueError:
+def _inconsistent(where) -> ValueError:
     return ValueError(
-        f"subgradient polytope at {anchor} is {status}; "
+        f"subgradient polytope at {where} is infeasible; "
         "the utility profile is not consistent with truthfulness"
     )
+
+
+def _subgradient_lp(polys) -> optlp.LinearProgram:
+    """The block-diagonal LP of polytopes of one dimension n over the
+    unit box, block k on columns k*n .. k*n + n - 1, with a zero
+    objective; every entry of a direction row is kept."""
+    n, K = polys[0].n, len(polys)
+    block = np.repeat(np.arange(K), [len(p.slacks) for p in polys])
+    lp = optlp.LinearProgram(
+        names=[f"x_{k}_{i}" for k in range(K) for i in range(n)],
+        lower=[0.0] * (K * n), upper=[1.0] * (K * n), objective=[0.0] * (K * n),
+    )
+    lp.add_rows(
+        block[:, None] * n + np.arange(n), np.concatenate([p.directions for p in polys]),
+        "<=", np.concatenate([p.slacks for p in polys]), [""] * block.size,
+    )
+    return lp
 
 
 def _groups(polys):
@@ -329,54 +328,42 @@ def _lexicographic_max(polys) -> list[np.ndarray]:
     the optimal basis to the next coordinate's solve, which starts there
     primal feasible.  The blocks are separable, so the sum is optimal
     exactly when every block is, and the selection is the one n solves
-    per polytope would make.  Besides `simplex.certify`, each block LP's
-    weak-duality gap must be at most GAP_TOL in absolute terms: every
-    block's gap is at most the group's, so each polytope keeps the bound
-    that a solve of its own would have to meet."""
+    per polytope would make.  Besides the certificate of `solve_lp`, each
+    block LP's weak-duality gap must be at most GAP_TOL in absolute
+    terms: every block's gap is at most the group's, so each polytope
+    keeps the bound that a solve of its own would have to meet."""
     return [x for group in _groups(polys) for x in _block_lexmax(group)]
 
 
 def _block_lexmax(polys) -> list[np.ndarray]:
     n, K = polys[0].n, len(polys)
-    rows = np.cumsum([0] + [len(p.slacks) for p in polys])
-    A = np.zeros((rows[-1], K * n))
-    for k, p in enumerate(polys):
-        A[rows[k] : rows[k + 1], k * n : (k + 1) * n] = p.directions
-    b = np.concatenate([np.asarray(p.slacks, dtype=float) for p in polys])
-    lower, upper = np.zeros(K * n), np.ones(K * n)
+    lp = _subgradient_lp(polys)
     where = str(polys[0].anchor) if K == 1 else f"{polys[0].anchor}..{polys[-1].anchor}"
+    what = f"subgradient LP at {where}"
     res = None
     for i in range(n):
-        cost = np.zeros(K * n)
-        cost[i::n] = 1.0
-        res = _solve(where, cost, A, b, lower, upper, start=None if res is None else res.basis)
-        if res.status != simplex.OPTIMAL:
+        lp.objective = np.tile(np.eye(n)[i], K).tolist()
+        try:
+            res = optlp.solve_lp(lp, what, None if res is None else res.basis)
+        except optlp.InfeasibleError:
             if K > 1:  # a group is infeasible only where a block is: name it
                 for p in polys:
                     _block_lexmax([p])
-            raise _inconsistent(where, res.status)
+            raise _inconsistent(where) from None
         if not res.duality_gap <= simplex.GAP_TOL:
-            raise ValueError(
-                f"subgradient LP at {where} failed: "
-                f"duality gap {res.duality_gap} exceeds {simplex.GAP_TOL}"
+            raise optlp.LpError(
+                f"{what} failed: duality gap {res.duality_gap} exceeds {simplex.GAP_TOL}"
             )
-        lower[i::n] = upper[i::n] = res.x[i::n]
+        lp.lower[i::n] = lp.upper[i::n] = res.x[i::n].tolist()
     return list(np.clip(res.x, 0.0, 1.0).reshape(K, n))
 
 
 def _with_sorted_cone(poly: SubgradientPolytope) -> SubgradientPolytope:
-    """Intersect with {x_1 >= x_2 >= ... >= x_n} via extra direction rows."""
-    n = len(poly.anchor)
-    if n < 2:
-        return poly
-    extra = []
-    for i in range(n - 1):
-        d = np.zeros(n)
-        d[i] = -1.0
-        d[i + 1] = 1.0
-        extra.append(d)
-    directions = np.vstack([poly.directions, np.asarray(extra)])
-    slacks = np.concatenate([np.asarray(poly.slacks, dtype=float), np.zeros(n - 1)])
+    """Intersect with {x_1 >= x_2 >= ... >= x_n} via the extra direction
+    rows x_{i+1} - x_i <= 0."""
+    n = poly.n
+    directions = np.vstack([poly.directions, np.eye(n - 1, n, 1) - np.eye(n - 1, n)])
+    slacks = np.concatenate([poly.slacks, np.zeros(n - 1)])
     return SubgradientPolytope(anchor=poly.anchor, directions=directions, slacks=slacks)
 
 
@@ -400,10 +387,11 @@ def lmax_repair(mech: Mechanism, almost_deterministic: bool = False) -> Mechanis
     the input allocation, which is what makes the output non-bossy.
 
     The selection solves one block LP per coordinate and group of types
-    (`_lexicographic_max`), not n LPs per type.  Every selection LP goes
-    through `simplex.certify` and an absolute duality-gap bound; a solver
-    breakdown or an uncertified optimum raises ValueError, as an input
-    that is not truthful or participating does.
+    (`_lexicographic_max`), not n LPs per type, each through
+    `optlp.solve_lp` and an absolute duality-gap bound.  ValueError
+    means bad input: a mechanism that is not truthful or participating,
+    or an empty polytope.  LpError means the solver failed: a breakdown,
+    an uncertified optimum or a gap over the bound.
     """
     ic = check_ic(mech, tol=PAYMENT_TOL)
     if not ic.passed:

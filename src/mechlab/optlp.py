@@ -53,6 +53,7 @@ from .mech import (
     menu_choice_indices,
     menu_to_mechanism,
     pairwise_value,
+    seller_ordered_menu,
 )
 from .symmetry import is_symmetric, restrict_to_cell, symmetric_extension
 from .typespace import (
@@ -184,7 +185,7 @@ def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.Simplex
             )
         )
     except simplex.SimplexError as exc:
-        raise LpError(f"simplex failed: {exc}") from exc
+        raise LpError(f"{what} failed: {exc}") from exc
     if res.status == simplex.INFEASIBLE:
         raise InfeasibleError(f"{what} infeasible")
     if res.status == simplex.UNBOUNDED:
@@ -560,23 +561,15 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
 # taxation-principle completion
 
 def taxation_menu(mech: Mechanism) -> Menu:
-    """The mechanism's own outcomes as a menu, deduplicated and sorted by
-    descending price.  The null item lands after all positively priced
-    items, so a type indifferent between buying and opting out buys;
-    index tie-breaking therefore favors revenue."""
-    items = {}
-    for k in range(len(mech.types)):
-        # mechanism construction tolerates allocations a hair outside the
-        # box; menus do not, so clamp here
-        key = (
-            tuple(min(max(float(x), 0.0), 1.0) for x in mech.q[k]),
-            float(mech.t[k]),
-        )
-        items[key] = True
-    null = (tuple(0.0 for _ in range(mech.n)), 0.0)
-    items.setdefault(null, True)
-    ordered = sorted(items, key=lambda ap: (-ap[1], tuple(-x for x in ap[0])))
-    return Menu(items=tuple(ordered))
+    """The mechanism's own outcomes as a menu in `seller_ordered_menu`
+    order: a type indifferent between buying and opting out buys, so
+    index tie-breaking favors revenue."""
+    # mechanism construction tolerates allocations a hair outside the
+    # box; menus do not, so clamp here
+    items = [
+        (tuple(min(max(float(x), 0.0), 1.0) for x in q), float(t)) for q, t in zip(mech.q, mech.t)
+    ]
+    return seller_ordered_menu(items, mech.n)
 
 
 def extend_by_menu(mech: Mechanism, target_types) -> Mechanism:
@@ -729,13 +722,10 @@ def optimal_deterministic(types, dist: Distribution, domain_tag: str) -> Determi
 
     choices = [None] + prices
     wvec = np.asarray(weights)
-    null = (tuple(0.0 for _ in range(n)), 0.0)
 
     def assign_to_menu(assign):
         items = [(allocs[a], choices[c]) for a, c in enumerate(assign) if c != 0]
-        items.append(null)
-        items.sort(key=lambda ap: (-ap[1], tuple(-x for x in ap[0])))
-        return Menu(items=tuple(items))
+        return seller_ordered_menu(items, n)
 
     def menu_revenue(assign) -> float:
         menu = assign_to_menu(assign)

@@ -5,12 +5,13 @@ import functools
 import hashlib
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mechlab import cli, simplex
+from mechlab import cli, optlp, simplex
 from mechlab.optlp import LpError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +87,36 @@ def test_solve_reports_the_pivots_of_every_lazy_round(tmp_path, monkeypatch):
     lp = json.loads((out / "summary.json").read_text())["lp"]
     assert lp["rounds"] == len(solves) > 1
     assert lp["iterations"] == sum(sol.iterations for sol in solves) > solves[-1].iterations
+
+
+def test_every_lp_enters_the_solver_through_solve_lp(tmp_path, monkeypatch):
+    # one boundary: each simplex call is one `optlp.solve_lp` call, for the
+    # repair's subgradient LPs as for the revenue, worst-case and orbit LPs
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(simplex, "solve_simplex")
+    count(optlp, "solve_lp")
+    grid = {"n": 2, "points": 3}
+    payloads = [
+        {"kind": "repair", "grid": grid, "count": 2},
+        dict(SOLVE_SINGLE, domain="heterogeneous", grid=grid, mode="lazy"),
+        {"kind": "robust", "n": 2, "g_avg": {"levels": [0.2, 0.8], "pmf": [0.5, 0.5]}},
+        {"kind": "certify_equivalence", "grid": grid, "distribution": {"kind": "uniform"}},
+    ]
+    for i, payload in enumerate(payloads):
+        before = calls["solve_lp"]
+        cfg = write_config(tmp_path, payload, f"{i}.json")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / str(i))]) == 0
+        assert calls["solve_simplex"] == calls["solve_lp"] > before, payload["kind"]
 
 
 def test_solve_writes_parseable_audits(tmp_path):
@@ -258,6 +289,39 @@ def test_bad_mode_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SOLVE_SINGLE, mode="warp"))
     assert cli.main(["run", str(cfg)]) == 2
     assert "'mode'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        dict(SOLVE_SINGLE, domain="heterogeneous", strict_only=True),
+        dict(SOLVE_SINGLE, kind="deterministic", strict_only=True),
+        {"kind": "certify_equivalence", "distribution": {"kind": "uniform"}},
+        {"kind": "certify_theorem1", "mechanism": {"kind": "random", "count": 2}},
+    ],
+    ids=["solve", "deterministic", "certify_equivalence", "certify_theorem1"],
+)
+def test_grid_without_strict_profiles_names_the_grid(tmp_path, capsys, payload):
+    # fewer levels than objects: a strict-only run has no types to work on
+    cfg = write_config(tmp_path, dict(payload, grid={"n": 3, "points": 2}))
+    assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: field 'grid': 2 levels, no strict profile of 3 objects\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "levels, pmf, message",
+    [
+        ([-0.5, 0.5], [0.5, 0.5], "levels outside [v_low, v_high]"),
+        ([0.7], [1.0], "grid needs at least 2 levels"),
+    ],
+    ids=["negative", "single"],
+)
+def test_robust_levels_off_the_grid_name_g_avg(tmp_path, capsys, levels, pmf, message):
+    payload = {"kind": "robust", "n": 2, "g_avg": {"levels": levels, "pmf": pmf}}
+    assert cli.main(["run", str(write_config(tmp_path, payload))]) == 2
+    assert capsys.readouterr().err == f"config error: field 'g_avg': {message}\n"
 
 
 def test_solver_failure_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch):

@@ -40,6 +40,8 @@ def test_distribution_validation():
         table_distribution([(0.0, 1.0)], [1.0], "identical")  # unsorted
     with pytest.raises(DistributionError):
         table_distribution([(1.0, 0.0)], [-0.1], "identical")
+    with pytest.raises(DistributionError, match="empty support"):
+        uniform_distribution([], "heterogeneous")
     d = table_distribution([(0.0, 1.0), (1.0, 0.0)], [0.25, 0.75], "heterogeneous")
     assert d.weight_of((1.0, 0.0)) == 0.75
     assert d.weight_of((0.5, 0.5)) == 0.0

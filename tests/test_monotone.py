@@ -31,7 +31,7 @@ from mechlab.monotone import (
     subgradient_polytope,
     weakly_majorizes,
 )
-from mechlab.optlp import uniform_price_mechanism
+from mechlab.optlp import LpError, uniform_price_mechanism
 from mechlab.typespace import Grid, HETEROGENEOUS, IDENTICAL, enumerate_identical
 
 
@@ -326,7 +326,7 @@ class TestLmaxRepair:
             return dataclasses.replace(res, **{field: value})
 
         monkeypatch.setattr(simplex, "solve_simplex", uncertified)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(LpError, match="exceeds"):
             lmax_repair(incomparable_menu_mech())
 
     def test_block_gap_bound_is_absolute(self, monkeypatch):
@@ -345,7 +345,7 @@ class TestLmaxRepair:
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
         mech = uniform_price_mechanism(enumerate_identical(grid), 1.0 / 3.0)
         monkeypatch.setattr(simplex, "solve_simplex", loose)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(LpError, match="exceeds"):
             lmax_repair(mech)
         assert gaps[-1] > simplex.GAP_TOL
 
