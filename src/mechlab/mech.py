@@ -184,12 +184,15 @@ def _report(check: str, violations: list, info: dict | None = None) -> AuditRepo
     )
 
 
-def ic_gains(mech: Mechanism) -> np.ndarray:
+def ic_gains(mech: Mechanism, rows=None) -> np.ndarray:
     """gain[k, l] = v_k.q(v_l) - t(v_l) - u(v_k): what type k gains by
-    reporting l.  The diagonal is -inf, so it never reads as a gain."""
-    dev = pairwise_value(mech.V, mech.q) - mech.t[None, :]
-    gain = dev - mech.utilities()[:, None]
-    np.fill_diagonal(gain, -np.inf)
+    reporting l.  The diagonal is -inf, so it never reads as a gain.
+    With `rows`, an index array, only those rows are computed: bitwise
+    `ic_gains(mech)[rows]`, -inf where a row meets its own type."""
+    rows = np.arange(len(mech.types)) if rows is None else np.asarray(rows)
+    dev = pairwise_value(mech.V[rows], mech.q) - mech.t[None, :]
+    gain = dev - mech.utilities()[rows, None]
+    gain[np.arange(rows.size), rows] = -np.inf
     return gain
 
 

@@ -94,8 +94,10 @@ class LinearProgram:
     Rows are COO triplets sorted by row, then column, at most one per
     (row, column): row[e] has coefficient val[e] on column col[e].  Zero
     entries are kept, -0.0 with its sign, so `dense` returns every bit a
-    builder wrote.  Row r has senses[r], rhs[r] and labels[r].  `rows`,
-    a derived view, is kept for bench/; nothing in the package reads it."""
+    builder wrote; the solver drops them.  Row r has senses[r], rhs[r]
+    and labels[r].  `solve_lp` hands the triplets to the solver as they
+    are.  `dense` and `rows` are derived views for the tests and bench/;
+    no solve calls them."""
 
     names: list[str] = field(default_factory=list)
     lower: list[float] = field(default_factory=list)
@@ -137,9 +139,6 @@ class LinearProgram:
         self.rhs = np.concatenate([self.rhs, rhs])
         self.labels += labels
 
-    def add_row(self, coeffs: dict, sense: str, rhs: float, label: str = "") -> None:
-        self.add_rows([list(coeffs)], [list(coeffs.values())], sense, rhs, [label])
-
     @property
     def n_vars(self) -> int:
         return len(self.names)
@@ -170,14 +169,13 @@ def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.Simplex
     breakdown or a failed certificate raises LpError, so no caller ever
     holds an untrusted optimum.  `start` is passed to the solver as the
     basis to warm-start from."""
-    A, b, senses = lp.dense()
     try:
         res = simplex.certify(
             simplex.solve_simplex(
                 c=np.asarray(lp.objective),
-                A=A,
-                b=b,
-                senses=senses,
+                A=simplex.Coo(lp.row, lp.col, lp.val, (lp.n_rows, lp.n_vars)),
+                b=lp.rhs,
+                senses=lp.senses,
                 lower=np.asarray(lp.lower),
                 upper=np.asarray(lp.upper),
                 maximize=True,
@@ -549,7 +547,7 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
         q, t = x[: R * n].reshape(R, n), x[R * n : R * n + R]
         on_sorted = Mechanism(types=tuple(reps), q=q.copy(), t=t.copy(), domain_tag=IDENTICAL)
         mech = symmetric_extension(on_sorted)
-        return mech, ic_gains(mech)[rows]
+        return mech, ic_gains(mech, rows)
 
     res = _solve_lazy(types, rows, "auto", build, outcome)
     if not is_symmetric(res.mechanism).passed:

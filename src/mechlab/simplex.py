@@ -2,6 +2,11 @@
 
 Solves   max/min  c.x   s.t.  A x {<=,>=,=} b,   lower <= x <= upper.
 
+A comes as a `Coo`: its entries as triplets sorted by row, then column,
+at most one per position.  The solver reads the nonzero entries once and
+never builds the dense m x n matrix; zero entries, -0.0 included, are
+dropped as they are read.
+
 Design constraints, in order:
 
 1. Determinism.  Same inputs give bitwise-identical output on a machine:
@@ -78,6 +83,7 @@ total surplus and everything else lives in a box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +103,17 @@ _LO, _UP, _BASIC = 0, 1, 2
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+
+class Coo(NamedTuple):
+    """A constraint matrix of `shape` (rows, columns) as triplets: entry e
+    puts val[e] on column col[e] of row row[e].  Sorted by row, then
+    column, with at most one entry per position."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple[int, int]
 
 
 class SimplexError(RuntimeError):
@@ -205,10 +222,14 @@ class _Tableau:
             raise ValueError(f"unknown sense {unknown.pop()!r}")
         senses = np.asarray(senses)
         self.row_sign = np.where(senses == ">=", -1.0, 1.0)
-        self.A = np.asarray(A, dtype=float).reshape(m, n)
+        if tuple(A.shape) != (m, n):
+            raise ValueError(f"constraint matrix shape {tuple(A.shape)} != {(m, n)}")
         # the nonzeros, row-signed, in row order
-        self.arow, self.acol = np.nonzero(self.A)
-        self.aval = self.A[self.arow, self.acol] * self.row_sign[self.arow]
+        val = np.asarray(A.val, dtype=float)
+        nz = val != 0.0
+        self.arow = np.asarray(A.row, dtype=np.intp)[nz]
+        self.acol = np.asarray(A.col, dtype=np.intp)[nz]
+        self.aval = val[nz] * self.row_sign[self.arow]
         self.rptr = np.concatenate([[0], np.cumsum(np.bincount(self.arow, minlength=m))])
         self.b = np.asarray(b, dtype=float) * self.row_sign
         is_eq = senses == "="
@@ -849,7 +870,8 @@ class _Tableau:
 def solve_simplex(
     c, A, b, senses, lower, upper, maximize=True, max_iters=None, start=None
 ) -> SimplexResult:
-    """Solve the bounded LP; see module docstring for conventions.
+    """Solve the bounded LP; see module docstring for conventions.  `A`
+    is a `Coo` of shape (len(b), len(c)).
 
     Returns duals `y` (one per input row, zero for retired redundant
     rows) and structural reduced costs, both in the caller's
@@ -920,13 +942,13 @@ def solve_simplex(
     # row duals off the reduced cost of each row's logical column
     y_int = np.where(tab.row_alive, -tab.d[tab.logical] * tab.unit_sign[tab.logical], 0.0)
 
-    # weak-duality bound, internal minimize convention, from the caller's
-    # A (rows signed as the solver holds them):
+    # weak-duality bound, internal minimize convention, from the nonzeros
+    # of the caller's A (rows signed as the solver holds them):
     #   z_d = y.b + sum_j min over [lo_j, up_j] of d_j x_j
     # valid whenever y <= 0 on '<=' rows; clamp to enforce validity.
     y_cert = np.where(~tab.is_eq & (y_int > 0.0), 0.0, y_int)
     n_real = tab.n_real
-    d_cert = np.concatenate([tab.c_min - (y_cert * tab.row_sign) @ tab.A, 0.0 - y_cert[~tab.is_eq]])
+    d_cert = np.concatenate([tab.c_min - tab._rtimes(y_cert), 0.0 - y_cert[~tab.is_eq]])
     pos = d_cert > DUAL_ZERO_TOL
     used = pos | (d_cert < -DUAL_ZERO_TOL)
     # the minimizing bound; an infinite one makes its term -inf
@@ -938,7 +960,7 @@ def solve_simplex(
     gap = abs(z_int - zd) if np.isfinite(zd) else float("inf")
 
     # primal residual over live original rows plus box breaches
-    res = (tab.A @ x) * tab.row_sign - tab.b
+    res = tab._times(x) - tab.b
     res = np.where(tab.is_eq, np.abs(res), res)[tab.row_alive]
     lo_in = np.asarray(lower, dtype=float)
     up_in = np.asarray(upper, dtype=float)
@@ -954,7 +976,7 @@ def solve_simplex(
     sense_mult = -1.0 if maximize else 1.0
     obj_ext = sense_mult * z_int
     y_ext = sense_mult * y_int
-    d_ext = sense_mult * (tab.c_min - (y_int * tab.row_sign) @ tab.A)
+    d_ext = sense_mult * (tab.c_min - tab._rtimes(y_int))
     basis = np.concatenate([tab.status[:n], tab.status[tab.logical]])
     return SimplexResult(
         OPTIMAL, x, obj_ext, y_ext, d_ext, float(gap), float(max_infeas), tab.iterations, basis,

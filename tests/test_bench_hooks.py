@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mechlab import cli
+from mechlab import cli, optlp
 from mechlab.dist import uniform_distribution
 from mechlab.optlp import build_revenue_lp
 from mechlab.typespace import HETEROGENEOUS, IDENTICAL, Grid, enumerate_hetero, enumerate_identical
@@ -74,6 +74,30 @@ def test_highs_problem_reads_the_revenue_lp(bench):
         assert np.array_equal(b, b_dense)
         assert A.nnz == sum(len(coeffs) for coeffs, *_ in lp.rows)
     assert (np.signbit(A_dense) & (A_dense == 0.0)).any()
+
+
+def test_traced_solves_report_the_constraint_matrix_shape(bench, monkeypatch):
+    # Stats.observe reads `A.shape` off every solve_simplex call for
+    # simplex.rows_max and simplex.cols_max; id2p12 lazy adds rows in its
+    # second round and prunes none, so its last LP is its largest
+    tracer, _ = bench
+    shapes = []
+    solve = optlp.solve_lp
+
+    def recording(lp, *args):
+        shapes.append((lp.n_rows, lp.n_vars))
+        return solve(lp, *args)
+
+    monkeypatch.setattr(optlp, "solve_lp", recording)
+    types = enumerate_identical(Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        optlp.optimal_mechanism(types, uniform_distribution(types, IDENTICAL), IDENTICAL, mode="lazy")
+    finally:
+        t.uninstall()
+    assert len(shapes) == 2 and shapes[-1] == max(shapes)
+    assert (t.stats.simplex_rows_max, t.stats.simplex_cols_max) == shapes[-1]
 
 
 def test_cli_helpers_called_by_the_benchmark_exist():

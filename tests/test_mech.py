@@ -98,6 +98,24 @@ def test_pairwise_value_matches_manual_dots():
             assert M[i, k] == manual  # bitwise: same operands, same order
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_ic_gains_of_some_rows_are_those_rows_of_every_gain(seed):
+    # random, untruthful tables on strict heterogeneous profiles; the rows
+    # are the sorted representatives, as the orbit LP reads them, and then
+    # a random subset in random order
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 2
+    types = enumerate_hetero(Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=4), strict_only=True)
+    mech = Mechanism(types, rng.uniform(size=(len(types), n)), rng.uniform(size=len(types)), "heterogeneous")
+    reps = np.array([k for k, v in enumerate(types) if list(v) == sorted(v, reverse=True)])
+    for rows in (reps, rng.permutation(len(types))[: len(types) // 3]):
+        part = mech_mod.ic_gains(mech, rows)
+        assert part.shape == (rows.size, len(types))
+        assert part.tobytes() == mech_mod.ic_gains(mech)[rows].tobytes()
+        assert np.all(part[np.arange(rows.size), rows] == -np.inf)
+        assert np.count_nonzero(part == -np.inf) == rows.size
+
+
 def test_swap_fixture_fails_ic_with_every_pair():
     m = swap_fixture()
     rep = check_ic(m)

@@ -378,11 +378,14 @@ def _loop_lexmax(poly: SubgradientPolytope) -> np.ndarray:
     """The reference selection: n cold solves on the polytope alone, each
     fixing the coordinate it maximized through its bounds."""
     lower, upper = np.zeros(poly.n), np.ones(poly.n)
+    D = poly.directions
+    row, col = np.nonzero(D)
+    A = simplex.Coo(row, col, D[row, col], D.shape)
     for i in range(poly.n):
         cost = np.zeros(poly.n)
         cost[i] = 1.0
         senses = ["<="] * len(poly.slacks)
-        res = simplex.solve_simplex(cost, poly.directions, poly.slacks, senses, lower, upper)
+        res = simplex.solve_simplex(cost, A, poly.slacks, senses, lower, upper)
         assert simplex.certify(res).status == simplex.OPTIMAL
         lower[i] = upper[i] = res.objective
     return np.clip(res.x, 0.0, 1.0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mechlab.optlp as optlp
-from mechlab import simplex
+from mechlab import monotone, simplex
 from mechlab.dist import (
     MarginalCdf,
     comonotone_fmin,
@@ -673,7 +673,7 @@ class TestWorstCase:
         lp = LinearProgram()
         for k in range(len(types)):
             lp.add_var(f"w_{k}", 0.0, 1.0, obj=-float(mech.t[k]))
-        lp.add_row({k: 1.0 for k in range(len(types))}, "=", 1.0)
+        lp.add_rows([list(range(len(types)))], 1.0, "=", 1.0, [""])
         levels = (0.2, 0.5, 0.8)
         pmf = dict(zip(levels, g.pmf()))
         for lv in levels:
@@ -682,7 +682,7 @@ class TestWorstCase:
                 cnt = sum(1 for x in v if x == lv)
                 if cnt:
                     coeffs[k] = cnt / 2
-            lp.add_row(coeffs, "=", pmf[lv])
+            lp.add_rows([list(coeffs)], [list(coeffs.values())], "=", pmf[lv], [""])
         assert -scipy_lp_value(lp) == pytest.approx(value, abs=1e-8)
 
     def test_unreachable_marginal_is_infeasible(self):
@@ -761,9 +761,61 @@ class TestLpPlumbing:
     def test_infeasible_status(self):
         lp = LinearProgram()
         lp.add_var("x", 0.0, 1.0, obj=1.0)
-        lp.add_row({0: 1.0}, ">=", 2.0)
+        lp.add_rows([[0]], 1.0, ">=", 2.0, [""])
         with pytest.raises(InfeasibleError, match="LP infeasible"):
             solve_lp(lp)
+
+    def test_no_solve_scatters_a_dense_matrix(self, monkeypatch):
+        # every LP reaches the solver as its triplets; `dense` is a view
+        # for the tests and bench/ only
+        def refuse(lp):
+            raise AssertionError("a solve called LinearProgram.dense")
+
+        monkeypatch.setattr(LinearProgram, "dense", refuse)
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=5)
+        types = enumerate_identical(grid)
+        dist = uniform_distribution(types, IDENTICAL)
+        for mode in ("lazy", "full"):
+            assert optimal_mechanism(types, dist, IDENTICAL, mode=mode).rounds >= 1
+        het = enumerate_hetero(Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4), strict_only=True)
+        optimal_symmetric_mechanism(het, uniform_distribution(het, HETEROGENEOUS))
+        levels = Grid.explicit(n=2, levels=(0.2, 0.5, 0.8), v_low=0.0, v_high=1.0)
+        g = MarginalCdf.from_pmf((0.2, 0.5, 0.8), (0.3, 0.4, 0.3))
+        worst_case_revenue(uniform_price_mechanism(enumerate_identical(levels), 0.5), g)
+        mech = uniform_price_mechanism(types, 1.0 / 3.0)
+        assert check_ic(monotone.lmax_repair(mech), tol=1e-8).passed
+        monotone.subgradient_polytope(mech, mech.types[3]).maximize(np.ones(2))
+
+    def test_solver_ignores_explicit_zero_entries(self, monkeypatch):
+        # the heterogeneous LP on a grid with a 0.0 level keeps -0.0
+        # entries in its participation rows; solving it is solving the
+        # same triplets with those entries removed beforehand
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3)
+        types = enumerate_hetero(grid)
+        lp = build_revenue_lp(types, uniform_distribution(types, HETEROGENEOUS), HETEROGENEOUS)
+        nz = lp.val != 0.0
+        assert (np.signbit(lp.val) & ~nz).any()
+        tabs = []
+
+        class Recording(simplex._Tableau):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tabs.append(self)
+
+        monkeypatch.setattr(simplex, "_Tableau", Recording)
+        got = solve_lp(lp)
+        want = simplex.solve_simplex(
+            np.asarray(lp.objective),
+            simplex.Coo(lp.row[nz], lp.col[nz], lp.val[nz], (lp.n_rows, lp.n_vars)),
+            lp.rhs,
+            lp.senses,
+            np.asarray(lp.lower),
+            np.asarray(lp.upper),
+        )
+        for name in ("x", "y", "basis"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.trace == want.trace
+        assert [tab.aval.size for tab in tabs] == [np.count_nonzero(nz)] * 2
 
     # sha256 of the LP text for grids the shipped solve configs do not
     # cover: a heterogeneous LP and an identical n=3 LP with two
@@ -789,9 +841,9 @@ class TestLpPlumbing:
         lp = LinearProgram()
         lp.add_var("x", float("-inf"), float("inf"))
         lp.add_var("y", 0.0, 1.0)
-        lp.add_row({0: 0.0, 1: -0.0}, "<=", 1.0, "zero")
-        lp.add_row({1: 2.5, 0: -0.0}, ">=", -1.0)
-        lp.add_row({1: 0.5, 0: -1.0}, "=", 0.0, "mixed")
+        lp.add_rows([[0, 1]], [[0.0, -0.0]], "<=", 1.0, ["zero"])
+        lp.add_rows([[1, 0]], [[2.5, -0.0]], ">=", -1.0, [""])
+        lp.add_rows([[1, 0]], [[0.5, -1.0]], "=", 0.0, ["mixed"])
         assert export_lp_text(lp, comment="edges\nsecond line") == (
             "\\ edges\n"
             "\\ second line\n"

@@ -30,9 +30,24 @@ GAP_TOL = 1e-7
 FEAS_TOL = 1e-9
 
 
+def _coo(A):
+    """A hand-written dense matrix as the `simplex.Coo` of its nonzero
+    entries; a `Coo` passes as it is."""
+    if isinstance(A, simplex.Coo):
+        return A
+    A = np.asarray(A, dtype=float)
+    row, col = np.nonzero(A)
+    return simplex.Coo(row, col, A[row, col], A.shape)
+
+
+def solve_dense(c, A, *args, **kwargs):
+    """`solve_simplex` on a dense A, handed over as its triplets."""
+    return simplex.solve_simplex(c, _coo(A), *args, **kwargs)
+
+
 def test_textbook_max():
     # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, 0 <= x,y <= 10
-    res = solve_simplex(
+    res = solve_dense(
         c=[3.0, 2.0],
         A=[[1.0, 1.0], [1.0, 3.0]],
         b=[4.0, 6.0],
@@ -50,7 +65,7 @@ def test_textbook_max():
 
 def test_equality_row_and_duals():
     # min x + 2y s.t. x + y = 1, x - y <= 0.2, x,y in [0,1]
-    res = solve_simplex(
+    res = solve_dense(
         c=[1.0, 2.0],
         A=[[1.0, 1.0], [1.0, -1.0]],
         b=[1.0, 0.2],
@@ -67,7 +82,7 @@ def test_equality_row_and_duals():
 
 def test_upper_bounds_active():
     # max x + y with x + y <= 3, x <= 1 (bound), y <= 1 (bound): hits the box
-    res = solve_simplex(
+    res = solve_dense(
         c=[1.0, 1.0],
         A=[[1.0, 1.0]],
         b=[3.0],
@@ -81,7 +96,7 @@ def test_upper_bounds_active():
 
 
 def test_infeasible():
-    res = solve_simplex(
+    res = solve_dense(
         c=[1.0],
         A=[[1.0], [1.0]],
         b=[2.0, -1.0],
@@ -95,7 +110,7 @@ def test_infeasible():
 
 
 def test_unbounded():
-    res = solve_simplex(
+    res = solve_dense(
         c=[1.0],
         A=[[-1.0]],
         b=[0.0],
@@ -108,7 +123,7 @@ def test_unbounded():
 
 
 def test_no_rows_boxed():
-    res = solve_simplex(
+    res = solve_dense(
         c=[1.0, -2.0, 0.0],
         A=np.zeros((0, 3)),
         b=[],
@@ -124,7 +139,7 @@ def test_no_rows_boxed():
 
 def test_redundant_equality_rows():
     # second equality row is a copy; solver must retire it, not fail
-    res = solve_simplex(
+    res = solve_dense(
         c=[1.0, 1.0],
         A=[[1.0, 1.0], [1.0, 1.0]],
         b=[1.0, 1.0],
@@ -146,7 +161,7 @@ def test_degenerate_cycling_guard():
         [0.0, 0.0, 1.0, 0.0],
     ]
     b = [0.0, 0.0, 1.0]
-    res = solve_simplex(
+    res = solve_dense(
         c=c,
         A=A,
         b=b,
@@ -168,8 +183,8 @@ def test_deterministic_repeat():
     args = dict(
         c=c, A=A, b=b, senses=senses, lower=np.zeros(8), upper=np.ones(8), maximize=True
     )
-    r1 = solve_simplex(**args)
-    r2 = solve_simplex(**args)
+    r1 = solve_dense(**args)
+    r2 = solve_dense(**args)
     assert r1.status == r2.status == OPTIMAL
     assert r1.objective == r2.objective  # bitwise
     assert np.array_equal(r1.x, r2.x)
@@ -251,7 +266,7 @@ ROW_FREE_LP = (
 def test_random_cross_check(lp):
     """Boxed LPs: objective must agree with an independent solver."""
     c, A, b, senses, lower, upper, maximize = lp
-    mine = solve_simplex(c, A, b, senses, lower, upper, maximize=maximize)
+    mine = solve_dense(c, A, b, senses, lower, upper, maximize=maximize)
     ref = _scipy_solve(c, A, b, senses, lower, upper, maximize)
     if mine.status == OPTIMAL:
         assert ref.status == 0
@@ -267,7 +282,7 @@ def test_random_cross_check(lp):
 
 def test_start_basis_layout_and_unknown_sense():
     c, A, b, senses, lower, upper, _ = MIXED_START_LP
-    tab = simplex._Tableau(c, A, b, senses, lower, upper)
+    tab = simplex._Tableau(c, _coo(A), b, senses, lower, upper)
     tab.slack_start()
     # structural | slacks of rows 0, 2, 3 | marker of row 1 | artificials of rows 0, 2
     assert tab.n_total == 3 + 4 + 2
@@ -275,13 +290,18 @@ def test_start_basis_layout_and_unknown_sense():
     assert tab.basis.tolist() == [7, 6, 8, 5]
     assert np.flatnonzero(tab.is_art).tolist() == [6, 7, 8]
     with pytest.raises(ValueError, match="unknown sense '<'"):
-        solve_simplex([1.0], [[1.0]], [1.0], ["<"], [0.0], [1.0])
+        solve_dense([1.0], [[1.0]], [1.0], ["<"], [0.0], [1.0])
 
 
 @pytest.mark.parametrize("m", [0, 1], ids=["row_free", "one_row"])
 def test_crossed_bounds_rejected(m):
     with pytest.raises(ValueError, match="crossed variable bounds"):
-        solve_simplex([1.0], np.ones((m, 1)), [1.0] * m, ["<="] * m, [2.0], [1.0])
+        solve_dense([1.0], np.ones((m, 1)), [1.0] * m, ["<="] * m, [2.0], [1.0])
+
+
+def test_constraint_matrix_shape_must_match():
+    with pytest.raises(ValueError, match=r"constraint matrix shape \(2, 1\) != \(1, 1\)"):
+        solve_dense([1.0], [[1.0], [1.0]], [1.0], ["<="], [0.0], [1.0])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -294,7 +314,7 @@ def test_random_equality_heavy(seed):
     x0 = rng.uniform(0.2, 0.8, size=n)  # plant a feasible interior point
     b = A @ x0
     senses = ["="] * m
-    mine = solve_simplex(c, A, b, senses, np.zeros(n), np.ones(n), maximize=True)
+    mine = solve_dense(c, A, b, senses, np.zeros(n), np.ones(n), maximize=True)
     ref = _scipy_solve(c, A, b, senses, np.zeros(n), np.ones(n), True)
     assert mine.status == OPTIMAL
     assert ref.status == 0
@@ -310,11 +330,18 @@ def test_random_equality_heavy(seed):
 # replaced
 
 
+def _signed(tab):
+    """A as the solver holds it (rows signed), dense, from its nonzeros."""
+    A = np.zeros((tab.m, tab.n))
+    A[tab.arow, tab.acol] = tab.aval
+    return A
+
+
 def _extended(tab):
     """[A | unit columns] as the solver holds it (rows signed), dense, from
-    the caller's A and the solver's column layout."""
+    the solver's nonzeros and column layout."""
     Aext = np.zeros((tab.m, tab.n_total))
-    Aext[:, : tab.n] = tab.A * tab.row_sign[:, None]
+    Aext[:, : tab.n] = _signed(tab)
     cols = np.arange(tab.n, tab.n_total)
     Aext[tab.unit_row[cols], cols] = tab.unit_sign[cols]
     return Aext
@@ -363,12 +390,11 @@ def _revenue_lp_args(domain_tag, n, points):
     grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
     types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
     lp = build_revenue_lp(types, uniform_distribution(types, domain_tag), domain_tag)
-    A, b, senses = lp.dense()
     return dict(
         c=np.asarray(lp.objective),
-        A=A,
-        b=b,
-        senses=senses,
+        A=simplex.Coo(lp.row, lp.col, lp.val, (lp.n_rows, lp.n_vars)),
+        b=lp.rhs,
+        senses=lp.senses,
         lower=np.asarray(lp.lower),
         upper=np.asarray(lp.upper),
     )
@@ -414,7 +440,7 @@ def test_kernel_matches_dense_reference_under_bland_and_drive_out(monkeypatch):
         drive_pivots.append(int(np.sum(before != self.basis)))
 
     monkeypatch.setattr(simplex._Tableau, "drive_out_artificials", counting_drive)
-    res = solve_simplex(*_beale_with_copies())
+    res = solve_dense(*_beale_with_copies())
     assert drive_pivots == [1]
     assert res.status == OPTIMAL and res.trace.bland_switches > 0
     assert done["weighed"] == done["pivots"] > res.iterations > 0
@@ -488,7 +514,7 @@ def test_updated_weights_match_recomputed_norms(monkeypatch, domain_tag, n, poin
     real_pivot = simplex._Tableau.pivot
 
     def norms(tab):
-        A = np.hstack([tab.A * tab.row_sign[:, None], np.eye(tab.m)])
+        A = np.hstack([_signed(tab), np.eye(tab.m)])
         B = _extended(tab)[:, tab.basis]
         unit = tab.basis >= tab.n
         rows, sign = tab.unit_row[tab.basis[unit]], tab.unit_sign[tab.basis[unit]]
@@ -599,9 +625,10 @@ def test_pricing_reads_the_weights_of_every_column(monkeypatch):
 
 def _loop_certificate(tab, A, lower, upper, maximize):
     """x, y, duality gap and residual recomputed row by row and column by
-    column from the final state of a solve and the caller's A."""
+    column from the final state of a solve and the caller's A, a `Coo`.
+    The products with A sum its nonzero entries one at a time in row
+    order, each row's in column order."""
     m, n = tab.m, tab.c_min.size
-    A = np.asarray(A, dtype=float).reshape(m, n) * tab.row_sign[:, None]
     x_all = tab._nonbasic_values()
     for i in range(m):
         x_all[int(tab.basis[i])] = tab.xB[i]
@@ -615,8 +642,14 @@ def _loop_certificate(tab, A, lower, upper, maximize):
     for i in range(m):
         if not tab.is_eq[i] and y_cert[i] > 0.0:
             y_cert[i] = 0.0
+    yA, Ax = np.zeros(n), np.zeros(m)
+    for i, j, a in zip(A.row.tolist(), A.col.tolist(), A.val.tolist()):
+        if a != 0.0:
+            a *= float(tab.row_sign[i])
+            yA[j] += a * y_cert[i]
+            Ax[i] += a * x[j]
     # the slack of row i has reduced cost 0 - y_i
-    d_cert = np.concatenate([tab.c_min - y_cert @ A, 0.0 - y_cert[~tab.is_eq]])
+    d_cert = np.concatenate([tab.c_min - yA, 0.0 - y_cert[~tab.is_eq]])
     zd = float(y_cert @ tab.b)
     for j in range(tab.n_real):
         dj = float(d_cert[j])
@@ -626,7 +659,7 @@ def _loop_certificate(tab, A, lower, upper, maximize):
             zd += dj * tab.upper[j] if np.isfinite(tab.upper[j]) else -np.inf
     z_int = float(tab.c_min @ x)
     gap = abs(z_int - zd) if np.isfinite(zd) else float("inf")
-    res = A @ x - tab.b
+    res = Ax - tab.b
     max_infeas = 0.0
     for i in range(m):
         if tab.row_alive[i]:
@@ -698,6 +731,7 @@ def test_certificate_matches_row_loops(monkeypatch, lp):
 
     monkeypatch.setattr(simplex, "_Tableau", Recording)
     c, A, b, senses, lower, upper, maximize = lp
+    A = _coo(A)
     res = solve_simplex(c, A, b, senses, lower, upper, maximize=maximize)
     assert res.status == OPTIMAL
     x, y, gap, max_infeas = _loop_certificate(
@@ -739,7 +773,7 @@ def _next_round(seed):
     b = A @ x0 + room
     c = rng.normal(size=n)
     lower, upper = np.zeros(n), np.ones(n)
-    first = solve_simplex(c, A, b, senses, lower, upper)
+    first = solve_dense(c, A, b, senses, lower, upper)
     assert first.status == OPTIMAL
     slack_basic = np.flatnonzero(first.basis[n:] == simplex._BASIC)
     keep = np.ones(m, dtype=bool)
@@ -767,9 +801,9 @@ def _next_round(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_warm_start_after_adding_and_pruning_rows(monkeypatch, seed):
     (c, A, b, senses, lower, upper), start = _next_round(seed)
-    cold = solve_simplex(c, A, b, senses, lower, upper)
+    cold = solve_dense(c, A, b, senses, lower, upper)
     built = _count_tableaus(monkeypatch)
-    warm = solve_simplex(c, A, b, senses, lower, upper, start=start)
+    warm = solve_dense(c, A, b, senses, lower, upper, start=start)
     assert len(built) == 1, "the start fell back to a cold solve"
     ref = _scipy_solve(c, A, b, senses, lower, upper, True)
     assert warm.status == cold.status == OPTIMAL and ref.status == 0
@@ -818,9 +852,9 @@ _LO, _UP, _B = simplex._LO, simplex._UP, simplex._BASIC
     ],
 )
 def test_unusable_start_gives_the_cold_result(monkeypatch, lp, start):
-    cold = solve_simplex(*lp)
+    cold = solve_dense(*lp)
     built = _count_tableaus(monkeypatch)
-    warm = solve_simplex(*lp, start=np.asarray(start, dtype=np.int8))
+    warm = solve_dense(*lp, start=np.asarray(start, dtype=np.int8))
     assert len(built) == 2
     assert (warm.status, warm.objective, warm.iterations) == (
         cold.status,
@@ -838,9 +872,9 @@ def test_primal_feasible_start_skips_phase_1(monkeypatch):
     # basic on that row is primal feasible but not dual feasible (x1 at
     # its lower bound prices out), so it goes straight to phase 2.
     lp = ([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.5], [">=", "<="], [0.0, 0.0], [1.0, 1.0])
-    cold = solve_simplex(*lp)
+    cold = solve_dense(*lp)
     built = _count_tableaus(monkeypatch)
-    warm = simplex.certify(solve_simplex(*lp, start=np.asarray([_B, _LO, _LO, _B], dtype=np.int8)))
+    warm = simplex.certify(solve_dense(*lp, start=np.asarray([_B, _LO, _LO, _B], dtype=np.int8)))
     assert len(built) == 1
     assert cold.trace.phase1.iterations > 0, "the cold solve would not need phase 1"
     assert not built[0].is_art.any(), "the warm start built artificial columns"
@@ -869,13 +903,13 @@ def _count_factors(monkeypatch, stale_first=False):
 @pytest.mark.parametrize("seed", range(6))
 def test_zero_pivot_warm_start_factors_once(monkeypatch, seed):
     (c, A, b, senses, lower, upper), _ = _next_round(seed)
-    cold = solve_simplex(c, A, b, senses, lower, upper)
+    cold = solve_dense(c, A, b, senses, lower, upper)
     with monkeypatch.context() as m:
         calls = _count_factors(m, stale_first=True)
-        refactored = solve_simplex(c, A, b, senses, lower, upper, start=cold.basis)
+        refactored = solve_dense(c, A, b, senses, lower, upper, start=cold.basis)
         assert len(calls) == 2
     calls = _count_factors(monkeypatch)
-    warm = solve_simplex(c, A, b, senses, lower, upper, start=cold.basis)
+    warm = solve_dense(c, A, b, senses, lower, upper, start=cold.basis)
     assert len(calls) == 1
     assert warm.iterations == refactored.iterations == 0
     assert (warm.objective, warm.duality_gap, warm.max_infeasibility) == (
@@ -908,10 +942,10 @@ def _traced_solves(monkeypatch):
 def test_trace_repeats_and_adds_up(monkeypatch, case):
     def solve():
         if case == "mixed_start":
-            return [solve_simplex(*MIXED_START_LP)]
+            return [solve_dense(*MIXED_START_LP)]
         if case == "warm_start":
             (c, A, b, senses, lower, upper), start = _next_round(3)
-            return [solve_simplex(c, A, b, senses, lower, upper, start=start)]
+            return [solve_dense(c, A, b, senses, lower, upper, start=start)]
         with monkeypatch.context() as mp:
             results = _traced_solves(mp)
             _solve_mechanism(HETEROGENEOUS, 3, 4, "lazy")
@@ -946,10 +980,10 @@ def test_simplex_error_names_phase_iteration_and_refactors(monkeypatch, case, ma
     # a refactor every 2 iterations, so the count moves within a few
     monkeypatch.setattr(simplex, "REFACTOR_EVERY", 2)
     if case == "mixed_start":
-        solve = lambda: solve_simplex(*MIXED_START_LP, max_iters=max_iters)
+        solve = lambda: solve_dense(*MIXED_START_LP, max_iters=max_iters)
     elif case == "warm_start":
         lp, start = _next_round(3)
-        solve = lambda: solve_simplex(*lp, start=start, max_iters=max_iters)
+        solve = lambda: solve_dense(*lp, start=start, max_iters=max_iters)
     else:
         solve = lambda: solve_simplex(**_revenue_lp_args(IDENTICAL, 2, 3), max_iters=max_iters)
     with pytest.raises(simplex.SimplexError) as exc:
@@ -964,7 +998,7 @@ def test_no_dense_tableau_under_tracemalloc(monkeypatch):
     real = simplex.solve_simplex
 
     def recording(c, A, *args, **kwargs):
-        shapes.append(np.shape(A))
+        shapes.append(A.shape)
         return real(c, A, *args, **kwargs)
 
     monkeypatch.setattr(simplex, "solve_simplex", recording)
