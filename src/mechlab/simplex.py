@@ -60,9 +60,12 @@ count of basic columns, singular, neither primal nor dual feasible, or a
 row the dual ratio test cannot repair) falls back to the cold two-phase
 solve, whose result it then returns.  The revenue LPs pass the no-sale
 vertex to their first solve, and lazy row generation each round's
-optimal basis to the next round; the lexicographic repair passes
-each coordinate's optimal basis, with that coordinate's values fixed
-through their bounds, to the next coordinate's solve.  Reruns
+optimal basis to the next round.  The repair's subgradient LPs start
+at the slack basis with every column at the bound of the unit box its
+objective prefers, which is dual feasible, so no solve of theirs runs
+phase 1 unless the polytope is empty; the lexicographic repair then
+passes each coordinate's optimal basis, with that coordinate's values
+fixed through their bounds, to the next coordinate's solve.  Reruns
 are bitwise identical for a fixed BLAS thread count: the rounding of
 the dense products, and through it a tie between pivots, can depend on
 the number of threads.

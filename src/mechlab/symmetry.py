@@ -18,6 +18,11 @@ Three constructions move mechanisms between domains:
   computed once per sorted representative and then spread by exact value
   copies, so the output is symmetric under exact float equality, not just
   within tolerance.
+
+Relabelings are read off one table per mechanism (`_relabel_table`):
+for every profile and permutation, the index of the relabeled profile.
+`is_symmetric`, `symmetric_extension` and `symmetrize` compare and copy
+whole rows through it.
 """
 
 from __future__ import annotations
@@ -51,12 +56,25 @@ def _require_strict(mech: Mechanism, op: str) -> None:
             raise ValueError(f"{op} needs strict profiles; {v} has ties")
 
 
-def _require_orbit_closed(mech: Mechanism, op: str) -> None:
-    have = set(mech.types)
-    for v in mech.types:
-        for sigma in all_permutations(mech.n)[1:]:
-            if apply_permutation(v, sigma) not in have:
-                raise ValueError(f"{op} needs an orbit-closed domain; missing relabeling of {v}")
+def _relabel_table(V: np.ndarray, index: dict) -> np.ndarray:
+    """table[k, p]: the value of `index` at row k of the profile matrix V
+    relabeled by all_permutations(n)[p] (the identity is p = 0), -1
+    where the relabeled profile is absent."""
+    T, n = V.shape
+    relabeled = V[:, all_permutations(n)].reshape(-1, n)
+    found = [index.get(v, -1) for v in map(tuple, relabeled.tolist())]
+    return np.array(found, dtype=int).reshape(T, -1)
+
+
+def _require_orbit_closed(mech: Mechanism, op: str) -> np.ndarray:
+    """The `_relabel_table` of the mechanism's own profiles; ValueError
+    at the first profile with a relabeling outside the domain."""
+    table = _relabel_table(mech.V, mech._index)
+    missing = (table < 0).any(axis=1)
+    if missing.any():
+        v = mech.types[int(np.argmax(missing))]
+        raise ValueError(f"{op} needs an orbit-closed domain; missing relabeling of {v}")
+    return table
 
 
 def is_symmetric(mech: Mechanism, tol: float = 0.0) -> AuditReport:
@@ -65,22 +83,22 @@ def is_symmetric(mech: Mechanism, tol: float = 0.0) -> AuditReport:
 
     Default tolerance is exact equality: the constructions in this module
     produce symmetry by value copying, so demanding bitwise agreement is
-    both meaningful and achievable.
+    both meaningful and achievable.  Violations come profile by profile,
+    then permutation by permutation, the payment before the allocation
+    coordinates.
     """
     _require_strict(mech, "is_symmetric")
-    _require_orbit_closed(mech, "is_symmetric")
+    at = _require_orbit_closed(mech, "is_symmetric")[:, 1:]
+    sigmas = all_permutations(mech.n)[1:]
+    perms = np.asarray(sigmas, dtype=int).reshape(-1, mech.n)
+    dt = np.abs(mech.t[at] - mech.t[:, None])
+    dq = np.abs(mech.q[at] - mech.q[:, perms])
+    dev = np.concatenate([dt[:, :, None], dq], axis=2)
     violations = []
-    perms = all_permutations(mech.n)
-    for k, v in enumerate(mech.types):
-        for sigma in perms[1:]:
-            ks = mech.index_of(apply_permutation(v, sigma))
-            dt = abs(float(mech.t[ks]) - float(mech.t[k]))
-            if dt > tol:
-                violations.append(((v, sigma, "t"), dt))
-            for i in range(mech.n):
-                dq = abs(float(mech.q[ks, i]) - float(mech.q[k, sigma[i]]))
-                if dq > tol:
-                    violations.append(((v, sigma, "q", i), dq))
+    for k, p, i in zip(*np.nonzero(dev > tol)):
+        v, sigma = mech.types[k], sigmas[p]
+        key = (v, sigma, "t") if i == 0 else (v, sigma, "q", int(i) - 1)
+        violations.append((key, float(dev[k, p, i])))
     return _report("symmetric", violations)
 
 
@@ -130,18 +148,16 @@ def symmetric_extension(mech: Mechanism) -> Mechanism:
     if mech.domain_tag != IDENTICAL:
         raise ValueError("symmetric_extension expects an identical-domain mechanism")
     _require_strict(mech, "symmetric_extension")
+    # w is strictly decreasing, so w relabeled by p sorts by inverse(p)
+    # and its allocation is q(w) relabeled by p
     perms = all_permutations(mech.n)
-    types = sorted(
-        {apply_permutation(w, inverse_permutation(s)) for w in mech.types for s in perms}
-    )
+    V = mech.V
+    types = sorted(set(map(tuple, V[:, perms].reshape(-1, mech.n).tolist())))
+    at = _relabel_table(V, {v: k for k, v in enumerate(types)})
     q = np.zeros((len(types), mech.n))
     t = np.zeros(len(types))
-    for k, v in enumerate(types):
-        sigma = cell_of(v)
-        kw = mech.index_of(apply_permutation(v, sigma))
-        for i in range(mech.n):
-            q[k, sigma[i]] = mech.q[kw, i]
-        t[k] = mech.t[kw]
+    q[at] = mech.q[:, perms]
+    t[at] = mech.t[:, None]
     return Mechanism(types=tuple(types), q=q, t=t, domain_tag=HETEROGENEOUS)
 
 
@@ -185,22 +201,19 @@ def symmetrize(mech: Mechanism) -> Mechanism:
     if mech.domain_tag != HETEROGENEOUS:
         raise ValueError("symmetrize expects a heterogeneous-domain mechanism")
     _require_strict(mech, "symmetrize")
-    _require_orbit_closed(mech, "symmetrize")
+    table = _require_orbit_closed(mech, "symmetrize")
     perms = all_permutations(mech.n)
     reps = sorted({sort_descending(v) for v in mech.types})
-    q = np.zeros((len(reps), mech.n))
-    t = np.zeros(len(reps))
+    at = table[[mech.index_of(w) for w in reps]]
+    # summed permutation by permutation, in the order of `perms`
+    acc_q = np.zeros((len(reps), mech.n))
+    acc_t = np.zeros(len(reps))
+    for p, sigma in enumerate(perms):
+        acc_q += mech.q[at[:, p]][:, inverse_permutation(sigma)]
+        acc_t += mech.t[at[:, p]]
     scale = 1.0 / len(perms)
-    for k, w in enumerate(reps):
-        acc_q = np.zeros(mech.n)
-        acc_t = 0.0
-        for sigma in perms:
-            ks = mech.index_of(apply_permutation(w, sigma))
-            inv = inverse_permutation(sigma)
-            acc_q += mech.q[ks][list(inv)]
-            acc_t += float(mech.t[ks])
-        q[k] = acc_q * scale
-        t[k] = acc_t * scale
+    q = acc_q * scale
+    t = acc_t * scale
     on_sorted = Mechanism(types=tuple(reps), q=q, t=t, domain_tag=IDENTICAL)
     return symmetric_extension(on_sorted)
 

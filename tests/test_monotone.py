@@ -252,6 +252,25 @@ class TestSubgradientPolytope:
         with pytest.raises(ValueError):
             poly.lexicographic_max()
 
+    def test_inconsistent_utilities_detected_by_maximize(self, monkeypatch):
+        # the dual-feasible start of `maximize` finds no entering column
+        # on this empty polytope; the cold solve still names it
+        types = ((0.0,), (0.5,), (1.0,))
+        mech = Mechanism(types=types, q=np.ones((3, 1)), t=np.array([-1.0, 1.0, -1.0]),
+                         domain_tag=IDENTICAL)
+        poly = subgradient_polytope(mech, (0.0,))
+        real_warm_start = simplex._Tableau.warm_start
+        used = []
+
+        def recorded(tab, start, max_iters):
+            used.append(real_warm_start(tab, start, max_iters))
+            return used[-1]
+
+        monkeypatch.setattr(simplex._Tableau, "warm_start", recorded)
+        with pytest.raises(ValueError, match=r"polytope at \(0\.0,\) is infeasible"):
+            poly.coordinate_interval(0)
+        assert used == [False]
+
 
 class TestLmaxRepair:
     def test_kink_resolves_to_upper_end(self):
@@ -355,14 +374,20 @@ class TestLmaxRepair:
         assert len(mech.types) == 10
         real_solve = simplex.solve_simplex
         calls = []
+        results = []
 
         def counted(*args, **kwargs):
             calls.append(kwargs.get("start") is not None)
-            return real_solve(*args, **kwargs)
+            results.append(real_solve(*args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(simplex, "solve_simplex", counted)
         lmax_repair(mech)
-        assert calls == [False, True, True]
+        # coordinate 0 starts at the dual-feasible slack basis, the others
+        # at the previous coordinate's optimum: no solve runs phase 1
+        assert calls == [True, True, True]
+        assert [res.trace.phase1.iterations for res in results] == [0, 0, 0]
+        assert sum(res.iterations for res in results) == 43
 
     def test_almost_deterministic_variant_keeps_structure(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)

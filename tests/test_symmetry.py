@@ -1,5 +1,7 @@
 """Relabeling invariance, rank order, and the two-way audit bridge."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,13 @@ from mechlab.typespace import (
     IDENTICAL,
     Grid,
     all_permutations,
+    apply_permutation,
+    cell_of,
     enumerate_hetero,
     enumerate_identical,
     identity_permutation,
+    inverse_permutation,
+    sort_descending,
 )
 
 
@@ -255,3 +261,128 @@ def test_extension_round_trip_property(data):
     assert back.types == mech.types
     assert np.array_equal(back.q, mech.q)
     assert np.array_equal(back.t, mech.t)
+
+
+# ---------------------------------------------------------------------------
+# the per-profile loops the relabel table replaced, kept as references
+
+def _loop_require_orbit_closed(mech: Mechanism, op: str) -> None:
+    have = set(mech.types)
+    for v in mech.types:
+        for sigma in all_permutations(mech.n)[1:]:
+            if apply_permutation(v, sigma) not in have:
+                raise ValueError(f"{op} needs an orbit-closed domain; missing relabeling of {v}")
+
+
+def _loop_symmetric_violations(mech: Mechanism, tol: float) -> list:
+    _loop_require_orbit_closed(mech, "is_symmetric")
+    violations = []
+    for k, v in enumerate(mech.types):
+        for sigma in all_permutations(mech.n)[1:]:
+            ks = mech.index_of(apply_permutation(v, sigma))
+            dt = abs(float(mech.t[ks]) - float(mech.t[k]))
+            if dt > tol:
+                violations.append(((v, sigma, "t"), dt))
+            for i in range(mech.n):
+                dq = abs(float(mech.q[ks, i]) - float(mech.q[k, sigma[i]]))
+                if dq > tol:
+                    violations.append(((v, sigma, "q", i), dq))
+    return violations
+
+
+def _loop_symmetric_extension(mech: Mechanism) -> Mechanism:
+    perms = all_permutations(mech.n)
+    types = sorted(
+        {apply_permutation(w, inverse_permutation(s)) for w in mech.types for s in perms}
+    )
+    q = np.zeros((len(types), mech.n))
+    t = np.zeros(len(types))
+    for k, v in enumerate(types):
+        sigma = cell_of(v)
+        kw = mech.index_of(apply_permutation(v, sigma))
+        for i in range(mech.n):
+            q[k, sigma[i]] = mech.q[kw, i]
+        t[k] = mech.t[kw]
+    return Mechanism(types=tuple(types), q=q, t=t, domain_tag=HETEROGENEOUS)
+
+
+def _loop_symmetrize(mech: Mechanism) -> Mechanism:
+    _loop_require_orbit_closed(mech, "symmetrize")
+    perms = all_permutations(mech.n)
+    reps = sorted({sort_descending(v) for v in mech.types})
+    q = np.zeros((len(reps), mech.n))
+    t = np.zeros(len(reps))
+    scale = 1.0 / len(perms)
+    for k, w in enumerate(reps):
+        acc_q = np.zeros(mech.n)
+        acc_t = 0.0
+        for sigma in perms:
+            ks = mech.index_of(apply_permutation(w, sigma))
+            inv = inverse_permutation(sigma)
+            acc_q += mech.q[ks][list(inv)]
+            acc_t += float(mech.t[ks])
+        q[k] = acc_q * scale
+        t[k] = acc_t * scale
+    on_sorted = Mechanism(types=tuple(reps), q=q, t=t, domain_tag=IDENTICAL)
+    return _loop_symmetric_extension(on_sorted)
+
+
+def _random_mech(rng, n, points, domain_tag):
+    grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+    enum = enumerate_hetero if domain_tag == HETEROGENEOUS else enumerate_identical
+    types = enum(grid, strict_only=True)
+    q = rng.random((len(types), n))
+    # a few exact copies, so some comparisons tie
+    q[rng.random(q.shape) < 0.3] = 0.5
+    t = rng.choice([0.0, 0.25, 0.7], size=len(types)) + rng.random(len(types)) * (
+        rng.random(len(types)) < 0.5
+    )
+    return Mechanism(types=types, q=q, t=t, domain_tag=domain_tag)
+
+
+def _assert_same_mechanism(a: Mechanism, b: Mechanism):
+    assert a.types == b.types
+    assert a.domain_tag == b.domain_tag
+    assert a.q.tobytes() == b.q.tobytes()
+    assert a.t.tobytes() == b.t.tobytes()
+
+
+@pytest.mark.parametrize("n, points", [(2, 4), (2, 7), (3, 4), (3, 5)])
+class TestRelabelTableMatchesLoops:
+    def test_symmetric_extension(self, n, points):
+        mech = _random_mech(np.random.default_rng(points), n, points, IDENTICAL)
+        _assert_same_mechanism(symmetric_extension(mech), _loop_symmetric_extension(mech))
+
+    def test_symmetrize(self, n, points):
+        mech = _random_mech(np.random.default_rng(points), n, points, HETEROGENEOUS)
+        _assert_same_mechanism(symmetrize(mech), _loop_symmetrize(mech))
+
+    @pytest.mark.parametrize("tol", [0.0, 0.3])
+    def test_is_symmetric_violations_in_order(self, n, points, tol):
+        rng = np.random.default_rng(points)
+        asym = _random_mech(rng, n, points, HETEROGENEOUS)
+        sym = symmetrize(asym)
+        # a symmetric mechanism with a few entries knocked off
+        q, t = sym.q.copy(), sym.t.copy()
+        q[rng.integers(len(q), size=3), rng.integers(n, size=3)] = 0.0
+        t[rng.integers(len(t))] += 0.5
+        nudged = Mechanism(types=sym.types, q=q, t=t, domain_tag=HETEROGENEOUS)
+        for mech in (asym, sym, nudged):
+            report = is_symmetric(mech, tol=tol)
+            expected = _loop_symmetric_violations(mech, tol)
+            assert list(report.violations) == expected
+            assert report.passed == (not expected)
+        assert is_symmetric(sym).passed
+
+    def test_missing_relabeling_named_alike(self, n, points):
+        mech = _random_mech(np.random.default_rng(points), n, points, HETEROGENEOUS)
+        for drop in (0, len(mech.types) // 2, len(mech.types) - 1):
+            keep = [k for k in range(len(mech.types)) if k != drop]
+            holed = Mechanism(
+                types=[mech.types[k] for k in keep], q=mech.q[keep], t=mech.t[keep],
+                domain_tag=HETEROGENEOUS,
+            )
+            with pytest.raises(ValueError) as want:
+                _loop_require_orbit_closed(holed, "is_symmetric")
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                is_symmetric(holed)
