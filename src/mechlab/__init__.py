@@ -85,7 +85,6 @@ from .optlp import (  # noqa: F401
     LinearProgram,
     LpError,
     OptimalResult,
-    UnboundedError,
     build_revenue_lp,
     certify_equivalence,
     export_lp_text,

@@ -352,9 +352,7 @@ def _run_solve(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
                 "rounds": res.rounds,
                 "n_ic_rows": res.n_ic_rows,
                 "iterations": sum(
-                    phase.iterations
-                    for r in res.round_log
-                    for phase in (r.trace.phase1, r.trace.dual, r.trace.phase2)
+                    r.trace.dual.iterations + r.trace.phase2.iterations for r in res.round_log
                 ),
                 "duality_gap": res.solution.duality_gap,
             },

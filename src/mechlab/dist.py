@@ -6,7 +6,7 @@ strict profiles, exchangeability certification, the bridge from
 exchangeable heterogeneous mass to identical-domain mass, per-coordinate
 marginals and their average, the most-correlated (diagonal) distribution
 with a given average marginal, first-order stochastic shifts, and a
-pointwise density condition (3f + v.grad f >= 0) that marks densities
+pointwise density condition ((n+1) f + v.grad f >= 0) that marks densities
 whose revenue-optimal mechanisms behave monotonically under such shifts.
 """
 

@@ -8,11 +8,10 @@ subgradient polytope, intersected with the unit box) is searched for its
 lexicographically maximal point.  The polytopes of all types are
 selected together: consecutive ones are stacked, up to BLOCK_ROWS rows,
 into one block-diagonal LP, solved once per coordinate.  The first solve
-starts at a dual-feasible slack basis (`_dual_start`), each later one
-from the last one's optimal basis, so none runs phase 1 on a nonempty
-polytope.  Payments are rebuilt from u, so the buyer is indifferent
-between the input and the output, while the selection rule makes the
-output non-bossy.  Every LP goes through `optlp.solve_lp`: ValueError
+starts at the solver's slack basis, which is dual feasible, each later
+one from the last one's optimal basis.  Payments are rebuilt from u, so
+the buyer is indifferent between the input and the output, while the
+selection rule makes the output non-bossy.  Every LP goes through `optlp.solve_lp`: ValueError
 means bad input, LpError a solver failure.
 """
 
@@ -210,7 +209,7 @@ class SubgradientPolytope:
         lp = _subgradient_lp([self])
         lp.objective = [float(c) for c in direction]
         try:
-            res = optlp.solve_lp(lp, f"subgradient LP at {self.anchor}", _dual_start(lp))
+            res = optlp.solve_lp(lp, f"subgradient LP at {self.anchor}")
         except optlp.InfeasibleError:
             raise _inconsistent(self.anchor) from None
         return float(res.objective), res.x.copy()
@@ -305,21 +304,6 @@ def _subgradient_lp(polys) -> optlp.LinearProgram:
     return lp
 
 
-def _dual_start(lp: optlp.LinearProgram) -> np.ndarray:
-    """The `start` basis of a `_subgradient_lp` with its objective set:
-    every logical column basic, and every x column nonbasic at the bound
-    of the unit box its objective prefers, 1 where the objective is
-    positive and 0 elsewhere.  At the slack basis an x column's reduced
-    cost is its objective coefficient, so this basis is dual feasible:
-    the solve starts with the dual simplex, or in phase 2 if no row is
-    violated, and runs no phase 1.  On an empty polytope the dual
-    simplex finds no entering column, and the cold solve reports the LP
-    infeasible."""
-    up = np.asarray(lp.objective) > 0
-    x = np.where(up, simplex._UP, simplex._LO).astype(np.int8)
-    return np.concatenate([x, np.full(lp.n_rows, simplex._BASIC, dtype=np.int8)])
-
-
 def _groups(polys):
     """Consecutive runs of polytopes with at most BLOCK_ROWS rows in all;
     a polytope with more rows than that is a run of its own."""
@@ -343,10 +327,9 @@ def _lexicographic_max(polys) -> list[np.ndarray]:
     For each coordinate i it maximizes the sum over the group of x_{k,i},
     then fixes every x_{k,i} at its optimum through its bounds and passes
     the optimal basis to the next coordinate's solve, which starts there
-    primal feasible.  The solve for coordinate 0 starts at `_dual_start`,
-    the slack basis with every x_{k,0} at 1 and every other column at 0,
-    which is dual feasible: the dual simplex repairs the violated rows,
-    and no phase 1 runs unless a polytope is empty.  The blocks are
+    primal feasible.  The solve for coordinate 0 starts at the slack
+    basis, every x_{k,0} at 1 and every other column at 0, which is dual
+    feasible: the dual simplex repairs the violated rows.  The blocks are
     separable, so the sum is optimal exactly when every block is, and
     the selection is the one n solves per polytope would make.  Besides
     the certificate of `solve_lp`, each block LP's weak-duality gap must
@@ -365,7 +348,7 @@ def _block_lexmax(polys) -> list[np.ndarray]:
     for i in range(n):
         lp.objective = np.tile(np.eye(n)[i], K).tolist()
         try:
-            res = optlp.solve_lp(lp, what, _dual_start(lp) if res is None else res.basis)
+            res = optlp.solve_lp(lp, what, None if res is None else res.basis)
         except optlp.InfeasibleError:
             if K > 1:  # a group is infeasible only where a block is: name it
                 for p in polys:

@@ -83,10 +83,6 @@ class InfeasibleError(LpError):
     """The constraint system admits no solution."""
 
 
-class UnboundedError(LpError):
-    """The objective is unbounded over the feasible set."""
-
-
 @dataclass
 class LinearProgram:
     """Named-variable LP, maximize objective . x.
@@ -164,11 +160,12 @@ class LinearProgram:
 
 def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.SimplexResult:
     """Solve and certify.  Returns the OPTIMAL result that passed
-    `simplex.certify`; an infeasible or unbounded LP raises
-    InfeasibleError or UnboundedError naming `what`, and a solver
-    breakdown or a failed certificate raises LpError, so no caller ever
-    holds an untrusted optimum.  `start` is passed to the solver as the
-    basis to warm-start from."""
+    `simplex.certify`; an infeasible LP raises InfeasibleError naming
+    `what`, and a solver breakdown or a failed certificate raises
+    LpError, so no caller ever holds an untrusted optimum.  Every
+    variable needs two finite bounds, or the solver raises ValueError.
+    `start` is passed to the solver as the basis to start from; None
+    starts from the slack basis."""
     try:
         res = simplex.certify(
             simplex.solve_simplex(
@@ -186,8 +183,6 @@ def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.Simplex
         raise LpError(f"{what} failed: {exc}") from exc
     if res.status == simplex.INFEASIBLE:
         raise InfeasibleError(f"{what} infeasible")
-    if res.status == simplex.UNBOUNDED:
-        raise UnboundedError(f"{what} unbounded")
     return res
 
 

@@ -1,11 +1,17 @@
-"""Two-phase revised bounded simplex with anti-cycling fallback.
+"""Revised bounded dual and primal simplex for boxed LPs.
 
-Solves   max/min  c.x   s.t.  A x {<=,>=,=} b,   lower <= x <= upper.
+Solves   max/min  c.x   s.t.  A x {<=,>=,=} b,   lower <= x <= upper,
+
+with both bounds of every variable finite; a variable without two
+finite bounds raises ValueError.  Every LP in the package is boxed:
+allocations live in the unit box and payments within the total surplus
+plus one.
 
 A comes as a `Coo`: its entries as triplets sorted by row, then column,
-at most one per position.  The solver reads the nonzero entries once and
-never builds the dense m x n matrix; zero entries, -0.0 included, are
-dropped as they are read.
+at most one per position; a repeated or out-of-order entry raises
+ValueError.  The solver reads the nonzero entries once and never builds
+the dense m x n matrix; zero entries, -0.0 included, are dropped as
+they are read.
 
 Design constraints, in order:
 
@@ -24,21 +30,22 @@ Design constraints, in order:
    (below), whose side is at most min(rows, columns); problem sizes are
    expected to stay in the low thousands of rows.
 
-Only the basis kernel carries information.  Every non-structural column
-is a signed unit vector on its row, so with R the rows that no basic
-unit column covers and C the basic structural columns, |R| = |C| = k and
-the basis matrix is nonsingular exactly when K = A[R, C] is.  The solver
-keeps K^-1 explicitly.  B^-1 v (FTRAN) is K^-1 v_R on the kernel
-positions and, on each covered row, v_i minus A[i, C] K^-1 v_R over the
-sign of its unit column; B^-T g (BTRAN) is the transpose.  Each pivot
-updates K^-1 by one product-form step: a rank-one step when a column or
-a row of K is swapped, a bordered step when K gains or loses a row and a
-column.  K^-1 is refactored by np.linalg.solve every REFACTOR_EVERY
-pivots and, unless the basis is still exact, before the certificate.
-The structural nonzeros are read once per solve; FTRAN and BTRAN each
-cost a k x k product plus one pass over them, the pivot row a k x n
-product with the dense kernel rows, so a pivot costs O(k^2 + nnz) and no
-array with a column per row is ever built.
+Row i owns the logical column n + i, the unit vector of its row: a
+slack in [0, inf) for an inequality, a marker fixed to [0, 0] for an
+equality.  Only the basis kernel carries information: with R the rows
+whose logical column is nonbasic and C the basic structural columns,
+|R| = |C| = k and the basis matrix is nonsingular exactly when
+K = A[R, C] is.  The solver keeps K^-1 explicitly.  B^-1 v (FTRAN) is
+K^-1 v_R on the kernel positions and, on each covered row, v_i minus
+A[i, C] K^-1 v_R; B^-T g (BTRAN) is the transpose.  Each pivot updates
+K^-1 by one product-form step: a rank-one step when a column or a row of
+K is swapped, a bordered step when K gains or loses a row and a column.
+K^-1 is refactored by np.linalg.solve every REFACTOR_EVERY pivots and,
+unless the basis is still exact, before the certificate.  The structural
+nonzeros are read once per solve; FTRAN and BTRAN each cost a k x k
+product plus one pass over them, the pivot row a k x n product with the
+dense kernel rows, so a pivot costs O(k^2 + nnz) and no array with a
+column per row is ever built.
 
 Pricing reads steepest-edge weights (Forrest & Goldfarb 1992): gamma_j
 = |B^-1 a_j|^2 for every column and, while the dual simplex runs, beta_i
@@ -50,37 +57,35 @@ pivot's own; the pivot column and row enter by their exact norms.
 tests/test_simplex.py checks FTRAN, BTRAN and K^-1 against a dense
 reference at every pivot, and both weights against recomputed norms.
 
-A solve may start from a basis instead of from the slack basis: `start`
-takes the `basis` of an earlier result, one status per structural column
-and then per row's logical column.  The solver factors that basis.
-If it is primal feasible, phase 2 starts there; if it is dual feasible
-instead, a bounded dual simplex (`_Tableau.dual_run`) restores primal
-feasibility before phase 2.  A start it cannot use (wrong length, wrong
-count of basic columns, singular, neither primal nor dual feasible, or a
-row the dual ratio test cannot repair) falls back to the cold two-phase
-solve, whose result it then returns.  The revenue LPs pass the no-sale
+A solve starts from one of two bases, and the same code takes over from
+either (`_Tableau.settle`).  Without a usable `start`, it is the slack
+basis: every logical column basic, every structural column at its upper
+bound where its cost prefers it and at its lower one elsewhere.  Its
+kernel is empty, so it needs no factorization, and with both bounds
+finite it is dual feasible, so no phase 1 is needed (Koberstein 2005,
+"The dual simplex method, techniques for a fast and stable
+implementation").  `start` takes instead the `basis` of an earlier
+result, one status per structural column and then per row's logical
+column, and the solver factors it.  Either basis goes to phase 2 if it
+is primal feasible; if it is dual feasible instead, a bounded dual
+simplex (`_Tableau.dual_run`) restores primal feasibility first.  A
+start it cannot use (wrong length, wrong count of basic columns,
+singular, neither primal nor dual feasible, or a row the dual ratio
+test cannot repair) falls back to the slack basis, whose result it then
+returns.  A violated row that the dual ratio test cannot repair from the
+slack basis proves the LP infeasible.  The revenue LPs pass the no-sale
 vertex to their first solve, and lazy row generation each round's
-optimal basis to the next round.  The repair's subgradient LPs start
-at the slack basis with every column at the bound of the unit box its
-objective prefers, which is dual feasible, so no solve of theirs runs
-phase 1 unless the polytope is empty; the lexicographic repair then
-passes each coordinate's optimal basis, with that coordinate's values
-fixed through their bounds, to the next coordinate's solve.  Reruns
-are bitwise identical for a fixed BLAS thread count: the rounding of
-the dense products, and through it a tie between pivots, can depend on
-the number of threads.
+optimal basis to the next round; the lexicographic repair passes each
+coordinate's optimal basis, with that coordinate's values fixed through
+their bounds, to the next coordinate's solve.  Reruns are bitwise
+identical for a fixed BLAS thread count: the rounding of the dense
+products, and through it a tie between pivots, can depend on the number
+of threads.
 
-Every row owns exactly one logical column: a slack for an inequality,
-a marker for an equality (its phase-1 artificial, frozen at 0
-afterwards).  Phase 1, the row duals, the dual clamp and the primal
-residual all read that one per-row column, and row duals come off the
-reduced costs for every row, not just slack rows.  `certify` is the one
-check that makes a result trustworthy; every LP in the package goes
-through it.
-
-Variables must have at least one finite bound.  Free variables do not
-occur in the intended formulations: payments are a priori bounded by
-total surplus and everything else lives in a box.
+The row duals, the dual clamp and the primal residual all read the one
+logical column of each row, and row duals come off the reduced costs for
+every row.  `certify` is the one check that makes a result trustworthy;
+every LP in the package goes through it.
 """
 
 from __future__ import annotations
@@ -105,7 +110,6 @@ _LO, _UP, _BASIC = 0, 1, 2
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 class Coo(NamedTuple):
@@ -122,7 +126,7 @@ class Coo(NamedTuple):
 class SimplexError(RuntimeError):
     """Numerical failure or iteration-limit breach inside the solver.  The
     message names the phase, the iteration and the refactor count where
-    the solve stood."""
+    the solve stood, and the smallest pivot ratio seen."""
 
 
 @dataclass
@@ -133,17 +137,20 @@ class PhaseCounts:
 
 @dataclass
 class SolveTrace:
-    """Deterministic counts of one solve.  Heal runs count in phase 2;
-    every factorization (a warm start's, a scheduled one, a heal's, a
-    rollback's) counts in `refactors`."""
+    """Deterministic counts of one solve: the dual simplex's iterations,
+    then phase 2's, heal runs included.  Every factorization (a start
+    basis's, a scheduled one, a heal's, a rollback's) counts in
+    `refactors`; the slack basis needs none.  `min_pivot_ratio` is the
+    smallest |w_r| / max|w| over the pivots, w the entering column and r
+    the pivot row, and 1 before the first pivot."""
 
-    phase1: PhaseCounts = field(default_factory=PhaseCounts)
     dual: PhaseCounts = field(default_factory=PhaseCounts)
     phase2: PhaseCounts = field(default_factory=PhaseCounts)
     bland_switches: int = 0
     refactors: int = 0
     heal_rounds: int = 0
     rollbacks: int = 0
+    min_pivot_ratio: float = 1.0
 
 
 @dataclass
@@ -194,19 +201,14 @@ class _Tableau:
     """Mutable solver state; one instance per solve call.
 
     Internally always minimizes; '>=' rows are negated into '<=' rows.
-    Row i owns the logical column `logical[i]`: a slack for a '<=' row, a
-    marker for an '=' row.  Column layout: structural | slacks | markers |
-    (cold start only) one extra artificial per '<=' row the start point
-    violates, each block in row order.  The first `n_real` columns
-    (structural and slacks) are the real ones; markers and extra
-    artificials are the phase-1 artificials, `is_art`.  Column c >= n is
-    `unit_sign[c]` times the unit vector of row `unit_row[c]`.
+    Column layout: the n structural columns, then the logical column
+    n + i of each row i, the unit vector e_i.
 
     `basis[p]` is the variable basic at position p, `xB[p]` its value.
     The kernel: rows `kr`, structural columns `kc` at positions `kp`, and
     `Kinv` = A[kr, kc]^-1, indexed (kernel column, kernel row), plus the
     dense kernel rows AR = A[kr, :].  `map_units` says where the basic
-    unit columns sit.
+    logical columns sit.
     """
 
     def __init__(self, c_min, A, b, senses, lower, upper):
@@ -217,9 +219,9 @@ class _Tableau:
         m = len(b)
         if np.any(lower > upper):
             raise ValueError("crossed variable bounds")
-        self.lower_inf = ~np.isfinite(lower)
-        if np.any(self.lower_inf & ~np.isfinite(upper)):
-            raise ValueError("every variable needs at least one finite bound")
+        unboxed = np.flatnonzero(~(np.isfinite(lower) & np.isfinite(upper)))
+        if unboxed.size:
+            raise ValueError(f"variable {unboxed[0]} needs two finite bounds")
         unknown = set(senses) - {"<=", ">=", "="}
         if unknown:
             raise ValueError(f"unknown sense {unknown.pop()!r}")
@@ -227,34 +229,32 @@ class _Tableau:
         self.row_sign = np.where(senses == ">=", -1.0, 1.0)
         if tuple(A.shape) != (m, n):
             raise ValueError(f"constraint matrix shape {tuple(A.shape)} != {(m, n)}")
+        arow = np.asarray(A.row, dtype=np.intp)
+        acol = np.asarray(A.col, dtype=np.intp)
+        # one comparison of neighbours: each (row, column) after the last
+        key = arow * n + acol
+        bad = np.flatnonzero(key[1:] <= key[:-1]) + 1
+        if bad.size:
+            e = int(bad[0])
+            what = "repeats" if key[e] == key[e - 1] else "is out of order"
+            raise ValueError(f"constraint entry {e} at ({arow[e]}, {acol[e]}) {what}")
         # the nonzeros, row-signed, in row order
         val = np.asarray(A.val, dtype=float)
         nz = val != 0.0
-        self.arow = np.asarray(A.row, dtype=np.intp)[nz]
-        self.acol = np.asarray(A.col, dtype=np.intp)[nz]
+        self.arow = arow[nz]
+        self.acol = acol[nz]
         self.aval = val[nz] * self.row_sign[self.arow]
         self.rptr = np.concatenate([[0], np.cumsum(np.bincount(self.arow, minlength=m))])
         self.b = np.asarray(b, dtype=float) * self.row_sign
-        is_eq = senses == "="
-        n_real = n + int(np.count_nonzero(~is_eq))
-        logical = np.empty(m, dtype=int)
-        logical[~is_eq] = np.arange(n, n_real)
-        logical[is_eq] = np.arange(n_real, n + m)
+        self.is_eq = senses == "="
 
         self.c_min = c_min
+        self.cost = np.concatenate([c_min, np.zeros(m)])
         self.n = n
         self.m = m
-        self.is_eq = is_eq
-        self.logical = logical
-        self.n_real = n_real
         self.n_total = n + m
         self.lower = np.concatenate([lower, np.zeros(m)])
-        self.upper = np.concatenate([upper, np.full(m, np.inf)])
-        self.unit_row = np.full(n + m, -1)
-        self.unit_row[logical] = np.arange(m)
-        self.unit_sign = np.concatenate([np.zeros(n), np.ones(m)])
-        self.is_art = np.arange(n + m) >= n_real
-        self.row_alive = np.ones(m, dtype=bool)
+        self.upper = np.concatenate([upper, np.where(self.is_eq, 0.0, np.inf)])
         self.iterations = 0
         self.refactor_every = REFACTOR_EVERY
         self.rolled_back = False
@@ -267,11 +267,15 @@ class _Tableau:
     # -- state helpers ----------------------------------------------------
 
     def error(self, what):
-        """A SimplexError for `what`, naming the phase, the iteration and
-        the refactor count where the solve stands."""
-        t, i = self.trace, self.iterations
-        phase = {id(t.phase1): "phase 1", id(t.dual): "dual simplex"}.get(id(self.phase), "phase 2")
-        return SimplexError(f"{what} ({phase}, iteration {i}, refactors {t.refactors})")
+        """A SimplexError for `what`, naming the phase, the iteration, the
+        refactor count and the smallest pivot ratio where the solve
+        stands."""
+        t = self.trace
+        phase = "dual simplex" if self.phase is t.dual else "phase 2"
+        return SimplexError(
+            f"{what} ({phase}, iteration {self.iterations}, refactors {t.refactors}, "
+            f"smallest pivot ratio {t.min_pivot_ratio:.3g})"
+        )
 
     def nb_value(self, j):
         return self.lower[j] if self.status[j] == _LO else self.upper[j]
@@ -281,38 +285,63 @@ class _Tableau:
         vals[self.status == _BASIC] = 0.0
         return vals
 
-    def phase2_cost(self):
-        return np.concatenate([self.c_min, np.zeros(self.n_total - self.n)])
-
     def slack_start(self):
-        """The cold start basis.  Nonbasic structurals start at their lower
-        bound, or at the upper one when the lower is infinite; each row's
-        slack is basic where that point satisfies the row, and a signed
-        artificial elsewhere: the row's marker for an equality, an extra
-        artificial column for a violated '<=' row.  The kernel is empty,
+        """Load the slack basis: every logical column basic, and each
+        structural column at its upper bound where c_min < 0, at its lower
+        one elsewhere.  The reduced cost of a structural column is then
+        its cost, so the basis is dual feasible.  The kernel is empty,
         which is what `factor` would give, so the start is exact."""
-        n, m = self.n, self.m
-        start = np.where(self.lower_inf, self.upper[:n], self.lower[:n])
-        satisfied = self.b - self._times(start) >= 0.0
-        extra = np.flatnonzero(~(self.is_eq | satisfied))
-        self.n_total = n + m + extra.size
-        self.basis = self.logical.copy()
-        self.basis[extra] = np.arange(n + m, self.n_total)
-        eq = self.logical[self.is_eq]
-        self.unit_sign[eq] = np.where(satisfied[self.is_eq], 1.0, -1.0)
-        self.unit_row = np.concatenate([self.unit_row, extra])
-        self.unit_sign = np.concatenate([self.unit_sign, -np.ones(extra.size)])
-        self.lower = np.concatenate([self.lower, np.zeros(extra.size)])
-        self.upper = np.concatenate([self.upper, np.full(extra.size, np.inf)])
-        self.is_art = np.arange(self.n_total) >= self.n_real
-        self.status = np.full(self.n_total, _LO, dtype=np.int8)
-        self.status[:n][self.lower_inf] = _UP
-        self.status[self.basis] = _BASIC
+        self.status = np.full(self.n_total, _BASIC, dtype=np.int8)
+        self.status[: self.n] = np.where(self.c_min < 0.0, _UP, _LO)
+        self.basis = np.arange(self.n, self.n_total)
         self.map_units()
         self.set_kernel(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-        self.weigh_columns()
-        self.keep_basis()
         self.exact = True
+
+    def warm_start(self, start):
+        """Load and factor the basis `start` (a SimplexResult.basis).
+        Returns False if it cannot be used: wrong length, an unknown
+        status, not exactly one basic column per row, a slack nonbasic at
+        its infinite upper bound, or a singular basis matrix."""
+        start = np.asarray(start)
+        if start.shape != (self.n_total,) or not np.isin(start, (_LO, _UP, _BASIC)).all():
+            return False
+        status = start.astype(np.int8)
+        if np.count_nonzero(status == _BASIC) != self.m:
+            return False
+        if np.any((status == _UP) & ~np.isfinite(self.upper)):
+            return False
+        self.status = status
+        # a basic logical column stays in its own row; the basic
+        # structural columns fill the other rows in column order
+        self.basis = np.arange(self.n, self.n_total)
+        self.basis[status[self.n :] != _BASIC] = np.flatnonzero(status[: self.n] == _BASIC)
+        try:
+            self.factor()
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def settle(self, max_iters):
+        """Make the loaded start basis ready for phase 2.  Weighs the
+        columns and prices; a basis whose basic values all lie within
+        RATIO_SLACK of their bounds is ready as it is, whatever its reduced
+        costs: a previous optimum with some columns fixed through their
+        bounds is one.  Any other basis must be dual feasible within
+        PIVOT_TOL, and `dual_run` then makes it primal feasible.  Returns
+        0.0 once ready, inf for a basis that is neither primal nor dual
+        feasible, and otherwise the violation of the row that the dual
+        ratio test cannot repair; the solver state is then spoiled."""
+        self.weigh_columns()
+        self.refresh()
+        if not (self.violation() > RATIO_SLACK).any():
+            return 0.0
+        st = self.status
+        movable = ((self.upper - self.lower) > 0.0) & (st != _BASIC)
+        wrong = ((st == _LO) & (self.d < -PIVOT_TOL)) | ((st == _UP) & (self.d > PIVOT_TOL))
+        if np.any(movable & wrong):
+            return np.inf
+        return self.dual_run(max_iters)
 
     # -- linear algebra on the basis ----------------------------------------
 
@@ -344,22 +373,17 @@ class _Tableau:
         return a
 
     def map_units(self):
-        """Where the basic unit columns sit: position p holds the unit
-        column of row prow[p] with sign psign[p] (0 on kernel positions),
-        and row i is covered by position rpos[i] with sign rsign[i] (0 on
-        kernel rows).  Raises LinAlgError if two cover one row."""
+        """Where the basic logical columns sit: position p holds the one of
+        row prow[p], and row i is covered by position rpos[i].  prow is
+        stale on the kernel positions and rpos on the kernel rows, which
+        FTRAN and BTRAN overwrite.  Returns the covered rows."""
         unit = self.basis >= self.n
-        rows = self.unit_row[self.basis[unit]]
+        rows = self.basis[unit] - self.n
         self.prow = np.zeros(self.m, dtype=int)
-        self.psign = np.zeros(self.m)
         self.prow[unit] = rows
-        self.psign[unit] = self.unit_sign[self.basis[unit]]
         self.rpos = np.zeros(self.m, dtype=int)
-        self.rsign = np.zeros(self.m)
         self.rpos[rows] = np.flatnonzero(unit)
-        self.rsign[rows] = self.psign[unit]
-        if np.count_nonzero(self.rsign) != rows.size:
-            raise np.linalg.LinAlgError("Singular matrix")
+        return rows
 
     def set_kernel(self, rows, positions):
         """Lay out the kernel on `rows` and the structural columns at
@@ -390,13 +414,14 @@ class _Tableau:
             x = np.zeros(self.n)
             x[self.kc] = xs
             v = v - self._times(x)
-        w = v[self.prow] * self.psign
+        w = v[self.prow]
         w[self.kp] = xs
         return w
 
     def btran(self, g):
         """(y, A^T y): y over the rows with B^T y = g, g by positions."""
-        y = g[self.rpos] * self.rsign
+        y = g[self.rpos]
+        y[self.kr] = 0.0
         aty = self._rtimes(y)
         if self.k:
             yr = (g[self.kp] - aty[self.kc]) @ self.Kinv
@@ -406,7 +431,7 @@ class _Tableau:
 
     def _row_times(self, y, aty):
         """y^T a_j for every column j, from y and A^T y."""
-        return np.concatenate([aty, self.unit_sign[self.n :] * y[self.unit_row[self.n :]]])
+        return np.concatenate([aty, y])
 
     def column(self, j):
         """B^-1 a_j by positions; kept until the basis changes.  For a
@@ -418,11 +443,11 @@ class _Tableau:
                 x = np.zeros(self.n)
                 x[self.kc] = xs
                 x[j] = -1.0
-                w = self._times(x)[self.prow] * -self.psign
+                w = -self._times(x)[self.prow]
                 w[self.kp] = xs
             else:
                 v = np.zeros(self.m)
-                v[self.unit_row[j]] = self.unit_sign[j]
+                v[j - self.n] = 1.0
                 w = self.ftran(v)
             self._col = (j, w)
         return self._col[1]
@@ -431,8 +456,8 @@ class _Tableau:
         """(alpha, y): y = row r of B^-1 over the rows, alpha_j = y^T a_j
         for every column, exactly 0 on the basic columns but basis[r],
         where it is 1.  y lives on the kernel rows and, when basis[r] is
-        a unit column, on its row p, where B^T y = e_r gives y_p = s and
-        y_kr = -s A[p, kc] K^-1.  Kept until the basis changes."""
+        the logical column of row p, on p, where B^T y = e_r gives y_p = 1
+        and y_kr = -A[p, kc] K^-1.  Kept until the basis changes."""
         if self._row is None or self._row[0] != r:
             leave = self.basis[r]
             y = np.zeros(self.m)
@@ -440,11 +465,11 @@ class _Tableau:
                 yr = self.Kinv[self.pk[r]]
                 aty = yr @ self.AR
             else:
-                p, s = self.unit_row[leave], self.unit_sign[leave]
+                p = leave - self.n
                 ap = self._row_of(p)
-                yr = -s * (ap[self.kc] @ self.Kinv)
-                y[p] = s
-                aty = s * ap + yr @ self.AR
+                yr = -(ap[self.kc] @ self.Kinv)
+                y[p] = 1.0
+                aty = ap + yr @ self.AR
             y[self.kr] = yr
             alpha = self._row_times(y, aty)
             alpha[self.basis] = 0.0
@@ -452,25 +477,26 @@ class _Tableau:
             self._row = (r, alpha, y)
         return self._row[1:]
 
-    def refresh(self, cost):
+    def refresh(self):
         """Recompute the basic values and the reduced costs from scratch.
-        A nonbasic logical or artificial column sits at 0."""
+        A nonbasic logical column sits at 0."""
         vals = self._nonbasic_values()
         self.xB = self.ftran(self.b - self._times(vals[: self.n]))
-        self.d = cost - self._row_times(*self.btran(cost[self.basis]))
+        self.d = self.cost - self._row_times(*self.btran(self.cost[self.basis]))
         self.d[self.basis] = 0.0
 
     def weigh_columns(self):
         """gamma_j = |B^-1 a_j|^2 for every column, from scratch.  The
         kernel rows of B^-1 A are X = K^-1 A[kr, :]; the covered rows, in
-        blocks of WEIGH_BLOCK, add |A[rows, :] - A[rows, kc] X|^2.  A unit
-        column on a covered row is +-1 on one position; one on kernel row
-        i has the part K^-1 e_i and then -A[rows, kc] K^-1 e_i."""
-        n, Kinv, every = self.n, self.Kinv, np.arange(self.n)
+        blocks of WEIGH_BLOCK, add |A[rows, :] - A[rows, kc] X|^2.  The
+        logical column of a covered row is a unit vector of B^-1 A; the
+        one of kernel row i has the part K^-1 e_i and then
+        -A[rows, kc] K^-1 e_i."""
+        Kinv, every = self.Kinv, np.arange(self.n)
         X = Kinv @ self.AR
         g = np.einsum("ij,ij->j", X, X)
         gk = np.einsum("ij,ij->j", Kinv, Kinv)
-        covered = np.flatnonzero(self.rsign)
+        covered = np.flatnonzero(self.rk < 0)
         for lo in range(0, covered.size, WEIGH_BLOCK):
             D = self._block(covered[lo : lo + WEIGH_BLOCK], every)
             Dk = D[:, self.kc]
@@ -478,16 +504,16 @@ class _Tableau:
             Q = Dk @ Kinv
             g += np.einsum("ij,ij->j", P, P)
             gk += np.einsum("ij,ij->j", Q, Q)
-        at = self.rk[self.unit_row[n:]]
-        gu = np.ones(at.size)
+        gu = np.ones(self.m)
+        at = self.rk
         gu[at >= 0] = gk[at[at >= 0]]
         self.gamma = np.concatenate([g, gu])
 
     def weigh_rows(self):
         """beta_p = |row p of B^-1|^2 for every position, from scratch: on
-        a kernel position the row of K^-1, on the position of a unit column
-        on row i that row times -A[i, kc] K^-1 plus 1."""
-        covered = np.flatnonzero(self.rsign)
+        a kernel position the row of K^-1, on the position of the logical
+        column of row i that row times -A[i, kc] K^-1 plus 1."""
+        covered = np.flatnonzero(self.rk < 0)
         Q = self._block(covered, self.kc) @ self.Kinv
         beta = np.empty(self.m)
         beta[self.rpos[covered]] = 1.0 + np.einsum("ij,ij->i", Q, Q)
@@ -511,8 +537,9 @@ class _Tableau:
         fixed inputs, so `exact` marks the state as what a refactor would
         give again until the next iteration or pivot clears it."""
         self._col = self._row = None
-        self.map_units()
-        self.set_kernel(np.flatnonzero(self.rsign == 0.0), np.flatnonzero(self.basis < self.n))
+        uncovered = np.ones(self.m, dtype=bool)
+        uncovered[self.map_units()] = False
+        self.set_kernel(np.flatnonzero(uncovered), np.flatnonzero(self.basis < self.n))
         self.trace.refactors += 1
         self.Kinv[...] = np.linalg.solve(self.AR[:, self.kc], np.eye(self.k))
         self.exact = True
@@ -557,20 +584,18 @@ class _Tableau:
         piv = w[r]
         if abs(piv) <= PIVOT_TOL:
             raise self.error("near-zero pivot")
+        t = self.trace
+        t.min_pivot_ratio = min(t.min_pivot_ratio, float(abs(piv) / np.max(np.abs(w))))
         alpha, y = self.pivot_row(r)
-        leave = self.basis[r]
         self.exact = False
         alpha[j] = piv
         rho = alpha / piv
         self.update_weights(r, j, w, rho, y)
         self.d -= self.d[j] * rho
         self.update_kernel(r, j, w, y)
-        if leave >= self.n:
-            self.rsign[self.unit_row[leave]] = 0.0
-        self.psign[r] = 0.0
         if j >= self.n:
-            p, self.psign[r] = self.unit_row[j], self.unit_sign[j]
-            self.prow[r], self.rpos[p], self.rsign[p] = p, r, self.psign[r]
+            p = j - self.n
+            self.prow[r], self.rpos[p] = p, r
         self.basis[r] = j
         self.status[j] = _BASIC
         self.xB[r] = enter_val
@@ -603,9 +628,9 @@ class _Tableau:
     def update_kernel(self, r, j, w, y):
         """Carry K^-1 and AR = A[kr, :] across the pivot on (r, j) by one
         product-form step.  xs = w on the kernel positions is K^-1 times
-        the kernel rows of the entering column, and for a leaving unit
-        column on row q, A[q, kc] K^-1 is -s_q y on the kernel rows.  A
-        row or column that leaves the kernel takes the last one's place."""
+        the kernel rows of the entering column, and for a leaving logical
+        column of row q, A[q, kc] K^-1 is -y on the kernel rows.  A row or
+        column that leaves the kernel takes the last one's place."""
         n, Kinv, k = self.n, self.Kinv, self.k
         leave = self.basis[r]
         xs = w[self.kp]
@@ -617,10 +642,10 @@ class _Tableau:
             Kinv[t] = row
             self.kc[t] = j
         elif j < n:
-            # K gains the leaving unit column's row p and column j
-            p, s = self.unit_row[leave], self.unit_sign[leave]
-            z = -s * y[self.kr]  # A[p, kc] K^-1
-            delta = s * w[r]  # A[p, j] - A[p, kc] xs
+            # K gains the leaving logical column's row p and column j
+            p = leave - n
+            z = -y[self.kr]  # A[p, kc] K^-1
+            delta = w[r]  # A[p, j] - A[p, kc] xs
             _rank_one(Kinv, xs, -z / delta)
             self.KB[:k, k] = -xs / delta
             self.KB[k, :k] = -z / delta
@@ -630,8 +655,8 @@ class _Tableau:
             self.rk[p], self.pk[r] = k, k
             self.resize(k + 1)
         elif leave < n:
-            # K loses the entering unit column's row ip and column t
-            p, last = self.unit_row[j], k - 1
+            # K loses the entering logical column's row ip and column t
+            p, last = j - n, k - 1
             ip, t = self.rk[p], self.pk[r]
             _rank_one(Kinv, Kinv[:, ip], Kinv[t] / Kinv[t, ip])
             Kinv[t] = Kinv[last]
@@ -641,11 +666,11 @@ class _Tableau:
             self.rk[self.kr[ip]], self.pk[self.kp[t]] = ip, t
             self.rk[p], self.pk[r] = -1, -1
             self.resize(last)
-        elif self.unit_row[j] != self.unit_row[leave]:
-            # unit for unit on another row q: row ip of K is swapped
-            p, q = self.unit_row[j], self.unit_row[leave]
+        else:
+            # logical for logical of another row q: row ip of K is swapped
+            p, q = j - n, leave - n
             ip = self.rk[p]
-            z = -self.unit_sign[leave] * y[self.kr]  # A[q, kc] K^-1
+            z = -y[self.kr]  # A[q, kc] K^-1
             col = Kinv[:, ip] / z[ip]
             _rank_one(Kinv, col, z)
             Kinv[:, ip] = col
@@ -653,22 +678,24 @@ class _Tableau:
             self.kr[ip] = q
             self.rk[q], self.rk[p] = ip, -1
 
-    def run(self, cost, enterable, max_iters, phase):
-        """Minimize cost over the current basis, counting into `phase`.
+
+    def run(self, max_iters):
+        """Phase 2: minimize the cost from a primal-feasible basis.
 
         Pricing scores every eligible column by its steepest-edge ratio
         d_j^2 / (1 + gamma_j), first index on ties, while steps make
         progress; a streak of BLAND_AFTER degenerate pivots switches to
         Bland's smallest-index rule, which cannot cycle, until a positive
         step resets the streak.  Both rules are deterministic, so reruns
-        stay bitwise identical."""
-        self.phase = phase
-        self.refresh(cost)
+        stay bitwise identical.  Every structural column has a finite
+        box, so only a numerical fault gives an infinite step."""
+        phase = self.phase = self.trace.phase2
+        self.refresh()
         self.keep_basis()
         self.since_refactor = 0
         degen_streak = 0
         was_bland = False
-        movable = enterable & ((self.upper - self.lower) > 0.0)
+        movable = (self.upper - self.lower) > 0.0
         while True:
             if self.iterations >= max_iters:
                 raise self.error(f"iteration limit {max_iters} reached")
@@ -680,7 +707,7 @@ class _Tableau:
             else:
                 j = int(np.argmax(np.where(elig, self.d * self.d / (1.0 + self.gamma), -1.0)))
             if not elig[j]:
-                return OPTIMAL
+                return
             self.trace.bland_switches += bland and not was_bland
             was_bland = bland
             delta = 1.0 if self.status[j] == _LO else -1.0
@@ -691,13 +718,12 @@ class _Tableau:
             lim = np.full(self.m, np.inf)
             np.divide(self.xB - self.lower[self.basis], coef, out=lim, where=coef > PIVOT_TOL)
             np.divide(self.xB - self.upper[self.basis], coef, out=lim, where=coef < -PIVOT_TOL)
-            lim[~self.row_alive] = np.inf
             np.maximum(lim, 0.0, out=lim)
             row_min = float(lim.min()) if self.m else np.inf
             own = self.upper[j] - self.lower[j]
             step = min(row_min, own)
             if not np.isfinite(step):
-                return UNBOUNDED
+                raise self.error("infinite primal step")
             degen_streak = 0 if step > PIVOT_TOL else degen_streak + 1
             phase.degenerate += bool(step <= PIVOT_TOL)
             r = _blocking_row(lim, step, own, coef, self.basis, j, bland)
@@ -706,14 +732,11 @@ class _Tableau:
                 self.status[j] = _UP if self.status[j] == _LO else _LO
             else:
                 enter_val = self.nb_value(j) + delta * step
-                leave = int(self.basis[r])
-                self.status[leave] = _LO if coef[r] > 0 else _UP
-                if self.status[leave] == _LO and not np.isfinite(self.lower[leave]):
-                    self.status[leave] = _UP
+                self.status[self.basis[r]] = _LO if coef[r] > 0 else _UP
                 self.pivot(r, j, enter_val)
-            self.upkeep(cost)
+            self.upkeep()
 
-    def upkeep(self, cost):
+    def upkeep(self):
         """Count one iteration, then refactor on the schedule that `run`
         and `dual_run` restart.  A bound flip leaves K^-1 exact but moves
         xB by an update, so every iteration clears `exact`."""
@@ -723,14 +746,14 @@ class _Tableau:
         self.since_refactor += 1
         if self.since_refactor >= self.refactor_every:
             self.refactor()
-            self.refresh(cost)
+            self.refresh()
             self.since_refactor = 0
 
-    def dual_run(self, cost, max_iters):
+    def dual_run(self, max_iters):
         """Make a dual-feasible basis primal feasible by the bounded dual
-        simplex.  Returns True once every basic variable is within
-        RATIO_SLACK of its bounds, False if a violated row admits no
-        entering column.
+        simplex.  Returns 0.0 once every basic variable is within
+        RATIO_SLACK of its bounds, and the violation of the leaving row if
+        that row admits no entering column.
 
         The leaving row has the largest dual steepest-edge ratio
         viol_i^2 / beta_i, beta_i the squared norm of row i of B^-1
@@ -750,7 +773,7 @@ class _Tableau:
         self.since_refactor = 0
         zero_streak = 0
         was_bland = False
-        movable = ~self.is_art & ((self.upper - self.lower) > 0.0)
+        movable = (self.upper - self.lower) > 0.0
         while True:
             lo_B = self.lower[self.basis]
             up_B = self.upper[self.basis]
@@ -758,7 +781,7 @@ class _Tableau:
             bad = viol > RATIO_SLACK
             if not bad.any():
                 self.beta = None
-                return True
+                return 0.0
             if self.iterations >= max_iters:
                 raise self.error(f"iteration limit {max_iters} reached")
             bland = zero_streak >= BLAND_AFTER
@@ -777,7 +800,7 @@ class _Tableau:
                 & ((at_lo & (push < -PIVOT_TOL)) | ((self.status == _UP) & (push > PIVOT_TOL)))
             )
             if cand.size == 0:
-                return False
+                return float(viol[r])
             # dual feasibility makes d_j >= 0 at a lower bound, <= 0 at an
             # upper one; round-off on the wrong side counts as zero
             ratio = np.maximum(np.where(at_lo[cand], self.d[cand], -self.d[cand]), 0.0)
@@ -796,96 +819,27 @@ class _Tableau:
             self.xB -= move * self.column(q)
             self.status[self.basis[r]] = _LO if below else _UP
             self.pivot(r, q, enter_val)
-            self.upkeep(cost)
-
-    def warm_start(self, start, max_iters):
-        """Start phase 2 from the basis `start` (a SimplexResult.basis).
-
-        A start whose basic values all lie within RATIO_SLACK of their
-        bounds goes to phase 2 as it is, whatever its reduced costs: a
-        previous optimum with some columns fixed through their bounds is
-        one.  Any other start must be dual feasible within PIVOT_TOL, and
-        `dual_run` then makes it primal feasible.  Returns False if the
-        start cannot be used: wrong length, not exactly one basic column
-        per row, a nonbasic column at an infinite bound, a singular basis
-        matrix, neither primal nor dual feasible, or a violated row
-        without an entering column.  The solver state is then spoiled;
-        the caller solves from a fresh one.  No extra artificial column
-        is built on this path."""
-        n = self.n
-        start = np.asarray(start)
-        if start.shape != (n + self.m,) or not np.isin(start, (_LO, _UP, _BASIC)).all():
-            return False
-        status = np.full(self.n_total, _LO, dtype=np.int8)
-        status[:n] = start[:n]
-        status[self.logical] = start[n:]
-        if np.count_nonzero(status == _BASIC) != self.m:
-            return False
-        self.status = status
-        self.fix_artificials()
-        if np.any(
-            ((status == _LO) & ~np.isfinite(self.lower))
-            | ((status == _UP) & ~np.isfinite(self.upper))
-        ):
-            return False
-        # a basic logical column stays in its own row; the basic
-        # structural columns fill the other rows in column order
-        own = status[self.logical] == _BASIC
-        self.basis = self.logical.copy()
-        self.basis[~own] = np.flatnonzero(status[:n] == _BASIC)
-        try:
-            self.factor()
-        except np.linalg.LinAlgError:
-            return False
-        self.weigh_columns()
-        cost = self.phase2_cost()
-        self.refresh(cost)
-        if not (self.violation() > RATIO_SLACK).any():
-            return True
-        movable = ~self.is_art & ((self.upper - self.lower) > 0.0) & (status != _BASIC)
-        wrong = ((status == _LO) & (self.d < -PIVOT_TOL)) | ((status == _UP) & (self.d > PIVOT_TOL))
-        if np.any(movable & wrong):
-            return False
-        return self.dual_run(cost, max_iters)
-
-    def fix_artificials(self):
-        """Fix every artificial column at 0 for phase 2."""
-        self.lower[self.is_art] = 0.0
-        self.upper[self.is_art] = 0.0
-        self.status[self.is_art & (self.status == _UP)] = _LO
-
-    def drive_out_artificials(self):
-        """Pivot leftover basic artificials onto real columns; rows that
-        admit no pivot are redundant and get retired."""
-        enterable = ~self.is_art
-        for i in np.flatnonzero(self.row_alive & self.is_art[self.basis]):
-            i = int(i)
-            alpha, _ = self.pivot_row(i)
-            cand = np.nonzero(enterable & (np.abs(alpha) > PIVOT_TOL) & (self.status != _BASIC))[0]
-            if cand.size == 0:
-                self.row_alive[i] = False
-                continue
-            j = int(cand[0])
-            self.status[self.basis[i]] = _LO
-            self.pivot(i, j, self.nb_value(j))
+            self.upkeep()
 
 
 def solve_simplex(
     c, A, b, senses, lower, upper, maximize=True, max_iters=None, start=None
 ) -> SimplexResult:
-    """Solve the bounded LP; see module docstring for conventions.  `A`
-    is a `Coo` of shape (len(b), len(c)).
+    """Solve the boxed LP; see module docstring for conventions.  `A` is
+    a `Coo` of shape (len(b), len(c)).
 
-    Returns duals `y` (one per input row, zero for retired redundant
-    rows) and structural reduced costs, both in the caller's
-    optimization sense.  duality_gap is |primal - weak-dual bound|
-    recomputed from the returned certificate and the caller's A, b and
-    bounds, not an internal solver quantity, so a small gap genuinely
-    certifies optimality; `certify` checks it.  `start`, the `basis` of
-    an earlier optimal result on an LP with the same columns, warm-starts
-    phase 2 from that basis when it is primal or dual feasible there; a
-    start that cannot be used gives the cold solve's result.  `trace`
-    holds the solve's deterministic counts.
+    Returns duals `y` (one per input row) and structural reduced costs,
+    both in the caller's optimization sense.  duality_gap is |primal -
+    weak-dual bound| recomputed from the returned certificate and the
+    caller's A, b and bounds, not an internal solver quantity, so a small
+    gap genuinely certifies optimality; `certify` checks it.  `start`,
+    the `basis` of an earlier optimal result on an LP with the same
+    columns, starts from that basis when it is primal or dual feasible
+    there; a start that cannot be used gives the result of the slack
+    basis.  The LP is INFEASIBLE when the dual simplex, from the slack
+    basis, meets a row violated by more than FEAS_TOL * max(1, max|b|)
+    that no column can repair; `max_infeasibility` then holds that
+    violation.  `trace` holds the solve's deterministic counts.
     """
     c = np.asarray(c, dtype=float)
     m = len(b)
@@ -897,44 +851,27 @@ def solve_simplex(
         return _Tableau(-c if maximize else c, A, b, senses, lower, upper)
 
     tab = tableau()
-    if start is not None and not tab.warm_start(start, max_iters):
-        start = None
-        tab = tableau()
-
-    def without_optimum(status, infeasibility=0.0):
-        return SimplexResult(
-            status, None, None, None, None, None, infeasibility, tab.iterations, trace=tab.trace
-        )
-
+    if start is not None and not (tab.warm_start(start) and tab.settle(max_iters) == 0.0):
+        start, tab = None, tableau()
     if start is None:
         tab.slack_start()
-    if start is None and tab.is_art.any():
-        everything = np.ones(tab.n_total, dtype=bool)
-        if tab.run(tab.is_art.astype(float), everything, max_iters, tab.trace.phase1) != OPTIMAL:
-            raise tab.error("phase 1 cannot be unbounded")
-        # summed left to right over the rows
-        art_val = float(sum(tab.xB[tab.is_art[tab.basis]]))
-        if art_val > FEAS_TOL * max(1.0, float(np.max(np.abs(tab.b)))):
-            return without_optimum(INFEASIBLE, art_val)
-        tab.drive_out_artificials()
-        tab.fix_artificials()
+        stuck = tab.settle(max_iters)
+        if stuck > FEAS_TOL * max(1.0, float(np.max(np.abs(tab.b), initial=0.0))):
+            return SimplexResult(
+                INFEASIBLE, None, None, None, None, None, stuck, tab.iterations, trace=tab.trace
+            )
 
-    cost2 = tab.phase2_cost()
-    enter_real = ~tab.is_art
-    if tab.run(cost2, enter_real, max_iters, tab.trace.phase2) == UNBOUNDED:
-        return without_optimum(UNBOUNDED)
-
+    tab.run(max_iters)
     # Certify-or-heal: a refactored basis can expose drift as new eligible
     # pivots; iterate until a freshly refactored basis is already optimal.
-    # A basis still exact (the slack start or a factor, no iteration
+    # A basis still exact (the slack basis or a factor, no iteration
     # since) is what a refactor would rebuild, so it is not refactored.
     while not tab.exact:
         if tab.trace.heal_rounds == HEAL_ROUNDS:
             raise tab.error("basis failed to stabilize under refactorization")
         tab.trace.heal_rounds += 1
         tab.refactor()
-        if tab.run(cost2, enter_real, max_iters, tab.trace.phase2) == UNBOUNDED:
-            return without_optimum(UNBOUNDED)
+        tab.run(max_iters)
 
     # the basis is exact and the last run made no pivot, so its opening
     # refresh is current
@@ -943,47 +880,41 @@ def solve_simplex(
     x = x_all[:n]
 
     # row duals off the reduced cost of each row's logical column
-    y_int = np.where(tab.row_alive, -tab.d[tab.logical] * tab.unit_sign[tab.logical], 0.0)
+    y_int = -tab.d[n:]
 
     # weak-duality bound, internal minimize convention, from the nonzeros
     # of the caller's A (rows signed as the solver holds them):
     #   z_d = y.b + sum_j min over [lo_j, up_j] of d_j x_j
     # valid whenever y <= 0 on '<=' rows; clamp to enforce validity.
     y_cert = np.where(~tab.is_eq & (y_int > 0.0), 0.0, y_int)
-    n_real = tab.n_real
-    d_cert = np.concatenate([tab.c_min - tab._rtimes(y_cert), 0.0 - y_cert[~tab.is_eq]])
+    d_cert = np.concatenate([tab.c_min - tab._rtimes(y_cert), 0.0 - y_cert])
     pos = d_cert > DUAL_ZERO_TOL
     used = pos | (d_cert < -DUAL_ZERO_TOL)
-    # the minimizing bound; an infinite one makes its term -inf
-    bound = np.where(pos, tab.lower[:n_real], tab.upper[:n_real])
+    # the minimizing bound; a slack's is its lower one, 0, since y_cert <= 0
+    bound = np.where(pos, tab.lower, tab.upper)
     zd = float(y_cert @ tab.b)
     for term in d_cert[used] * bound[used]:  # left to right, in column order
         zd += term
     z_int = float(tab.c_min @ x)
     gap = abs(z_int - zd) if np.isfinite(zd) else float("inf")
 
-    # primal residual over live original rows plus box breaches
+    # primal residual over the rows plus box breaches
     res = tab._times(x) - tab.b
-    res = np.where(tab.is_eq, np.abs(res), res)[tab.row_alive]
-    lo_in = np.asarray(lower, dtype=float)
-    up_in = np.asarray(upper, dtype=float)
-    lo_breach = np.where(np.isfinite(lo_in), lo_in - x, -np.inf)
-    up_breach = np.where(np.isfinite(up_in), x - up_in, -np.inf)
+    res = np.where(tab.is_eq, np.abs(res), res)
     max_infeas = max(
         0.0,
         float(np.max(res, initial=0.0)),
-        float(np.max(lo_breach, initial=0.0)),
-        float(np.max(up_breach, initial=0.0)),
+        float(np.max(tab.lower[:n] - x, initial=0.0)),
+        float(np.max(x - tab.upper[:n], initial=0.0)),
     )
 
     sense_mult = -1.0 if maximize else 1.0
     obj_ext = sense_mult * z_int
     y_ext = sense_mult * y_int
     d_ext = sense_mult * (tab.c_min - tab._rtimes(y_int))
-    basis = np.concatenate([tab.status[:n], tab.status[tab.logical]])
     return SimplexResult(
-        OPTIMAL, x, obj_ext, y_ext, d_ext, float(gap), float(max_infeas), tab.iterations, basis,
-        tab.trace,
+        OPTIMAL, x, obj_ext, y_ext, d_ext, float(gap), float(max_infeas), tab.iterations,
+        tab.status.copy(), tab.trace,
     )
 
 
@@ -992,10 +923,14 @@ def certify(res: SimplexResult) -> SimplexResult:
 
     An OPTIMAL result must carry a primal residual <= FEAS_TOL and a
     weak-duality gap <= GAP_TOL * max(1, |objective|); a NaN in either
-    fails.  INFEASIBLE and UNBOUNDED results carry no certificate and
-    pass as they are, for the caller to map to its own error."""
+    fails.  An INFEASIBLE result carries no certificate and passes as it
+    is, for the caller to map to its own error."""
     if res.status == OPTIMAL:
-        where = f"(certificate, iteration {res.iterations}, refactors {res.trace.refactors})"
+        t = res.trace
+        where = (
+            f"(certificate, iteration {res.iterations}, refactors {t.refactors}, "
+            f"smallest pivot ratio {t.min_pivot_ratio:.3g})"
+        )
         if not res.max_infeasibility <= FEAS_TOL:
             raise SimplexError(
                 f"solution residual {res.max_infeasibility} exceeds {FEAS_TOL} {where}"

@@ -253,23 +253,23 @@ class TestSubgradientPolytope:
             poly.lexicographic_max()
 
     def test_inconsistent_utilities_detected_by_maximize(self, monkeypatch):
-        # the dual-feasible start of `maximize` finds no entering column
-        # on this empty polytope; the cold solve still names it
+        # the dual simplex finds no entering column from the slack basis
+        # on this empty polytope, which proves it empty
         types = ((0.0,), (0.5,), (1.0,))
         mech = Mechanism(types=types, q=np.ones((3, 1)), t=np.array([-1.0, 1.0, -1.0]),
                          domain_tag=IDENTICAL)
         poly = subgradient_polytope(mech, (0.0,))
-        real_warm_start = simplex._Tableau.warm_start
-        used = []
+        real_settle = simplex._Tableau.settle
+        stuck = []
 
-        def recorded(tab, start, max_iters):
-            used.append(real_warm_start(tab, start, max_iters))
-            return used[-1]
+        def recorded(tab, max_iters):
+            stuck.append(real_settle(tab, max_iters))
+            return stuck[-1]
 
-        monkeypatch.setattr(simplex._Tableau, "warm_start", recorded)
+        monkeypatch.setattr(simplex._Tableau, "settle", recorded)
         with pytest.raises(ValueError, match=r"polytope at \(0\.0,\) is infeasible"):
             poly.coordinate_interval(0)
-        assert used == [False]
+        assert len(stuck) == 1 and 0.0 < stuck[0] < np.inf
 
 
 class TestLmaxRepair:
@@ -384,9 +384,8 @@ class TestLmaxRepair:
         monkeypatch.setattr(simplex, "solve_simplex", counted)
         lmax_repair(mech)
         # coordinate 0 starts at the dual-feasible slack basis, the others
-        # at the previous coordinate's optimum: no solve runs phase 1
-        assert calls == [True, True, True]
-        assert [res.trace.phase1.iterations for res in results] == [0, 0, 0]
+        # at the previous coordinate's optimum
+        assert calls == [False, True, True]
         assert sum(res.iterations for res in results) == 43
 
     def test_almost_deterministic_variant_keeps_structure(self):

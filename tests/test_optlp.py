@@ -29,7 +29,6 @@ from mechlab.optlp import (
     InfeasibleError,
     LinearProgram,
     LpError,
-    UnboundedError,
     build_revenue_lp,
     certify_equivalence,
     export_lp_text,
@@ -261,8 +260,9 @@ class TestRevenueLp:
     def test_first_solve_starts_at_the_no_sale_vertex(
         self, monkeypatch, domain_tag, n, points, mode
     ):
-        # the first LP starts phase 2 at q = 0, t = 0: no phase 1, no dual
-        # simplex, fewer pivots and the same revenue as its cold solve
+        # the first LP starts phase 2 at q = 0, t = 0: no dual simplex,
+        # fewer pivots and the same revenue as its solve from the slack
+        # basis
         firsts, warm = [], []
         solve, warm_start = optlp.solve_lp, simplex._Tableau.warm_start
 
@@ -287,21 +287,24 @@ class TestRevenueLp:
             optimal_mechanism(types, uniform_distribution(types, domain_tag), domain_tag, mode)
         lp, first = firsts[0]
         assert warm[0] is True
-        assert first.trace.phase1.iterations == first.trace.dual.iterations == 0
+        assert first.trace.dual.iterations == 0
         cold = solve(lp)
         assert first.iterations < cold.iterations
         assert first.objective == pytest.approx(cold.objective, abs=1e-12)
 
     def test_full_id2p12_matches_stored_highs_value(self):
-        # 6,006 truthfulness rows; solved from the slack basis instead of
-        # the no-sale start, this LP fails on a singular basis.  HiGHS
-        # value computed once and stored.
+        # 6,006 truthfulness rows, solved from the no-sale start and from
+        # the slack basis.  HiGHS value computed once and stored.
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12)
         types = enumerate_identical(grid)
-        res = optimal_mechanism(types, uniform_distribution(types, IDENTICAL), IDENTICAL, "full")
+        dist = uniform_distribution(types, IDENTICAL)
+        res = optimal_mechanism(types, dist, IDENTICAL, "full")
         assert res.rounds == 1 and res.n_ic_rows == 78 * 77
         assert res.revenue == pytest.approx(0.5769230769230768, abs=1e-9)
         simplex.certify(res.solution)
+        slack = solve_lp(build_revenue_lp(types, dist, IDENTICAL), start=None)
+        assert slack.trace.dual.iterations > 0
+        assert slack.objective == pytest.approx(0.5769230769230768, abs=1e-9)
 
     def test_returned_mechanism_is_audited(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3)
@@ -753,9 +756,10 @@ class TestLpPlumbing:
         assert text == export_lp_text(lp, comment="single unit, three levels")
 
     def test_unbounded_status(self):
+        # the solver takes boxed variables only, so an LP cannot be unbounded
         lp = LinearProgram()
         lp.add_var("x", 0.0, float("inf"), obj=1.0)
-        with pytest.raises(UnboundedError, match="LP unbounded"):
+        with pytest.raises(ValueError, match="variable 0 needs two finite bounds"):
             solve_lp(lp)
 
     def test_infeasible_status(self):
