@@ -175,7 +175,6 @@ def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.Simplex
                 senses=lp.senses,
                 lower=np.asarray(lp.lower),
                 upper=np.asarray(lp.upper),
-                maximize=True,
                 start=start,
             )
         )

@@ -1,6 +1,6 @@
 """Revised bounded dual and primal simplex for boxed LPs.
 
-Solves   max/min  c.x   s.t.  A x {<=,>=,=} b,   lower <= x <= upper,
+Solves   max  c.x   s.t.  A x {<=,>=,=} b,   lower <= x <= upper,
 
 with both bounds of every variable finite; a variable without two
 finite bounds raises ValueError.  Every LP in the package is boxed:
@@ -40,12 +40,13 @@ K^-1 v_R on the kernel positions and, on each covered row, v_i minus
 A[i, C] K^-1 v_R; B^-T g (BTRAN) is the transpose.  Each pivot updates
 K^-1 by one product-form step: a rank-one step when a column or a row of
 K is swapped, a bordered step when K gains or loses a row and a column.
-K^-1 is refactored by np.linalg.solve every REFACTOR_EVERY pivots and,
-unless the basis is still exact, before the certificate.  The structural
-nonzeros are read once per solve; FTRAN and BTRAN each cost a k x k
-product plus one pass over them, the pivot row a k x n product with the
-dense kernel rows, so a pivot costs O(k^2 + nnz) and no array with a
-column per row is ever built.
+K^-1 is refactored by np.linalg.solve every REFACTOR_EVERY pivots and at
+least once before the certificate.  The structural nonzeros are read
+once per solve; FTRAN and BTRAN each cost a k x k product plus one pass
+over them, the pivot row a k x n product with the dense kernel rows, so
+a pivot costs O(k^2 + nnz) and no array with a column per row is ever
+built.  Each iteration hands its entering column and pivot row to
+`_Tableau.pivot`; the tableau keeps neither.
 
 Pricing reads steepest-edge weights (Forrest & Goldfarb 1992): gamma_j
 = |B^-1 a_j|^2 for every column and, while the dual simplex runs, beta_i
@@ -140,9 +141,11 @@ class SolveTrace:
     """Deterministic counts of one solve: the dual simplex's iterations,
     then phase 2's, heal runs included.  Every factorization (a start
     basis's, a scheduled one, a heal's, a rollback's) counts in
-    `refactors`; the slack basis needs none.  `min_pivot_ratio` is the
-    smallest |w_r| / max|w| over the pivots, w the entering column and r
-    the pivot row, and 1 before the first pivot."""
+    `refactors`; the slack basis needs none.  An optimal result has at
+    least one heal round, and its last one's run made no pivot.
+    `min_pivot_ratio` is the smallest |w_r| / max|w| over the pivots, w
+    the entering column and r the pivot row, and 1 before the first
+    pivot."""
 
     dual: PhaseCounts = field(default_factory=PhaseCounts)
     phase2: PhaseCounts = field(default_factory=PhaseCounts)
@@ -255,12 +258,11 @@ class _Tableau:
         self.n_total = n + m
         self.lower = np.concatenate([lower, np.zeros(m)])
         self.upper = np.concatenate([upper, np.where(self.is_eq, 0.0, np.inf)])
+        self.movable = (self.upper - self.lower) > 0.0
         self.iterations = 0
         self.refactor_every = REFACTOR_EVERY
         self.rolled_back = False
-        self.exact = False
         self.beta = None
-        self._col = self._row = None
         self.trace = SolveTrace()
         self.phase = self.trace.phase2
 
@@ -289,14 +291,13 @@ class _Tableau:
         """Load the slack basis: every logical column basic, and each
         structural column at its upper bound where c_min < 0, at its lower
         one elsewhere.  The reduced cost of a structural column is then
-        its cost, so the basis is dual feasible.  The kernel is empty,
-        which is what `factor` would give, so the start is exact."""
+        its cost, so the basis is dual feasible.  The kernel is empty, so
+        nothing is factored."""
         self.status = np.full(self.n_total, _BASIC, dtype=np.int8)
         self.status[: self.n] = np.where(self.c_min < 0.0, _UP, _LO)
         self.basis = np.arange(self.n, self.n_total)
         self.map_units()
         self.set_kernel(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-        self.exact = True
 
     def warm_start(self, start):
         """Load and factor the basis `start` (a SimplexResult.basis).
@@ -336,10 +337,7 @@ class _Tableau:
         self.refresh()
         if not (self.violation() > RATIO_SLACK).any():
             return 0.0
-        st = self.status
-        movable = ((self.upper - self.lower) > 0.0) & (st != _BASIC)
-        wrong = ((st == _LO) & (self.d < -PIVOT_TOL)) | ((st == _UP) & (self.d > PIVOT_TOL))
-        if np.any(movable & wrong):
+        if self.eligible().any():
             return np.inf
         return self.dual_run(max_iters)
 
@@ -419,71 +417,70 @@ class _Tableau:
         return w
 
     def btran(self, g):
-        """(y, A^T y): y over the rows with B^T y = g, g by positions."""
-        y = g[self.rpos]
-        y[self.kr] = 0.0
-        aty = self._rtimes(y)
+        """u^T a_j for every column j, u over the rows with B^T u = g, g by
+        positions: A^T u on the structural columns, then u itself."""
+        u = g[self.rpos]
+        u[self.kr] = 0.0
+        atu = self._rtimes(u)
         if self.k:
-            yr = (g[self.kp] - aty[self.kc]) @ self.Kinv
-            y[self.kr] = yr
-            aty += yr @ self.AR
-        return y, aty
-
-    def _row_times(self, y, aty):
-        """y^T a_j for every column j, from y and A^T y."""
-        return np.concatenate([aty, y])
+            ur = (g[self.kp] - atu[self.kc]) @ self.Kinv
+            u[self.kr] = ur
+            atu += ur @ self.AR
+        return np.concatenate([atu, u])
 
     def column(self, j):
-        """B^-1 a_j by positions; kept until the basis changes.  For a
-        structural j the kernel part is K^-1 A[kr, j], and the covered rows
-        are read off A x with x = that part on kc and -1 on j."""
-        if self._col is None or self._col[0] != j:
-            if j < self.n:
-                xs = self.Kinv @ self.AR[:, j]
-                x = np.zeros(self.n)
-                x[self.kc] = xs
-                x[j] = -1.0
-                w = -self._times(x)[self.prow]
-                w[self.kp] = xs
-            else:
-                v = np.zeros(self.m)
-                v[j - self.n] = 1.0
-                w = self.ftran(v)
-            self._col = (j, w)
-        return self._col[1]
+        """B^-1 a_j by positions.  For a structural j the kernel part is
+        K^-1 A[kr, j], and the covered rows are read off A x with x = that
+        part on kc and -1 on j."""
+        if j >= self.n:
+            v = np.zeros(self.m)
+            v[j - self.n] = 1.0
+            return self.ftran(v)
+        xs = self.Kinv @ self.AR[:, j]
+        x = np.zeros(self.n)
+        x[self.kc] = xs
+        x[j] = -1.0
+        w = -self._times(x)[self.prow]
+        w[self.kp] = xs
+        return w
 
     def pivot_row(self, r):
         """(alpha, y): y = row r of B^-1 over the rows, alpha_j = y^T a_j
         for every column, exactly 0 on the basic columns but basis[r],
         where it is 1.  y lives on the kernel rows and, when basis[r] is
         the logical column of row p, on p, where B^T y = e_r gives y_p = 1
-        and y_kr = -A[p, kc] K^-1.  Kept until the basis changes."""
-        if self._row is None or self._row[0] != r:
-            leave = self.basis[r]
-            y = np.zeros(self.m)
-            if leave < self.n:
-                yr = self.Kinv[self.pk[r]]
-                aty = yr @ self.AR
-            else:
-                p = leave - self.n
-                ap = self._row_of(p)
-                yr = -(ap[self.kc] @ self.Kinv)
-                y[p] = 1.0
-                aty = ap + yr @ self.AR
-            y[self.kr] = yr
-            alpha = self._row_times(y, aty)
-            alpha[self.basis] = 0.0
-            alpha[leave] = 1.0
-            self._row = (r, alpha, y)
-        return self._row[1:]
+        and y_kr = -A[p, kc] K^-1."""
+        leave = self.basis[r]
+        y = np.zeros(self.m)
+        if leave < self.n:
+            yr = self.Kinv[self.pk[r]]
+            aty = yr @ self.AR
+        else:
+            p = leave - self.n
+            ap = self._row_of(p)
+            yr = -(ap[self.kc] @ self.Kinv)
+            y[p] = 1.0
+            aty = ap + yr @ self.AR
+        y[self.kr] = yr
+        alpha = np.concatenate([aty, y])
+        alpha[self.basis] = 0.0
+        alpha[leave] = 1.0
+        return alpha, y
 
     def refresh(self):
         """Recompute the basic values and the reduced costs from scratch.
         A nonbasic logical column sits at 0."""
         vals = self._nonbasic_values()
         self.xB = self.ftran(self.b - self._times(vals[: self.n]))
-        self.d = self.cost - self._row_times(*self.btran(self.cost[self.basis]))
+        self.d = self.cost - self.btran(self.cost[self.basis])
         self.d[self.basis] = 0.0
+
+    def eligible(self):
+        """The columns that lower the cost as they leave their bound: d_j <
+        -PIVOT_TOL at the lower one, > PIVOT_TOL at the upper one.  d is
+        exactly 0 on the basic columns; with none eligible the basis is
+        dual feasible."""
+        return self.movable & (np.where(self.status == _UP, -self.d, self.d) < -PIVOT_TOL)
 
     def weigh_columns(self):
         """gamma_j = |B^-1 a_j|^2 for every column, from scratch.  The
@@ -533,16 +530,12 @@ class _Tableau:
         """K^-1 at the current basis, by np.linalg.solve; raises
         LinAlgError on a singular basis matrix.  The kernel positions are
         those of the basic structural columns in position order, its rows
-        the uncovered rows in row order.  The solve is deterministic for
-        fixed inputs, so `exact` marks the state as what a refactor would
-        give again until the next iteration or pivot clears it."""
-        self._col = self._row = None
+        the uncovered rows in row order."""
         uncovered = np.ones(self.m, dtype=bool)
         uncovered[self.map_units()] = False
         self.set_kernel(np.flatnonzero(uncovered), np.flatnonzero(self.basis < self.n))
         self.trace.refactors += 1
         self.Kinv[...] = np.linalg.solve(self.AR[:, self.kc], np.eye(self.k))
-        self.exact = True
 
     def refactor(self):
         """Refactor exactly at the current basis.
@@ -575,19 +568,17 @@ class _Tableau:
 
     # -- core iteration ----------------------------------------------------
 
-    def pivot(self, r, j, enter_val):
-        """Make column j basic in position r at value enter_val; the caller
-        has already set the leaving variable's status.  The reduced costs
-        move by d_j times the normalized pivot row, the weights by
+    def pivot(self, r, j, w, alpha, y, enter_val):
+        """Make column j basic in position r at value enter_val, w its
+        `column` and (alpha, y) the `pivot_row` of r; the caller has
+        already set the leaving variable's status.  The reduced costs move
+        by d_j times the normalized pivot row, the weights by
         `update_weights`, and K^-1 by `update_kernel`."""
-        w = self.column(j)
         piv = w[r]
         if abs(piv) <= PIVOT_TOL:
             raise self.error("near-zero pivot")
         t = self.trace
         t.min_pivot_ratio = min(t.min_pivot_ratio, float(abs(piv) / np.max(np.abs(w))))
-        alpha, y = self.pivot_row(r)
-        self.exact = False
         alpha[j] = piv
         rho = alpha / piv
         self.update_weights(r, j, w, rho, y)
@@ -599,7 +590,6 @@ class _Tableau:
         self.basis[r] = j
         self.status[j] = _BASIC
         self.xB[r] = enter_val
-        self._col = self._row = None
 
     def update_weights(self, r, j, w, rho, y):
         """Carry gamma and beta across the pivot on (r, j), w the entering
@@ -611,7 +601,7 @@ class _Tableau:
         and leaving columns and row r enter by their exact norms."""
         piv = w[r]
         ww = w @ w
-        ua = self._row_times(*self.btran(w))
+        ua = self.btran(w)
         g = self.gamma
         g += rho * (rho * (ww + 1.0) - 2.0 * ua)
         np.maximum(g, 0.0, out=g)
@@ -678,38 +668,57 @@ class _Tableau:
             self.kr[ip] = q
             self.rk[q], self.rk[p] = ip, -1
 
+    def begin(self, phase):
+        """Start `phase`, trace.dual or trace.phase2: keep the basis for a
+        rollback, restart the refactor schedule, and end any degenerate
+        streak and with it Bland's rule."""
+        self.phase = phase
+        self.keep_basis()
+        self.since_refactor = 0
+        self.streak = 0
+        self.was_bland = False
+
+    def upkeep(self, step, bland):
+        """Count one iteration of the current phase, of step `step`, chosen
+        by Bland's rule if `bland`.  A step within PIVOT_TOL of zero is
+        degenerate; BLAND_AFTER degenerate steps in a row switch to Bland's
+        rule, and any other step switches back.  Then refactor on the
+        schedule that `begin` restarts."""
+        self.trace.bland_switches += bland and not self.was_bland
+        self.was_bland = bland
+        degenerate = bool(step <= PIVOT_TOL)
+        self.streak = self.streak + 1 if degenerate else 0
+        self.phase.degenerate += degenerate
+        self.phase.iterations += 1
+        self.iterations += 1
+        self.since_refactor += 1
+        if self.since_refactor >= self.refactor_every:
+            self.refactor()
+            self.refresh()
+            self.since_refactor = 0
 
     def run(self, max_iters):
         """Phase 2: minimize the cost from a primal-feasible basis.
 
-        Pricing scores every eligible column by its steepest-edge ratio
-        d_j^2 / (1 + gamma_j), first index on ties, while steps make
-        progress; a streak of BLAND_AFTER degenerate pivots switches to
-        Bland's smallest-index rule, which cannot cycle, until a positive
-        step resets the streak.  Both rules are deterministic, so reruns
-        stay bitwise identical.  Every structural column has a finite
-        box, so only a numerical fault gives an infinite step."""
-        phase = self.phase = self.trace.phase2
+        Pricing scores every `eligible` column by its steepest-edge ratio
+        d_j^2 / (1 + gamma_j), first index on ties; under Bland's rule
+        (`upkeep`) the smallest eligible index enters instead, which
+        cannot cycle.  Both rules are deterministic, so reruns stay
+        bitwise identical.  Every structural column has a finite box, so
+        only a numerical fault gives an infinite step."""
+        self.begin(self.trace.phase2)
         self.refresh()
-        self.keep_basis()
-        self.since_refactor = 0
-        degen_streak = 0
-        was_bland = False
-        movable = (self.upper - self.lower) > 0.0
         while True:
             if self.iterations >= max_iters:
                 raise self.error(f"iteration limit {max_iters} reached")
-            # d is exactly 0 on the basic columns, so they are never eligible
-            elig = movable & (np.where(self.status == _UP, -self.d, self.d) < -PIVOT_TOL)
-            bland = degen_streak >= BLAND_AFTER
+            elig = self.eligible()
+            bland = self.streak >= BLAND_AFTER
             if bland:
                 j = int(np.argmax(elig))  # smallest eligible index
             else:
                 j = int(np.argmax(np.where(elig, self.d * self.d / (1.0 + self.gamma), -1.0)))
             if not elig[j]:
                 return
-            self.trace.bland_switches += bland and not was_bland
-            was_bland = bland
             delta = 1.0 if self.status[j] == _LO else -1.0
             w = self.column(j)
             coef = delta * w
@@ -724,8 +733,6 @@ class _Tableau:
             step = min(row_min, own)
             if not np.isfinite(step):
                 raise self.error("infinite primal step")
-            degen_streak = 0 if step > PIVOT_TOL else degen_streak + 1
-            phase.degenerate += bool(step <= PIVOT_TOL)
             r = _blocking_row(lim, step, own, coef, self.basis, j, bland)
             self.xB -= delta * step * w
             if r == -1:
@@ -733,21 +740,8 @@ class _Tableau:
             else:
                 enter_val = self.nb_value(j) + delta * step
                 self.status[self.basis[r]] = _LO if coef[r] > 0 else _UP
-                self.pivot(r, j, enter_val)
-            self.upkeep()
-
-    def upkeep(self):
-        """Count one iteration, then refactor on the schedule that `run`
-        and `dual_run` restart.  A bound flip leaves K^-1 exact but moves
-        xB by an update, so every iteration clears `exact`."""
-        self.exact = False
-        self.iterations += 1
-        self.phase.iterations += 1
-        self.since_refactor += 1
-        if self.since_refactor >= self.refactor_every:
-            self.refactor()
-            self.refresh()
-            self.since_refactor = 0
+                self.pivot(r, j, w, *self.pivot_row(r), enter_val)
+            self.upkeep(step, bland)
 
     def dual_run(self, max_iters):
         """Make a dual-feasible basis primal feasible by the bounded dual
@@ -761,19 +755,13 @@ class _Tableau:
         the smallest dual ratio |d_j / alpha_j| among the columns whose
         move pushes the leaving variable toward its violated bound;
         ratios within RATIO_SLACK of the smallest count as tied, and a
-        tie goes to the largest |alpha_j|, then the smallest index.  A
-        streak of BLAND_AFTER zero dual steps switches to Bland's rule
-        (the violated row with the smallest basic index leaves, the
-        smallest index among the exact smallest ratios enters) until a
-        positive step resets it.  Every pivot goes through `pivot`, so
-        the dual values d and the weights stay current."""
-        self.phase = self.trace.dual
-        self.keep_basis()
+        tie goes to the largest |alpha_j|, then the smallest index.  Under
+        Bland's rule (`upkeep`) the violated row with the smallest basic
+        index leaves, and the smallest index among the exact smallest
+        ratios enters.  Every pivot goes through `pivot`, so the dual
+        values d and the weights stay current."""
+        self.begin(self.trace.dual)
         self.weigh_rows()
-        self.since_refactor = 0
-        zero_streak = 0
-        was_bland = False
-        movable = (self.upper - self.lower) > 0.0
         while True:
             lo_B = self.lower[self.basis]
             up_B = self.upper[self.basis]
@@ -784,19 +772,17 @@ class _Tableau:
                 return 0.0
             if self.iterations >= max_iters:
                 raise self.error(f"iteration limit {max_iters} reached")
-            bland = zero_streak >= BLAND_AFTER
-            self.trace.bland_switches += bland and not was_bland
-            was_bland = bland
+            bland = self.streak >= BLAND_AFTER
             if bland:
                 r = int(np.argmin(np.where(bad, self.basis, self.n_total)))
             else:
                 r = int(np.argmax(np.where(bad, viol * viol / self.beta, -1.0)))
             below = bool(self.xB[r] < lo_B[r])
-            alpha, _ = self.pivot_row(r)
+            alpha, y = self.pivot_row(r)
             push = alpha if below else -alpha
             at_lo = self.status == _LO
             cand = np.flatnonzero(
-                movable
+                self.movable
                 & ((at_lo & (push < -PIVOT_TOL)) | ((self.status == _UP) & (push > PIVOT_TOL)))
             )
             if cand.size == 0:
@@ -811,25 +797,22 @@ class _Tableau:
             else:
                 near = cand[ratio <= step + RATIO_SLACK]
                 q = int(near[np.argmax(np.abs(alpha[near]))])
-            zero_streak = 0 if step > PIVOT_TOL else zero_streak + 1
-            self.phase.degenerate += step <= PIVOT_TOL
             # move x_q until the leaving variable sits on its violated bound
             move = (self.xB[r] - (lo_B[r] if below else up_B[r])) / alpha[q]
             enter_val = self.nb_value(q) + move
-            self.xB -= move * self.column(q)
+            w = self.column(q)
+            self.xB -= move * w
             self.status[self.basis[r]] = _LO if below else _UP
-            self.pivot(r, q, enter_val)
-            self.upkeep()
+            self.pivot(r, q, w, alpha, y, enter_val)
+            self.upkeep(step, bland)
 
 
-def solve_simplex(
-    c, A, b, senses, lower, upper, maximize=True, max_iters=None, start=None
-) -> SimplexResult:
-    """Solve the boxed LP; see module docstring for conventions.  `A` is
-    a `Coo` of shape (len(b), len(c)).
+def solve_simplex(c, A, b, senses, lower, upper, max_iters=None, start=None) -> SimplexResult:
+    """Maximize c.x over the boxed LP; see module docstring for
+    conventions.  `A` is a `Coo` of shape (len(b), len(c)).
 
     Returns duals `y` (one per input row) and structural reduced costs,
-    both in the caller's optimization sense.  duality_gap is |primal -
+    both for the maximization.  duality_gap is |primal -
     weak-dual bound| recomputed from the returned certificate and the
     caller's A, b and bounds, not an internal solver quantity, so a small
     gap genuinely certifies optimality; `certify` checks it.  `start`,
@@ -848,7 +831,7 @@ def solve_simplex(
         max_iters = 200 * (m + n) + 20000
 
     def tableau():
-        return _Tableau(-c if maximize else c, A, b, senses, lower, upper)
+        return _Tableau(-c, A, b, senses, lower, upper)
 
     tab = tableau()
     if start is not None and not (tab.warm_start(start) and tab.settle(max_iters) == 0.0):
@@ -863,18 +846,19 @@ def solve_simplex(
 
     tab.run(max_iters)
     # Certify-or-heal: a refactored basis can expose drift as new eligible
-    # pivots; iterate until a freshly refactored basis is already optimal.
-    # A basis still exact (the slack basis or a factor, no iteration
-    # since) is what a refactor would rebuild, so it is not refactored.
-    while not tab.exact:
-        if tab.trace.heal_rounds == HEAL_ROUNDS:
-            raise tab.error("basis failed to stabilize under refactorization")
+    # pivots; iterate until a run from a fresh refactor makes no pivot.
+    while tab.trace.heal_rounds < HEAL_ROUNDS:
         tab.trace.heal_rounds += 1
         tab.refactor()
+        before = tab.iterations
         tab.run(max_iters)
+        if tab.iterations == before:
+            break
+    else:
+        raise tab.error("basis failed to stabilize under refactorization")
 
-    # the basis is exact and the last run made no pivot, so its opening
-    # refresh is current
+    # the last run started from a refactor and made no pivot, so its
+    # opening refresh is current
     x_all = tab._nonbasic_values()
     x_all[tab.basis] = tab.xB
     x = x_all[:n]
@@ -908,13 +892,10 @@ def solve_simplex(
         float(np.max(x - tab.upper[:n], initial=0.0)),
     )
 
-    sense_mult = -1.0 if maximize else 1.0
-    obj_ext = sense_mult * z_int
-    y_ext = sense_mult * y_int
-    d_ext = sense_mult * (tab.c_min - tab._rtimes(y_int))
+    # back from the internal minimization of -c
     return SimplexResult(
-        OPTIMAL, x, obj_ext, y_ext, d_ext, float(gap), float(max_infeas), tab.iterations,
-        tab.status.copy(), tab.trace,
+        OPTIMAL, x, -z_int, -y_int, -(tab.c_min - tab._rtimes(y_int)), float(gap),
+        float(max_infeas), tab.iterations, tab.status.copy(), tab.trace,
     )
 
 

@@ -43,7 +43,6 @@ from .typespace import (
     IDENTICAL,
     all_permutations,
     apply_permutation,
-    cell_of,
     inverse_permutation,
     is_strict,
     sort_descending,
@@ -103,15 +102,14 @@ def is_symmetric(mech: Mechanism, tol: float = 0.0) -> AuditReport:
 
 
 def is_rank_preserving(mech: Mechanism, tol: float = DEFAULT_TOL) -> AuditReport:
-    """Audit v_i > v_j implies q_i(v) >= q_j(v) - tol on every profile."""
-    violations = []
-    for k, v in enumerate(mech.types):
-        for i in range(mech.n):
-            for j in range(mech.n):
-                if v[i] > v[j]:
-                    gap = float(mech.q[k, j] - mech.q[k, i])
-                    if gap > tol:
-                        violations.append(((v, i, j), gap))
+    """Audit v_i > v_j implies q_i(v) >= q_j(v) - tol on every profile.
+    Violations come profile by profile, then by i, then by j."""
+    V, q = mech.V, mech.q
+    # gap[k, i, j] = q_j(v) - q_i(v) at profile k
+    gap = q[:, None, :] - q[:, :, None]
+    k, i, j = np.nonzero((V[:, :, None] > V[:, None, :]) & (gap > tol))
+    hits = zip(k.tolist(), i.tolist(), j.tolist(), gap[k, i, j].tolist())
+    violations = [((mech.types[a], b, c), s) for a, b, c, s in hits]
     return _report("rank_preserving", violations)
 
 
@@ -119,22 +117,22 @@ def check_ic_on_cells(mech: Mechanism, tol: float = DEFAULT_TOL) -> AuditReport:
     """Truthfulness restricted to misreports within the same ordering cell.
 
     On an identical (sorted) domain every profile shares one cell, so this
-    coincides with the full audit there.
+    coincides with the full audit there.  Violations come in row-major
+    order of (report, misreport); `n_pairs` counts the ordered pairs of
+    distinct profiles in one cell.
     """
     _require_strict(mech, "check_ic_on_cells")
+    # a strict profile's cell is the order of its coordinates, here as
+    # the index of that order among the distinct orders
+    order = np.argsort(-mech.V, axis=1)
+    cell = np.unique(order, axis=0, return_inverse=True)[1].ravel()
+    same = cell[:, None] == cell[None, :]
+    np.fill_diagonal(same, False)
     gain = ic_gains(mech)
-    cells = [cell_of(v) for v in mech.types]
-    violations = []
-    n_pairs = 0
-    T = len(mech.types)
-    for i in range(T):
-        for j in range(T):
-            if i == j or cells[i] != cells[j]:
-                continue
-            n_pairs += 1
-            if gain[i, j] > tol:
-                violations.append(((mech.types[i], mech.types[j]), float(gain[i, j])))
-    return _report("ic_on_cells", violations, info={"n_pairs": n_pairs})
+    i, j = np.nonzero(same & (gain > tol))
+    hits = zip(i.tolist(), j.tolist(), gain[i, j].tolist())
+    violations = [((mech.types[a], mech.types[b]), s) for a, b, s in hits]
+    return _report("ic_on_cells", violations, info={"n_pairs": int(np.count_nonzero(same))})
 
 
 def symmetric_extension(mech: Mechanism) -> Mechanism:

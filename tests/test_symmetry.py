@@ -1,12 +1,14 @@
 """Relabeling invariance, rank order, and the two-way audit bridge."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mechlab import cli
 from mechlab.dist import iid_distribution, restrict_to_strict, table_distribution
 from mechlab.mech import (
     Mechanism,
@@ -14,6 +16,7 @@ from mechlab.mech import (
     check_ic,
     check_ir,
     expected_revenue,
+    ic_gains,
     make_menu,
     menu_to_mechanism,
 )
@@ -327,6 +330,42 @@ def _loop_symmetrize(mech: Mechanism) -> Mechanism:
     return _loop_symmetric_extension(on_sorted)
 
 
+def _loop_rank_preserving(mech: Mechanism, tol: float) -> list:
+    violations = []
+    for k, v in enumerate(mech.types):
+        for i in range(mech.n):
+            for j in range(mech.n):
+                if v[i] > v[j]:
+                    gap = float(mech.q[k, j] - mech.q[k, i])
+                    if gap > tol:
+                        violations.append(((v, i, j), gap))
+    return violations
+
+
+def _loop_ic_on_cells(mech: Mechanism, tol: float) -> tuple[list, int]:
+    gain = ic_gains(mech)
+    cells = [cell_of(v) for v in mech.types]
+    violations = []
+    n_pairs = 0
+    T = len(mech.types)
+    for i in range(T):
+        for j in range(T):
+            if i == j or cells[i] != cells[j]:
+                continue
+            n_pairs += 1
+            if gain[i, j] > tol:
+                violations.append(((mech.types[i], mech.types[j]), float(gain[i, j])))
+    return violations, n_pairs
+
+
+def _assert_audits_match_loops(mech: Mechanism, tol: float):
+    rp = is_rank_preserving(mech, tol=tol)
+    assert list(rp.violations) == _loop_rank_preserving(mech, tol)
+    cells = check_ic_on_cells(mech, tol=tol)
+    assert (list(cells.violations), cells.info["n_pairs"]) == _loop_ic_on_cells(mech, tol)
+    assert type(cells.info["n_pairs"]) is int
+
+
 def _random_mech(rng, n, points, domain_tag):
     grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
     enum = enumerate_hetero if domain_tag == HETEROGENEOUS else enumerate_identical
@@ -374,6 +413,13 @@ class TestRelabelTableMatchesLoops:
             assert report.passed == (not expected)
         assert is_symmetric(sym).passed
 
+    @pytest.mark.parametrize("tol", [0.0, 0.3])
+    def test_rank_and_cell_audits_in_order(self, n, points, tol):
+        rng = np.random.default_rng(points)
+        asym = _random_mech(rng, n, points, HETEROGENEOUS)
+        for mech in (asym, symmetrize(asym)):
+            _assert_audits_match_loops(mech, tol)
+
     def test_missing_relabeling_named_alike(self, n, points):
         mech = _random_mech(np.random.default_rng(points), n, points, HETEROGENEOUS)
         for drop in (0, len(mech.types) // 2, len(mech.types) - 1):
@@ -386,3 +432,32 @@ class TestRelabelTableMatchesLoops:
                 _loop_require_orbit_closed(holed, "is_symmetric")
             with pytest.raises(ValueError, match=re.escape(str(want.value))):
                 is_symmetric(holed)
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "configs/theorem1_fuzz.json",
+        "bench/configs/theorem1_lp_p7.json",
+        "bench/configs/theorem1_random_n3.json",
+    ],
+)
+def test_theorem1_config_audits_match_loops(monkeypatch, tmp_path, config):
+    # every mechanism a theorem-1 config certifies; at tol -1 every ordered
+    # coordinate pair and every pair within a cell is a violation
+    mechs = []
+    real = cli.certify_theorem1
+
+    def recording(mech, tol):
+        mechs.append(mech)
+        return real(mech, tol=tol)
+
+    monkeypatch.setattr(cli, "certify_theorem1", recording)
+    assert cli.run_config(cli.load_config(str(REPO_ROOT / config)), tmp_path)
+    assert mechs
+    for mech in mechs:
+        for tol in (1e-9, 0.0, -1.0):
+            _assert_audits_match_loops(mech, tol)
