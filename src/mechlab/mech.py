@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -72,16 +71,22 @@ class Mechanism:
     domain_tag: str
 
     def __post_init__(self) -> None:
-        types = tuple(tuple(float(x) for x in v) for v in self.types)
+        try:
+            V = np.asarray(self.types, dtype=float)
+        except ValueError:
+            if len({len(v) for v in self.types}) > 1:
+                raise MechanismError("ragged type profiles") from None
+            raise
+        T = len(V)
+        if T == 0:
+            raise MechanismError("empty type list")
+        if V.ndim != 2:
+            raise MechanismError(f"type profiles must be flat sequences, got shape {V.shape}")
+        types = tuple(map(tuple, V.tolist()))
         object.__setattr__(self, "types", types)
         q = np.asarray(self.q, dtype=float)
         t = np.asarray(self.t, dtype=float)
-        T = len(types)
-        if T == 0:
-            raise MechanismError("empty type list")
-        n = len(types[0])
-        if any(len(v) != n for v in types):
-            raise MechanismError("ragged type profiles")
+        n = V.shape[1]
         if q.shape != (T, n):
             raise MechanismError(f"q shape {q.shape} != {(T, n)}")
         if t.shape != (T,):
@@ -92,16 +97,19 @@ class Mechanism:
         if self.domain_tag not in (IDENTICAL, HETEROGENEOUS):
             raise MechanismError(f"unknown domain_tag {self.domain_tag!r}")
         if self.domain_tag == IDENTICAL:
-            for v in types:
-                if any(a < b for a, b in zip(v, v[1:])):
-                    raise MechanismError(f"identical domain requires sorted profiles, got {v}")
-        if len(set(types)) != T:
+            unsorted = np.flatnonzero((V[:, :-1] < V[:, 1:]).any(axis=1))
+            if unsorted.size:
+                raise MechanismError(
+                    f"identical domain requires sorted profiles, got {types[unsorted[0]]}"
+                )
+        index = {v: k for k, v in enumerate(types)}
+        if len(index) != T:
             raise MechanismError("duplicate type profiles")
         q.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "_index", {v: k for k, v in enumerate(types)})
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
@@ -282,11 +290,16 @@ def seller_ordered_menu(items, n: int) -> Menu:
     return Menu(items=tuple(sorted(items, key=lambda ap: (-ap[1], tuple(-x for x in ap[0])))))
 
 
-def _exact_utility(v, a, price) -> Fraction:
-    total = -Fraction(float(price))
+def _exact_utility(v, a, price) -> tuple[int, int]:
+    """v . a - price exactly, as (numerator, denominator).  A float is an
+    integer over a power of two, so the denominator is the largest of
+    the terms' denominators, which every other one divides."""
+    terms = [(-float(price)).as_integer_ratio()]
     for x, y in zip(v, a):
-        total += Fraction(float(x)) * Fraction(float(y))
-    return total
+        (p, q), (r, s) = float(x).as_integer_ratio(), float(y).as_integer_ratio()
+        terms.append((p * r, q * s))
+    den = max(d for _, d in terms)
+    return sum(num * (den // d) for num, d in terms), den
 
 
 # Float score gap below which menu ties are re-resolved exactly.  Dot
@@ -310,8 +323,10 @@ def menu_choice_indices(V: np.ndarray, A: np.ndarray, prices: np.ndarray) -> np.
     for k in np.nonzero(near.sum(axis=1) > 1)[0]:
         cand = np.nonzero(near[k])[0]
         exact = [_exact_utility(V[k], A[j], prices[j]) for j in cand]
-        best = max(exact)
-        choice[k] = int(cand[exact.index(best)])
+        # every denominator is a power of two: scale all to the largest
+        den = max(d for _, d in exact)
+        scaled = [num * (den // d) for num, d in exact]
+        choice[k] = int(cand[scaled.index(max(scaled))])
     return choice
 
 

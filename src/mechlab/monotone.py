@@ -299,7 +299,7 @@ def _subgradient_lp(polys) -> optlp.LinearProgram:
     )
     lp.add_rows(
         block[:, None] * n + np.arange(n), np.concatenate([p.directions for p in polys]),
-        "<=", np.concatenate([p.slacks for p in polys]), [""] * block.size,
+        "<=", np.concatenate([p.slacks for p in polys]),
     )
     return lp
 

@@ -9,8 +9,9 @@ optimum can be shifted so its lowest utility is zero, after which
 payments lie in [0, max surplus]).
 
 Row counts grow quadratically in the type count, so a `LinearProgram`
-holds its rows as COO triplets, written a block of rows at a time by
-array operations, and `optimal_mechanism` switches to lazy constraint
+holds its rows in blocks of arrays, one per `add_rows` call with no
+Python object per row, and renders their labels and LP text a chunk of
+rows at a time; and `optimal_mechanism` switches to lazy constraint
 generation past a size threshold: solve with a working set of
 truthfulness rows, add the worst violated pairs, prune rows that stay
 slack, repeat until no violation remains.  Every returned solution is
@@ -35,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,28 +85,52 @@ class InfeasibleError(LpError):
     """The constraint system admits no solution."""
 
 
+class RowBlock(NamedTuple):
+    """The rows start .. start + len(rhs) - 1 of a `LinearProgram`, all
+    of one sense.  Row start + r has right-hand side rhs[r] and the
+    entries ptr[r] .. ptr[r + 1] - 1 of `col` and `val`, in increasing
+    column order.  Its label is `name` joined by "_" with ids[j][r] for
+    each id array, or none if `name` is empty."""
+
+    start: int
+    sense: str
+    name: str
+    ids: tuple
+    rhs: np.ndarray
+    ptr: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.rhs.size
+
+    def labels(self) -> list[str]:
+        if not (self.name and self.ids):
+            return [self.name] * self.rhs.size
+        return ["_".join(map(str, (self.name, *ids))) for ids in zip(*(x.tolist() for x in self.ids))]
+
+
 @dataclass
 class LinearProgram:
     """Named-variable LP, maximize objective . x.
 
-    Rows are COO triplets sorted by row, then column, at most one per
-    (row, column): row[e] has coefficient val[e] on column col[e].  Zero
-    entries are kept, -0.0 with its sign, so `dense` returns every bit a
-    builder wrote; the solver drops them.  Row r has senses[r], rhs[r]
-    and labels[r].  `solve_lp` hands the triplets to the solver as they
-    are.  `dense` and `rows` are derived views for the tests and bench/;
-    no solve calls them."""
+    Rows come in `blocks`, one per `add_rows` call, and no Python object
+    is held per row: a block keeps its entries as column and value arrays
+    with a row pointer, its right-hand sides as one array and its labels
+    as a name and integer id arrays.  Zero entries are kept, -0.0 with
+    its sign, so `dense` returns every bit a builder wrote; the solver
+    drops them.  `row`, `col`, `val`, `rhs` and `senses` are the whole
+    LP's, joined from the blocks on each read: COO triplets sorted by
+    row, then column, at most one per (row, column), as `solve_lp` hands
+    them to the solver.  `dense`, `labels` and `rows` are views for the
+    tests and bench/; no solve calls them."""
 
     names: list[str] = field(default_factory=list)
     lower: list[float] = field(default_factory=list)
     upper: list[float] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
-    row: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    col: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    val: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    senses: list[str] = field(default_factory=list)
-    rhs: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    labels: list[str] = field(default_factory=list)
+    blocks: list[RowBlock] = field(default_factory=list)
 
     def add_var(self, name: str, lo: float, up: float, obj: float = 0.0) -> int:
         self.names.append(name)
@@ -113,27 +139,44 @@ class LinearProgram:
         self.objective.append(float(obj))
         return len(self.names) - 1
 
-    def add_rows(self, col, val, sense: str, rhs, labels: list[str], keep=True) -> None:
-        """Append one row per label, all of one sense.  `col`, `val` and
-        `keep` broadcast to (rows, width): entry (r, w) where `keep`
-        holds puts val[r, w] on column col[r, w] of the r-th new row."""
+    def add_rows(self, col, val, sense: str, rhs, name: str = "", *ids, keep=True) -> None:
+        """Append a block of rows of one sense.  `col`, `val` and `keep`
+        broadcast to (rows, width), `rhs` and each id array to (rows,):
+        entry (r, w) where `keep` holds puts val[r, w] on column col[r, w]
+        of the r-th new row, whose label is `name` and its ids joined by
+        "_" (ir_3, ic_3_5), or r<row index> in the LP text if `name` is
+        empty.  The kept columns of each row must increase; a repeated or
+        out-of-order one raises ValueError.  The block keeps `col` and
+        `val` without a copy where it can, so they must not change
+        afterwards."""
         if sense not in ("<=", ">=", "="):
             raise LpError(f"bad sense {sense!r}")
-        shape = (len(labels), np.shape(col)[-1])
-        col = np.broadcast_to(np.asarray(col, dtype=np.intp), shape)
-        order = np.argsort(col, axis=1, kind="stable")
-        col, val, keep = (
-            np.take_along_axis(np.broadcast_to(x, shape), order, axis=1)
-            for x in (col, np.asarray(val, dtype=float), keep)
+        col, val = np.asarray(col, dtype=np.intp), np.asarray(val, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        ids = tuple(np.asarray(x, dtype=np.intp) for x in ids)
+        shape = np.broadcast_shapes(
+            col.shape, val.shape, np.shape(keep), rhs.shape + (1,), *(x.shape + (1,) for x in ids)
         )
-        row = np.broadcast_to(np.arange(len(labels))[:, None] + self.n_rows, shape)
-        self.row = np.concatenate([self.row, row[keep]])
-        self.col = np.concatenate([self.col, col[keep]])
-        self.val = np.concatenate([self.val, val[keep]])
-        self.senses += [sense] * len(labels)
-        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), len(labels))
-        self.rhs = np.concatenate([self.rhs, rhs])
-        self.labels += labels
+        keep = np.broadcast_to(keep, shape)
+        col, val = (np.broadcast_to(x, shape) for x in (col, val))
+        if keep.all():
+            # a view of a contiguous input: the truthfulness block's
+            # arrays become the LP's without a copy
+            col, val = col.reshape(-1), val.reshape(-1)
+        else:
+            col, val = col[keep], val[keep]
+        ptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+        # each kept column above its left neighbour in the row
+        row = np.repeat(np.arange(shape[0]), np.diff(ptr))
+        bad = np.flatnonzero((col[1:] <= col[:-1]) & (row[1:] == row[:-1])) + 1
+        if bad.size:
+            e = bad[0]
+            what = "repeats" if col[e] == col[e - 1] else "is out of order"
+            raise ValueError(f"row {self.n_rows + row[e]}: column {col[e]} {what}")
+        self.blocks.append(RowBlock(
+            self.n_rows, sense, name, tuple(np.broadcast_to(x, shape[:1]) for x in ids),
+            np.broadcast_to(rhs, shape[:1]).copy(), ptr, col, val,
+        ))
 
     @property
     def n_vars(self) -> int:
@@ -141,13 +184,38 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.senses)
+        return self.blocks[-1].stop if self.blocks else 0
+
+    @property
+    def row(self) -> np.ndarray:
+        rows = [np.repeat(np.arange(b.start, b.stop), np.diff(b.ptr)) for b in self.blocks]
+        return np.concatenate([np.zeros(0, np.intp)] + rows)
+
+    @property
+    def col(self) -> np.ndarray:
+        return np.concatenate([np.zeros(0, np.intp)] + [b.col for b in self.blocks])
+
+    @property
+    def val(self) -> np.ndarray:
+        return np.concatenate([np.zeros(0)] + [b.val for b in self.blocks])
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return np.concatenate([np.zeros(0)] + [b.rhs for b in self.blocks])
+
+    @property
+    def senses(self) -> list[str]:
+        return [b.sense for b in self.blocks for _ in range(b.rhs.size)]
+
+    @property
+    def labels(self) -> list[str]:
+        return [label for b in self.blocks for label in b.labels()]
 
     @property
     def rows(self) -> list[tuple[dict, str, float, str]]:
         """A fresh list of (coeffs, sense, rhs, label), coeffs a {column:
         value} dict in column order."""
-        coeffs = [{} for _ in self.senses]
+        coeffs = [{} for _ in range(self.n_rows)]
         for r, j, c in zip(self.row.tolist(), self.col.tolist(), self.val.tolist()):
             coeffs[r][j] = c
         return list(zip(coeffs, self.senses, self.rhs.tolist(), self.labels))
@@ -155,7 +223,7 @@ class LinearProgram:
     def dense(self):
         A = np.zeros((self.n_rows, self.n_vars))
         A[self.row, self.col] = self.val
-        return A, self.rhs.copy(), list(self.senses)
+        return A, self.rhs, self.senses
 
 
 def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.SimplexResult:
@@ -186,14 +254,23 @@ def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.Simplex
 
 
 def export_lp_text(lp: LinearProgram, comment: str = "") -> str:
-    """Serialize in the standard LP text format (CPLEX dialect)."""
+    """Serialize in the standard LP text format (CPLEX dialect).  The
+    rows are rendered one block at a time, EXPORT_CHUNK rows at most per
+    step, so apart from the text only one step's arrays are alive."""
+    spaced = np.array([f" {name}" for name in lp.names], dtype=object)
     obj = np.asarray(lp.objective, dtype=float)
-    cols = np.arange(obj.size)
     text = [f"\\ {ln}\n" for ln in comment.splitlines()] + ["Maximize\n"]
-    text += _rows_text(lp.names, np.zeros_like(cols), cols, obj, [" obj: "], ["\n"])
-    heads = [f" {label or f'r{r}'}: " for r, label in enumerate(lp.labels)]
-    tails = [f" {sense} {rhs!r}\n" for sense, rhs in zip(lp.senses, lp.rhs.tolist())]
-    text += ["Subject To\n"] + _rows_text(lp.names, lp.row, lp.col, lp.val, heads, tails)
+    text.append(_rows_text(spaced, [0, obj.size], np.arange(obj.size), obj, [" obj: "], "\n"))
+    text.append("Subject To\n")
+    for b in lp.blocks:
+        for a in range(0, b.rhs.size, EXPORT_CHUNK):
+            z = min(a + EXPORT_CHUNK, b.rhs.size)
+            ptr = b.ptr[a : z + 1]
+            terms = slice(ptr[0], ptr[-1])
+            text.append(_rows_text(
+                spaced, ptr - ptr[0], b.col[terms], b.val[terms],
+                _heads(b, a, z), _tails(b.sense, b.rhs[a:z]),
+            ))
     text += ["Bounds\n"] + [
         f" {repr(float(lo)) if math.isfinite(lo) else '-inf'} <= {name}"
         f" <= {repr(float(up)) if math.isfinite(up) else '+inf'}\n"
@@ -202,40 +279,64 @@ def export_lp_text(lp: LinearProgram, comment: str = "") -> str:
     return "".join(text + ["End\n"])
 
 
-def _rows_text(names, row, col, val, heads, tails) -> list[str]:
-    """The text of heads[r], the linear expression of row r, then
-    tails[r], for every row r of triplets sorted by row and column: the
-    nonzero terms in column order, no sign before a positive first term,
-    or "0 <first variable>".  It is joined from shared pieces, one string
-    per EXPORT_CHUNK rows: repr runs once per distinct magnitude, and no
+def _heads(b: RowBlock, a: int, z: int) -> list:
+    """The head of rows a .. z - 1 of block b as columns of pieces, each
+    one string for every row or an array of one string per row:
+    " name", then "_id" for each id, with ": " after the last.  Each
+    distinct piece is formatted once."""
+    if not b.name:
+        return [np.array([f" r{r}: " for r in range(b.start + a, b.start + z)], dtype=object)]
+    if not b.ids:
+        return [f" {b.name}: "]
+    heads = [f" {b.name}"]
+    for j, ids in enumerate(b.ids, start=1):
+        end = ": " if j == len(b.ids) else ""
+        distinct, which = np.unique(ids[a:z], return_inverse=True)
+        heads.append(np.array([f"_{x}{end}" for x in distinct.tolist()], dtype=object)[which])
+    return heads
+
+
+def _tails(sense: str, rhs: np.ndarray) -> np.ndarray:
+    """The tail " <sense> <rhs>" and a newline of each row, formatted
+    once per distinct rhs bit pattern, so -0.0 keeps its sign."""
+    distinct, which = np.unique(rhs.view(np.int64), return_inverse=True)
+    return np.array([f" {sense} {x!r}\n" for x in distinct.view(float).tolist()], dtype=object)[which]
+
+
+def _rows_text(spaced, ptr, col, val, heads, tail) -> str:
+    """The text of the rows whose entries ptr[r] .. ptr[r + 1] - 1 of
+    `col` and `val` are in column order: the head pieces (`_heads`), the
+    linear expression, then the tail.  The expression is the nonzero
+    terms, no sign before a positive first term, or "0 <first
+    variable>".  It is joined from shared pieces: repr runs once per
+    distinct magnitude, `spaced` holds " <name>" per variable, and no
     string per term is made."""
+    rows, h = len(ptr) - 1, len(heads)
+    row = np.repeat(np.arange(rows), np.diff(ptr))
     keep = val != 0.0
     row, col, val = row[keep], col[keep], val[keep]
     mags, which = np.unique(np.abs(val), return_inverse=True)
     # each magnitude as a row's first term, +/-, then after another term
     signs = ("", "- ", " + ", " - ")
     signed = np.array([f"{s}{m!r}" for m in mags.tolist() for s in signs], dtype=object)
-    key = 4 * which + 2 * np.r_[False, row[1:] == row[:-1]] + (val < 0)
-    spaced = np.array([f" {name}" for name in names], dtype=object)
-    starts = np.searchsorted(row, np.arange(len(heads) + 1))
-    tails = np.array(tails, dtype=object)
-    empty = starts[:-1] == starts[1:]
-    tails[empty] = "0 " + (names[0] if names else "x0") + tails[empty]
-    # row r is its head (piece first[r]), a (signed magnitude, name) pair
-    # per term (entry e from piece at[e]) and its tail
-    first = 2 * (starts + np.arange(len(heads) + 1))
-    at = 2 * (np.arange(row.size) + row) + 1
-    chunks = []
-    for a in range(0, len(heads), EXPORT_CHUNK):
-        b = min(a + EXPORT_CHUNK, len(heads))
-        terms = slice(starts[a], starts[b])
-        pieces = np.empty(first[b] - first[a], dtype=object)
-        pieces[first[a:b] - first[a]] = heads[a:b]
-        pieces[at[terms] - first[a]] = signed[key[terms]]
-        pieces[at[terms] + 1 - first[a]] = spaced[col[terms]]
-        pieces[first[a + 1 : b + 1] - 1 - first[a]] = tails[a:b]
-        chunks.append("".join(pieces.tolist()))
-    return chunks
+    later = np.r_[False, row[1:] == row[:-1]]
+    count = np.bincount(row, minlength=rows)
+    # row r is h head pieces, a (signed magnitude, name) pair per term
+    # or one "0 <first variable>" piece, then its tail; its terms are
+    # entries term0[r] .. of the nonzeros
+    width = h + np.maximum(2 * count, 1) + 1
+    end = np.cumsum(width)
+    first = end - width
+    term0 = np.cumsum(count) - count
+    pieces = np.empty(end[-1], dtype=object)
+    for j, piece in enumerate(heads):
+        pieces[first + j] = piece
+    at = first[row] + h + 2 * (np.arange(row.size) - term0[row])
+    pieces[at] = signed[4 * which + 2 * later + (val < 0)]
+    pieces[at + 1] = spaced[col]
+    pieces[first[count == 0] + h] = "0" + (spaced[0] if spaced.size else " x0")
+    pieces[end - 1] = tail
+    return "".join(pieces.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -291,26 +392,39 @@ def _revenue_lp(types, weights, domain_tag, pairs) -> LinearProgram:
     q = np.arange(T * n).reshape(T, n)
     lp.add_rows(
         np.column_stack([q, T * n + np.arange(T)]), np.column_stack([-values, np.ones(T)]),
-        "<=", 0.0, [f"ir_{k}" for k in range(T)],
+        "<=", 0.0, "ir", np.arange(T),
     )
     if domain_tag == IDENTICAL:
         lp.add_rows(
-            np.stack([q[:, 1:], q[:, :-1]], axis=2).reshape(-1, 2), [[1.0, -1.0]],
-            "<=", 0.0, [f"ord_{k}_{i}" for k in range(T) for i in range(n - 1)],
+            np.stack([q[:, :-1], q[:, 1:]], axis=2).reshape(-1, 2), [[-1.0, 1.0]],
+            "<=", 0.0, "ord", np.repeat(np.arange(T), n - 1), np.tile(np.arange(n - 1), T),
         )
-    k, l = (np.asarray(x, dtype=np.intp)[:, None] for x in pairs[:2])
-    dev = np.asarray(pairs[2], dtype=float).reshape(k.size, n)
-    same = k == l
-    # 0.0 - own, not -own: the q(k) entry is +0.0 where own is 0
-    own = np.where(same, dev, 0.0) - values[k[:, 0]]
-    i = np.arange(n)
-    lp.add_rows(
-        np.hstack([l * n + i, k * n + i, T * n + l, T * n + k]),
-        np.hstack([dev, own, np.broadcast_to([-1.0, 1.0], (k.size, 2))]),
-        "<=", 0.0, [f"ic_{a}_{b}" for a, b in zip(k[:, 0].tolist(), l[:, 0].tolist())],
-        keep=np.hstack([np.repeat(~same, n, axis=1), np.ones_like(own, dtype=bool), ~same, ~same]),
-    )
+    k, l = (np.asarray(x, dtype=np.intp) for x in pairs[:2])
+    col, val, keep = _truthfulness_rows(T, values, k, l, pairs[2])
+    lp.add_rows(col, val, "<=", 0.0, "ic", k, l, keep=keep)
     return lp
+
+
+def _truthfulness_rows(T, values, k, l, dev):
+    """`col`, `val` and `keep` of the truthfulness rows of `_revenue_lp`,
+    each row's columns in increasing order: the q block of min(k, l),
+    that of max(k, l), then their payments.  A row with k == l keeps its
+    q(k) entries only.  A function of its own, so that its temporaries
+    are freed before `add_rows` runs."""
+    n = values.shape[1]
+    dev = np.asarray(dev, dtype=float).reshape(k.size, n)
+    same = (k == l)[:, None]
+    # 0.0 - own, not -own: the q(k) entry is +0.0 where own is 0
+    own = np.where(same, dev, 0.0) - values[k]
+    own_first = (k <= l)[:, None]
+    lo, hi = np.minimum(k, l)[:, None], np.maximum(k, l)[:, None]
+    col = np.hstack([lo * n + np.arange(n), hi * n + np.arange(n), T * n + lo, T * n + hi])
+    val = np.hstack([
+        np.where(own_first, own, dev), np.where(own_first, dev, own),
+        np.where(own_first, [1.0, -1.0], [-1.0, 1.0]),
+    ])
+    keep = np.hstack([np.ones_like(own, dtype=bool), np.repeat(~same, n + 2, axis=1)])
+    return col, val, keep
 
 
 def _no_sale_start(lp: LinearProgram, T: int) -> np.ndarray:
@@ -648,10 +762,9 @@ def worst_case_revenue(mech: Mechanism, g_avg: MarginalCdf, sense: str = "min"):
     # the weights sum to 1, and avg_i gives each type the share of its n
     # values that equal level i
     counts = (np.asarray(levels)[:, None, None] == np.asarray(types, dtype=float)).sum(axis=2)
-    lp.add_rows([np.arange(T)], 1.0, "=", 1.0, ["total"])
+    lp.add_rows([np.arange(T)], 1.0, "=", 1.0, "total")
     rhs = [pmf.get(lv, 0.0) for lv in levels]
-    labels = [f"avg_{i}" for i in range(len(levels))]
-    lp.add_rows([np.arange(T)], counts / n, "=", rhs, labels, keep=counts > 0)
+    lp.add_rows([np.arange(T)], counts / n, "=", rhs, "avg", np.arange(len(levels)), keep=counts > 0)
     sol = solve_lp(lp, "adversarial LP")
     value = -sol.objective if sense == "min" else sol.objective
     w = np.maximum(sol.x, 0.0)

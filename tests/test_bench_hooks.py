@@ -76,6 +76,14 @@ def test_highs_problem_reads_the_revenue_lp(bench):
     assert (np.signbit(A_dense) & (A_dense == 0.0)).any()
 
 
+def test_id2p24_export_matches_its_reference(bench):
+    # the LP text that the full_lp workload checks against
+    # references.json, so a byte drift fails here and not only there
+    _, workloads = bench
+    op = workloads.InstanceOp("export", "id2p24", workloads.load_references()["export:id2p24"])
+    assert op.check(op.run(0)) == []
+
+
 def test_traced_solves_report_the_constraint_matrix_shape(bench, monkeypatch):
     # Stats.observe reads `A.shape` off every solve_simplex call for
     # simplex.rows_max and simplex.cols_max; id2p12 lazy adds rows in its

@@ -7,6 +7,8 @@ makes it the canonical witness separating per-cell from global
 truthfulness.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,37 @@ def test_mechanism_validation():
             t=np.zeros(1),
             domain_tag="bogus",
         )
+
+
+@pytest.mark.parametrize(
+    "types, q, t, tag, message",
+    [
+        ((), np.zeros((0, 2)), np.zeros(0), "identical", "empty type list"),
+        (((1.0, 0.5), (1.0,)), np.zeros((2, 2)), np.zeros(2), "identical", "ragged type profiles"),
+        ((1.0, 0.5), np.zeros((2, 1)), np.zeros(2), "identical", "type profiles must be flat sequences, got shape (2,)"),
+        (((1.0, 0.5),), np.zeros((2, 2)), np.zeros(1), "identical", "q shape (2, 2) != (1, 2)"),
+        (((1.0, 0.5),), np.zeros((1, 2)), np.zeros(2), "identical", "t shape (2,) != (1,)"),
+        (((1.0, 0.5), (0.5, 0.5)), [[0.0, 0.0], [1.5, 0.0]], np.zeros(2), "identical", "allocation outside [0,1] at type index 1"),
+        (((1.0, 0.5),), np.zeros((1, 2)), np.zeros(1), "bogus", "unknown domain_tag 'bogus'"),
+        (
+            ((1.0, 0.5), (0.2, 0.7), (0.1, 0.9)), np.zeros((3, 2)), np.zeros(3), "identical",
+            "identical domain requires sorted profiles, got (0.2, 0.7)",
+        ),
+        (((0.2, 0.7), (0.2, 0.7)), np.zeros((2, 2)), np.zeros(2), "heterogeneous", "duplicate type profiles"),
+    ],
+    ids=["empty", "ragged", "flat", "q-shape", "t-shape", "box", "tag", "unsorted", "duplicate"],
+)
+def test_mechanism_error_messages(types, q, t, tag, message):
+    with pytest.raises(MechanismError) as err:
+        Mechanism(types=types, q=q, t=t, domain_tag=tag)
+    assert str(err.value) == message
+
+
+def test_mechanism_converts_profiles_to_float_tuples():
+    m = Mechanism(types=[[1, 0], np.array([0.5, 0.5])], q=np.zeros((2, 2)), t=np.zeros(2), domain_tag="identical")
+    assert m.types == ((1.0, 0.0), (0.5, 0.5))
+    assert all(type(x) is float for v in m.types for x in v)
+    assert m.index_of((0.5, 0.5)) == 1
 
 
 def test_mechanism_immutable_and_lookup():
@@ -284,3 +317,39 @@ def test_property_menu_mechanisms_truthful(n, k, seed):
 
 def test_default_tolerance_exported():
     assert mech_mod.DEFAULT_TOL == 1e-9
+
+
+def fraction_utility(v, a, price) -> Fraction:
+    """The Fraction arithmetic that `mech._exact_utility` replaced, kept
+    as its reference."""
+    total = -Fraction(float(price))
+    for x, y in zip(v, a):
+        total += Fraction(float(x)) * Fraction(float(y))
+    return total
+
+
+def test_exact_utility_and_menu_choice_match_fraction_reference():
+    # Values on tenths, allocations on halves, and each price another
+    # grid profile's float value of its item: over 3,000 type rows, many
+    # items tie exactly in rationals, and on some rows the float argmax
+    # is not the exact one.
+    rng = np.random.default_rng(19)
+    levels = np.round(np.arange(11) / 10, 1)
+    ties = flips = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 4))
+        V = rng.choice(levels, size=(6, n))
+        A = rng.choice([0.0, 0.5, 1.0], size=(5, n))
+        P = rng.choice(levels, size=(5, n))
+        prices = np.array([sum((p * a).tolist()) for p, a in zip(P, A)])
+        choice = mech_mod.menu_choice_indices(V, A, prices)
+        scores = pairwise_value(V, A) - prices
+        for k, v in enumerate(V):
+            exact = [fraction_utility(v, a, p) for a, p in zip(A, prices)]
+            got = [mech_mod._exact_utility(v, a, p) for a, p in zip(A, prices)]
+            assert [Fraction(num, den) for num, den in got] == exact
+            best = exact.index(max(exact))
+            assert choice[k] == best
+            ties += exact.count(max(exact)) > 1
+            flips += int(np.argmax(scores[k])) != best
+    assert ties > 300 and flips > 10

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -676,7 +677,7 @@ class TestWorstCase:
         lp = LinearProgram()
         for k in range(len(types)):
             lp.add_var(f"w_{k}", 0.0, 1.0, obj=-float(mech.t[k]))
-        lp.add_rows([list(range(len(types)))], 1.0, "=", 1.0, [""])
+        lp.add_rows([list(range(len(types)))], 1.0, "=", 1.0)
         levels = (0.2, 0.5, 0.8)
         pmf = dict(zip(levels, g.pmf()))
         for lv in levels:
@@ -685,7 +686,7 @@ class TestWorstCase:
                 cnt = sum(1 for x in v if x == lv)
                 if cnt:
                     coeffs[k] = cnt / 2
-            lp.add_rows([list(coeffs)], [list(coeffs.values())], "=", pmf[lv], [""])
+            lp.add_rows([list(coeffs)], [list(coeffs.values())], "=", pmf[lv])
         assert -scipy_lp_value(lp) == pytest.approx(value, abs=1e-8)
 
     def test_unreachable_marginal_is_infeasible(self):
@@ -765,7 +766,7 @@ class TestLpPlumbing:
     def test_infeasible_status(self):
         lp = LinearProgram()
         lp.add_var("x", 0.0, 1.0, obj=1.0)
-        lp.add_rows([[0]], 1.0, ">=", 2.0, [""])
+        lp.add_rows([[0]], 1.0, ">=", 2.0)
         with pytest.raises(InfeasibleError, match="LP infeasible"):
             solve_lp(lp)
 
@@ -845,9 +846,9 @@ class TestLpPlumbing:
         lp = LinearProgram()
         lp.add_var("x", float("-inf"), float("inf"))
         lp.add_var("y", 0.0, 1.0)
-        lp.add_rows([[0, 1]], [[0.0, -0.0]], "<=", 1.0, ["zero"])
-        lp.add_rows([[1, 0]], [[2.5, -0.0]], ">=", -1.0, [""])
-        lp.add_rows([[1, 0]], [[0.5, -1.0]], "=", 0.0, ["mixed"])
+        lp.add_rows([[0, 1]], [[0.0, -0.0]], "<=", 1.0, "zero")
+        lp.add_rows([[0, 1]], [[-0.0, 2.5]], ">=", -1.0)
+        lp.add_rows([[0, 1]], [[-1.0, 0.5]], "=", 0.0, "mixed")
         assert export_lp_text(lp, comment="edges\nsecond line") == (
             "\\ edges\n"
             "\\ second line\n"
@@ -1014,3 +1015,159 @@ class TestTripletRows:
         assert lp.rows == rows
         A, _, _ = lp.dense()
         assert np.array_equal(A, reference_dense(rows, len(types)))
+
+
+def _reference_lp_text(lp: LinearProgram, comment: str = "") -> str:
+    """The renderer that the per-chunk export replaced, kept as its
+    reference: one head and one tail f-string per row, and the pieces of
+    the whole LP joined at once."""
+    obj = np.asarray(lp.objective, dtype=float)
+    cols = np.arange(obj.size)
+    text = [f"\\ {ln}\n" for ln in comment.splitlines()] + ["Maximize\n"]
+    text += [_reference_rows_text(lp.names, np.zeros_like(cols), cols, obj, [" obj: "], ["\n"])]
+    heads = [f" {label or f'r{r}'}: " for r, label in enumerate(lp.labels)]
+    tails = [f" {sense} {rhs!r}\n" for sense, rhs in zip(lp.senses, lp.rhs.tolist())]
+    text += ["Subject To\n", _reference_rows_text(lp.names, lp.row, lp.col, lp.val, heads, tails)]
+    text += ["Bounds\n"] + [
+        f" {repr(float(lo)) if math.isfinite(lo) else '-inf'} <= {name}"
+        f" <= {repr(float(up)) if math.isfinite(up) else '+inf'}\n"
+        for name, lo, up in zip(lp.names, lp.lower, lp.upper)
+    ]
+    return "".join(text + ["End\n"])
+
+
+def _reference_rows_text(names, row, col, val, heads, tails) -> str:
+    keep = val != 0.0
+    row, col, val = row[keep], col[keep], val[keep]
+    mags, which = np.unique(np.abs(val), return_inverse=True)
+    signs = ("", "- ", " + ", " - ")
+    signed = np.array([f"{s}{m!r}" for m in mags.tolist() for s in signs], dtype=object)
+    key = 4 * which + 2 * np.r_[False, row[1:] == row[:-1]] + (val < 0)
+    spaced = np.array([f" {name}" for name in names], dtype=object)
+    starts = np.searchsorted(row, np.arange(len(heads) + 1))
+    tails = np.array(tails, dtype=object)
+    empty = starts[:-1] == starts[1:]
+    tails[empty] = "0 " + (names[0] if names else "x0") + tails[empty]
+    first = 2 * (starts + np.arange(len(heads) + 1))
+    at = 2 * (np.arange(row.size) + row) + 1
+    pieces = np.empty(first[-1], dtype=object)
+    pieces[first[:-1]] = heads
+    pieces[at] = signed[key]
+    pieces[at + 1] = spaced[col]
+    pieces[first[1:] - 1] = tails
+    return "".join(pieces.tolist())
+
+
+def _random_rows(lp, rng, rows, *args, empty=(), negative_zero=()):
+    """Add `rows` random rows over every variable of `lp` with name and
+    ids `args`: zero, -0.0 and signed entries, some masked out, rhs with
+    -0.0 among them.  Rows `empty` keep no entry, and rows
+    `negative_zero` keep every entry, all -0.0."""
+    width = lp.n_vars
+    val = rng.choice([0.0, -0.0, 1.5, -2.25, 0.1, -0.1, 3.0, 1.0, -1.0], size=(rows, width))
+    keep = rng.random((rows, width)) < 0.7
+    keep[list(empty)] = False
+    keep[list(negative_zero)] = True
+    val[list(negative_zero)] = -0.0
+    rhs = rng.choice([0.0, -0.0, 1.0, 0.25, -3.5], size=rows)
+    lp.add_rows(np.arange(width), val, "<=", rhs, *args, keep=keep)
+
+
+class TestLpText:
+    """The per-chunk export against the reference renderer, and the memory
+    that building and exporting take."""
+
+    @staticmethod
+    def variables(count):
+        lp = LinearProgram()
+        for j in range(count):
+            lp.add_var(f"x{j}", -1.0, float(j))
+        return lp
+
+    def test_full_id2p12(self):
+        types = enumerate_identical(Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12))
+        lp = build_revenue_lp(types, uniform_distribution(types, IDENTICAL), IDENTICAL)
+        ic = lp.blocks[-1]
+        assert (ic.name, ic.rhs.size // optlp.EXPORT_CHUNK) == ("ic", 1)
+        assert export_lp_text(lp, comment="id2p12") == _reference_lp_text(lp, comment="id2p12")
+
+    def test_chunk_boundaries_on_empty_and_negative_zero_rows(self):
+        C = optlp.EXPORT_CHUNK
+        lp = self.variables(4)
+        rows = np.arange(2 * C + 3)
+        _random_rows(
+            lp, np.random.default_rng(5), rows.size, "c", rows, rows % 7,
+            empty=(C - 1, C), negative_zero=(2 * C - 1, 2 * C),
+        )
+        text = export_lp_text(lp)
+        assert text == _reference_lp_text(lp)
+        assert f"\n c_{C}_{C % 7}: 0 x0 <= " in text
+        assert f"\n c_{2 * C}_{2 * C % 7}: 0 x0 <= " in text
+
+    def test_unnamed_rows(self):
+        C = optlp.EXPORT_CHUNK
+        lp = self.variables(3)
+        rng = np.random.default_rng(6)
+        _random_rows(lp, rng, 3, "a", np.arange(3))
+        _random_rows(lp, rng, C + 2, empty=(0, C))
+        assert lp.labels[2:4] == ["a_2", ""]
+        text = export_lp_text(lp)
+        assert text == _reference_lp_text(lp)
+        assert f"\n r{C + 4}: " in text
+
+    def test_worst_case_lp(self, monkeypatch):
+        solved = []
+        solve = optlp.solve_lp
+        monkeypatch.setattr(optlp, "solve_lp", lambda lp, *args: solved.append(lp) or solve(lp, *args))
+        types = enumerate_identical(Grid.explicit(n=3, levels=(0.1, 0.4, 0.7), v_low=0.0, v_high=1.0))
+        g = MarginalCdf.from_pmf((0.1, 0.25, 0.4, 0.7), (0.2, 0.0, 0.5, 0.3))
+        worst_case_revenue(uniform_price_mechanism(types, 0.4), g)
+        (lp,) = solved
+        assert lp.labels == ["total", "avg_0", "avg_1", "avg_2", "avg_3"]
+        assert export_lp_text(lp) == _reference_lp_text(lp)
+
+    def test_repair_block_lp(self, monkeypatch):
+        solved = []
+        solve = optlp.solve_lp
+        monkeypatch.setattr(optlp, "solve_lp", lambda lp, *args: solved.append(lp) or solve(lp, *args))
+        types = enumerate_identical(Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=5))
+        monotone.lmax_repair(uniform_price_mechanism(types, 1.0 / 3.0))
+        assert solved and all(lp.n_rows > 100 for lp in solved)
+        for lp in solved:
+            assert export_lp_text(lp) == _reference_lp_text(lp)
+
+    def test_add_rows_needs_increasing_columns(self):
+        lp = self.variables(3)
+        lp.add_rows([[0, 1]], 1.0, "<=", 1.0, "a")
+        with pytest.raises(ValueError, match=r"^row 2: column 0 is out of order$"):
+            lp.add_rows([[0, 2], [2, 0]], 1.0, "<=", 1.0, "b")
+        with pytest.raises(ValueError, match=r"^row 1: column 1 repeats$"):
+            lp.add_rows([[1, 1]], 1.0, "<=", 1.0)
+        assert lp.n_rows == 1
+        # only kept entries count, and each row starts afresh
+        lp.add_rows([[2, 0, 1], [0, 1, 2]], 1.0, "<=", 1.0, keep=[[False, True, True], [True] * 3])
+        assert lp.col.tolist() == [0, 1, 0, 1, 0, 1, 2]
+
+    def test_build_and_export_memory_is_bounded(self):
+        # The id2p16 full LP: 18,496 rows, 2.7 MB of triplets, 2.4 MB of
+        # text.  Building it peaks at about 1.5 times the triplet bytes,
+        # since the truthfulness block's column and value arrays become
+        # the LP's without a copy, and exporting it at about twice the
+        # text, the chunks and their join.  Per-row labels and whole-LP
+        # export temporaries took 3.2 times and 4.7 times.
+        types = enumerate_identical(Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=16))
+        dist = uniform_distribution(types, IDENTICAL)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lp = build_revenue_lp(types, dist, IDENTICAL)
+            build_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            text = export_lp_text(lp)
+            export_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        triplets = sum(a.nbytes for a in (lp.row, lp.col, lp.val))
+        assert build_peak <= 2 * triplets
+        assert export_peak <= 2 * len(text) + 2_000_000
