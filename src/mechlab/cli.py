@@ -10,6 +10,10 @@ summary.json (canonical form: sorted keys, floats rendered with %.12g,
 no timestamps, so reruns are byte-identical), audits.json, and, when the
 run produces one, mechanism.csv and distribution.csv.
 
+Every config value is read through one checked reader: numbers must be
+finite, `tol` and `seed` nonnegative, and `--tol`/`--seed` are checked
+like the fields they replace.
+
 Exit codes: 0 all asserted checks passed, 1 an asserted check failed,
 2 the config is invalid (the message names the offending field),
 3 the solver failed (the offending model is dumped as model.lp when
@@ -19,6 +23,7 @@ available).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -31,7 +36,6 @@ import numpy as np
 from . import gen
 from .dist import (
     Distribution,
-    DistributionError,
     MarginalCdf,
     check_mcafee_mcmillan,
     density_grid,
@@ -62,7 +66,7 @@ from .optlp import (
     LpError,
     build_revenue_lp,
     certify_equivalence,
-    export_lp_text,
+    lp_text_chunks,
     optimal_deterministic,
     optimal_mechanism,
     optimal_symmetric_mechanism,
@@ -134,7 +138,10 @@ _FIELD_TYPES = {
 }
 
 
-def _take(cfg: dict, field: str, kinds, where: str = "", required: bool = True, default=None):
+def _take(cfg: dict, field: str, kinds, where: str = "", required: bool = True, default=None,
+          minimum=None, choices=None):
+    """Field `field` of `cfg` (labelled `where.field`) of type `kinds`, finite if a number,
+    at least `minimum` and in `choices` if given; `default` if absent and not required."""
     label = f"{where}.{field}" if where else field
     if field not in cfg:
         if required:
@@ -144,17 +151,46 @@ def _take(cfg: dict, field: str, kinds, where: str = "", required: bool = True, 
     accepted, name = _FIELD_TYPES[kinds]
     if not isinstance(val, accepted) or (isinstance(val, bool) and kinds is not bool):
         raise ConfigError(f"field '{label}' must be {name}")
-    return float(val) if kinds is float else val
+    if kinds is float:
+        val = float(val)
+        if not math.isfinite(val):
+            raise ConfigError(f"field '{label}' must be finite, got {val}")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"field '{label}' must be at least {minimum}, got {val}")
+    if choices is not None and val not in choices:
+        raise ConfigError(f"field '{label}' must be one of {', '.join(choices)}; got {val!r}")
+    return val
+
+
+def _entries(cfg: dict, field: str, where: str) -> dict:
+    """The entries of list field `field`, keyed by their labels."""
+    return {f"{field}[{i}]": x for i, x in enumerate(_take(cfg, field, list, where))}
 
 
 def _float_list(cfg: dict, field: str, where: str) -> list:
-    raw = _take(cfg, field, list, where)
-    out = []
-    for i, x in enumerate(raw):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"field '{where}.{field}[{i}]' must be a number")
-        out.append(float(x))
-    return out
+    entries = _entries(cfg, field, where)
+    return [_take(entries, key, float, where) for key in entries]
+
+
+@contextlib.contextmanager
+def _field(name: str):
+    """Report a ValueError raised while building from config field `name`
+    as a config error naming the field; a ConfigError passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"field '{name}': {exc}") from exc
+
+
+def _density(sub: dict, grid: Grid, where: str) -> np.ndarray:
+    """The density named by config object `sub` (field `where`) on the grid."""
+    expr = _take(sub, "expr", str, where)
+    params = _take(sub, "params", dict, where, required=False, default={})
+    params = {key: _take(params, key, float, f"{where}.params") for key in params}
+    with _field(where):
+        return density_grid(grid, expr, params)
 
 
 def build_grid(cfg: dict) -> Grid:
@@ -162,38 +198,38 @@ def build_grid(cfg: dict) -> Grid:
     n = _take(sub, "n", int, "grid")
     v_low = _take(sub, "v_low", float, "grid", required=False, default=0.0)
     v_high = _take(sub, "v_high", float, "grid", required=False, default=1.0)
-    try:
+    with _field("grid"):
         if "levels" in sub:
             levels = _float_list(sub, "levels", "grid")
             return Grid(n=n, levels=tuple(levels), v_low=v_low, v_high=v_high)
         points = _take(sub, "points", int, "grid")
         return Grid.uniform(n=n, v_low=v_low, v_high=v_high, points=points)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"field 'grid': {exc}") from exc
 
 
 def _domain(cfg: dict) -> str:
-    domain = _take(cfg, "domain", str, required=False, default=IDENTICAL)
-    if domain not in (IDENTICAL, HETEROGENEOUS):
-        raise ConfigError(
-            f"field 'domain' must be '{IDENTICAL}' or '{HETEROGENEOUS}', got {domain!r}"
-        )
-    return domain
+    return _take(cfg, "domain", str, required=False, default=IDENTICAL,
+                 choices=(IDENTICAL, HETEROGENEOUS))
 
 
 def build_distribution(cfg: dict, grid: Grid, domain: str, strict_only: bool, types) -> Distribution:
     sub = _take(cfg, "distribution", dict)
-    kind = _take(sub, "kind", str, "distribution")
-    try:
+    kind = _take(sub, "kind", str, "distribution", choices=("uniform", "iid", "table", "density"))
+    with _field("distribution"):
         if kind == "uniform":
             return uniform_distribution(types, domain)
+        if kind == "table":
+            rows = _entries(sub, "types", "distribution")
+            weights = _float_list(sub, "weights", "distribution")
+            known = set(types)
+            parsed = []
+            for key in rows:
+                point = tuple(_float_list(rows, key, "distribution"))
+                if point not in known:
+                    raise ConfigError(f"field 'distribution.{key}': {point} is not on the grid")
+                parsed.append(point)
+            return table_distribution(parsed, weights, domain)
         if kind == "iid":
-            if "pmf" in sub:
-                pmf = _float_list(sub, "pmf", "distribution")
-            else:
-                pmf = [1.0 / grid.m] * grid.m
+            pmf = _float_list(sub, "pmf", "distribution") if "pmf" in sub else [1 / grid.m] * grid.m
             if len(pmf) != grid.m:
                 raise ConfigError(
                     f"field 'distribution.pmf' must have {grid.m} entries, got {len(pmf)}"
@@ -201,53 +237,23 @@ def build_distribution(cfg: dict, grid: Grid, domain: str, strict_only: bool, ty
             marg = MarginalCdf.from_pmf(grid.levels, pmf)
             if domain == HETEROGENEOUS:
                 dist = iid_distribution(marg, grid.n)
-                return restrict_to_strict(dist) if strict_only else dist
-            density = functools.reduce(np.multiply.outer, [np.asarray(pmf)] * grid.n)
-            dist = identical_distribution_from_density(grid, density)
-            return restrict_to_strict(dist) if strict_only else dist
-        if kind == "table":
-            raw_types = _take(sub, "types", list, "distribution")
-            weights = _float_list(sub, "weights", "distribution")
-            parsed = []
-            known = set(tuple(v) for v in types)
-            for i, row in enumerate(raw_types):
-                if not isinstance(row, list):
-                    raise ConfigError(f"field 'distribution.types[{i}]' must be a list")
-                point = tuple(float(x) for x in row)
-                if point not in known:
-                    raise ConfigError(
-                        f"field 'distribution.types[{i}]': {point} is not on the grid"
-                    )
-                parsed.append(point)
-            return table_distribution(parsed, weights, domain)
-        if kind == "density":
-            expr = _take(sub, "expr", str, "distribution")
-            params = _take(sub, "params", dict, "distribution", required=False, default={})
-            density = density_grid(grid, expr, params)
+            else:
+                density = functools.reduce(np.multiply.outer, [np.asarray(pmf)] * grid.n)
+                dist = identical_distribution_from_density(grid, density)
+        else:
+            density = _density(sub, grid, "distribution")
             if domain == HETEROGENEOUS:
                 return distribution_from_density(grid, density, strict_only=strict_only)
             dist = identical_distribution_from_density(grid, density)
-            return restrict_to_strict(dist) if strict_only else dist
-    except ConfigError:
-        raise
-    except (DistributionError, ValueError) as exc:
-        raise ConfigError(f"field 'distribution': {exc}") from exc
-    raise ConfigError(
-        "field 'distribution.kind' must be one of 'uniform', 'iid', 'table', 'density'"
-        f", got {kind!r}"
-    )
+        return restrict_to_strict(dist) if strict_only else dist
 
 
 def _g_avg(cfg: dict) -> MarginalCdf:
     sub = _take(cfg, "g_avg", dict)
     levels = _float_list(sub, "levels", "g_avg")
     pmf = _float_list(sub, "pmf", "g_avg")
-    if len(levels) != len(pmf):
-        raise ConfigError("field 'g_avg': levels and pmf must have equal length")
-    try:
+    with _field("g_avg"):
         return MarginalCdf.from_pmf(levels, pmf)
-    except DistributionError as exc:
-        raise ConfigError(f"field 'g_avg': {exc}") from exc
 
 
 def _enumerate(grid: Grid, domain: str, strict_only: bool) -> list:
@@ -260,13 +266,20 @@ def _enumerate(grid: Grid, domain: str, strict_only: bool) -> list:
     return types
 
 
+def _model(cfg: dict, domain: str, strict_only: bool, prior: bool = True):
+    """Grid, enumerated types and, with `prior`, the prior of a config on `domain`."""
+    grid = build_grid(cfg)
+    types = _enumerate(grid, domain, strict_only)
+    dist = build_distribution(cfg, grid, domain, strict_only, types) if prior else None
+    return grid, types, dist
+
+
 def _solve_model(cfg: dict):
     """Domain, enumerated types and prior of a solve-shaped config."""
-    grid = build_grid(cfg)
     domain = _domain(cfg)
     strict_only = _take(cfg, "strict_only", bool, required=False, default=False)
-    types = _enumerate(grid, domain, strict_only)
-    return domain, types, build_distribution(cfg, grid, domain, strict_only, types)
+    _, types, dist = _model(cfg, domain, strict_only)
+    return domain, types, dist
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +298,8 @@ def _write_model(out_dir: Path, types, dist: Distribution, domain: str, comment:
     lp = build_revenue_lp(types, dist, domain)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "model.lp"
-    path.write_text(export_lp_text(lp, comment=comment))
+    with open(path, "w") as fh:
+        fh.writelines(lp_text_chunks(lp, comment))
     return path
 
 
@@ -328,9 +342,7 @@ class RunOutput:
 # run kinds
 
 def _run_solve(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
-    mode = _take(cfg, "mode", str, required=False, default="auto")
-    if mode not in ("auto", "full", "lazy"):
-        raise ConfigError(f"field 'mode' must be 'auto', 'full', or 'lazy', got {mode!r}")
+    mode = _take(cfg, "mode", str, required=False, default="auto", choices=("auto", "full", "lazy"))
     domain, types, dist = _solve_model(cfg)
     try:
         res = optimal_mechanism(types, dist, domain, mode=mode)
@@ -362,13 +374,9 @@ def _run_solve(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
 
 
 def _run_equivalence(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
-    grid = build_grid(cfg)
-    types_h = _enumerate(grid, HETEROGENEOUS, True)
-    dist_h = build_distribution(cfg, grid, HETEROGENEOUS, True, types_h)
-    try:
+    grid, types_h, dist_h = _model(cfg, HETEROGENEOUS, True)
+    with _field("distribution"):
         dist_i = to_identical_density(dist_h)
-    except DistributionError as exc:
-        raise ConfigError(f"field 'distribution': {exc}") from exc
     types_i = _enumerate(grid, IDENTICAL, True)
     rep = certify_equivalence((types_i, dist_i), (types_h, dist_h), tol=tol)
     out.audit(rep)
@@ -385,27 +393,18 @@ def _run_equivalence(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
 
 
 def _run_theorem1(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
-    grid = build_grid(cfg)
     sub = _take(cfg, "mechanism", dict)
-    source = _take(sub, "kind", str, "mechanism")
-    types_h = _enumerate(grid, HETEROGENEOUS, True)
-    mechs = []
+    source = _take(sub, "kind", str, "mechanism", choices=("lp", "random"))
+    grid, types_h, dist_h = _model(cfg, HETEROGENEOUS, True, prior=source == "lp")
     if source == "lp":
-        dist_h = build_distribution(cfg, grid, HETEROGENEOUS, True, types_h)
-        res = optimal_symmetric_mechanism(types_h, dist_h)
-        mechs.append(("lp_optimum", res.mechanism))
-    elif source == "random":
-        count = _take(sub, "count", int, "mechanism", required=False, default=20)
-        if count < 1:
-            raise ConfigError("field 'mechanism.count' must be positive")
+        mechs = [("lp_optimum", optimal_symmetric_mechanism(types_h, dist_h).mechanism)]
+    else:
+        count = _take(sub, "count", int, "mechanism", required=False, default=20, minimum=1)
         rng = gen.rng_from_seed(seed)
+        mechs = []
         for i in range(count):
             raw = gen.random_ic_heterogeneous(rng, grid, max_items=4, strict_only=True)
             mechs.append((f"random_{i}", symmetrize(raw)))
-    else:
-        raise ConfigError(
-            f"field 'mechanism.kind' must be 'lp' or 'random', got {source!r}"
-        )
     rows = []
     for name, mech in mechs:
         rep = certify_theorem1(mech, tol=tol)
@@ -426,24 +425,19 @@ def _run_theorem1(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
             "seed": seed,
         }
     )
-    if mechs:
-        out.write(mechs[-1][1])
+    out.write(mechs[-1][1])
 
 
 def _run_robust(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
-    n = _take(cfg, "n", int)
-    if n < 1:
-        raise ConfigError("field 'n' must be positive")
+    n = _take(cfg, "n", int, minimum=1)
     g = _g_avg(cfg)
-    price = _take(cfg, "price", float, required=False, default=None)
+    price = _take(cfg, "price", float, required=False)
     if price is None:
         price, revenue = optimal_uniform_price(g, n)
     else:
         revenue = n * price * g.mass_at_or_above(price)
-    try:
+    with _field("g_avg"):
         grid = Grid(n=n, levels=g.levels, v_low=0.0, v_high=g.levels[-1])
-    except ValueError as exc:
-        raise ConfigError(f"field 'g_avg': {exc}") from exc
     types = enumerate_identical(grid)
     mech = uniform_price_mechanism(types, price, IDENTICAL)
     wc_min, dist_min, _ = worst_case_revenue(mech, g, sense="min")
@@ -475,14 +469,10 @@ def _run_robust(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
 def _run_monotonicity(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     grid = build_grid(cfg)
     sub = _take(cfg, "density", dict)
-    expr = _take(sub, "expr", str, "density")
-    params = _take(sub, "params", dict, "density", required=False, default={})
-    try:
-        density = density_grid(grid, expr, params)
+    density = _density(sub, grid, "density")
+    with _field("density"):
         mm = check_mcafee_mcmillan(density, grid)
         dist = identical_distribution_from_density(grid, density)
-    except DistributionError as exc:
-        raise ConfigError(f"field 'density': {exc}") from exc
     out.audit(mm, asserted=False)
     res = optimal_mechanism(list(dist.types), dist, IDENTICAL)
     ad = is_almost_deterministic(res.mechanism)
@@ -508,10 +498,8 @@ def _run_monotonicity(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
 
 def _run_repair(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     grid = build_grid(cfg)
-    count = _take(cfg, "count", int, required=False, default=20)
-    ad_count = _take(cfg, "almost_det_count", int, required=False, default=0)
-    if count < 0 or ad_count < 0:
-        raise ConfigError("field 'count' and 'almost_det_count' must be nonnegative")
+    count = _take(cfg, "count", int, required=False, default=20, minimum=0)
+    ad_count = _take(cfg, "almost_det_count", int, required=False, default=0, minimum=0)
     rng = gen.rng_from_seed(seed)
     drift = 0.0
     failures = []
@@ -612,18 +600,13 @@ def load_config(path: str) -> dict:
 
 
 def run_config(cfg: dict, out_dir: Path, tol_override=None, seed_override=None) -> bool:
-    kind = _take(cfg, "kind", str)
-    if kind not in RUNS:
-        raise ConfigError(f"field 'kind' must be one of {', '.join(RUNS)}; got {kind!r}")
+    kind = _take(cfg, "kind", str, choices=RUNS)
     runner, default_tol = RUNS[kind]
-    tol = tol_override
-    if tol is None:
-        tol = _take(cfg, "tol", float, required=False, default=default_tol)
-    if tol < 0:
-        raise ConfigError("field 'tol' must be nonnegative")
-    seed = seed_override
-    if seed is None:
-        seed = _take(cfg, "seed", int, required=False, default=0)
+    # an override is checked as the field it replaces
+    tol = _take(cfg if tol_override is None else {"tol": tol_override}, "tol", float,
+                required=False, default=default_tol, minimum=0.0)
+    seed = _take(cfg if seed_override is None else {"seed": seed_override}, "seed", int,
+                 required=False, default=0, minimum=0)
     out = RunOutput(out_dir)
     out.summary["kind"] = kind
     runner(cfg, out, tol, seed)

@@ -64,6 +64,8 @@ class Distribution:
             raise DistributionError(f"weights shape {w.shape} != ({len(types)},)")
         if len(types) == 0:
             raise DistributionError("empty support")
+        if not (np.isfinite(w).all() and all(map(math.isfinite, itertools.chain(*types)))):
+            raise DistributionError("types and weights must be finite")
         if len(set(types)) != len(types):
             raise DistributionError("duplicate types")
         if np.any(w < -WEIGHT_SUM_TOL):
@@ -103,6 +105,8 @@ class MarginalCdf:
         object.__setattr__(self, "cdf", cdf)
         if len(levels) != len(cdf) or not levels:
             raise DistributionError("levels/cdf length mismatch")
+        if not all(map(math.isfinite, levels + cdf)):
+            raise DistributionError("levels and cdf must be finite")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DistributionError("levels must be strictly increasing")
         if any(b < a - WEIGHT_SUM_TOL for a, b in zip(cdf, cdf[1:])):

@@ -72,7 +72,7 @@ class Mechanism:
 
     def __post_init__(self) -> None:
         try:
-            V = np.asarray(self.types, dtype=float)
+            V = np.array(self.types, dtype=float)
         except ValueError:
             if len({len(v) for v in self.types}) > 1:
                 raise MechanismError("ragged type profiles") from None
@@ -91,6 +91,9 @@ class Mechanism:
             raise MechanismError(f"q shape {q.shape} != {(T, n)}")
         if t.shape != (T,):
             raise MechanismError(f"t shape {t.shape} != {(T,)}")
+        for name, x in (("types", V), ("q", q), ("t", t)):
+            if not np.isfinite(x).all():
+                raise MechanismError(f"{name} must be finite")
         if np.any(q < -_BOX_TOL) or np.any(q > 1.0 + _BOX_TOL):
             bad = np.argwhere((q < -_BOX_TOL) | (q > 1.0 + _BOX_TOL))[0]
             raise MechanismError(f"allocation outside [0,1] at type index {bad[0]}")
@@ -105,8 +108,9 @@ class Mechanism:
         index = {v: k for k, v in enumerate(types)}
         if len(index) != T:
             raise MechanismError("duplicate type profiles")
-        q.setflags(write=False)
-        t.setflags(write=False)
+        for x in (V, q, t):
+            x.setflags(write=False)
+        object.__setattr__(self, "_V", V)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "_index", index)
@@ -117,7 +121,8 @@ class Mechanism:
 
     @property
     def V(self) -> np.ndarray:
-        return np.asarray(self.types, dtype=float)
+        """The type profiles as a read-only (T, n) float array."""
+        return self._V
 
     def index_of(self, v: TypePoint) -> int:
         try:

@@ -254,29 +254,33 @@ def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.Simplex
 
 
 def export_lp_text(lp: LinearProgram, comment: str = "") -> str:
-    """Serialize in the standard LP text format (CPLEX dialect).  The
-    rows are rendered one block at a time, EXPORT_CHUNK rows at most per
-    step, so apart from the text only one step's arrays are alive."""
+    """Serialize in the standard LP text format (CPLEX dialect)."""
+    return "".join(lp_text_chunks(lp, comment))
+
+
+def lp_text_chunks(lp: LinearProgram, comment: str = ""):
+    """The text of `export_lp_text` in pieces of EXPORT_CHUNK rows at
+    most, so a writer can write each piece as it comes."""
     spaced = np.array([f" {name}" for name in lp.names], dtype=object)
     obj = np.asarray(lp.objective, dtype=float)
-    text = [f"\\ {ln}\n" for ln in comment.splitlines()] + ["Maximize\n"]
-    text.append(_rows_text(spaced, [0, obj.size], np.arange(obj.size), obj, [" obj: "], "\n"))
-    text.append("Subject To\n")
+    yield from (f"\\ {ln}\n" for ln in comment.splitlines())
+    yield "Maximize\n"
+    yield _rows_text(spaced, [0, obj.size], np.arange(obj.size), obj, [" obj: "], "\n")
+    yield "Subject To\n"
     for b in lp.blocks:
         for a in range(0, b.rhs.size, EXPORT_CHUNK):
             z = min(a + EXPORT_CHUNK, b.rhs.size)
             ptr = b.ptr[a : z + 1]
             terms = slice(ptr[0], ptr[-1])
-            text.append(_rows_text(
+            yield _rows_text(
                 spaced, ptr - ptr[0], b.col[terms], b.val[terms],
                 _heads(b, a, z), _tails(b.sense, b.rhs[a:z]),
-            ))
-    text += ["Bounds\n"] + [
-        f" {repr(float(lo)) if math.isfinite(lo) else '-inf'} <= {name}"
-        f" <= {repr(float(up)) if math.isfinite(up) else '+inf'}\n"
-        for name, lo, up in zip(lp.names, lp.lower, lp.upper)
-    ]
-    return "".join(text + ["End\n"])
+            )
+    yield "Bounds\n"
+    for name, lo, up in zip(lp.names, lp.lower, lp.upper):
+        yield (f" {repr(float(lo)) if math.isfinite(lo) else '-inf'} <= {name}"
+               f" <= {repr(float(up)) if math.isfinite(up) else '+inf'}\n")
+    yield "End\n"
 
 
 def _heads(b: RowBlock, a: int, z: int) -> list:

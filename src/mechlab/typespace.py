@@ -11,6 +11,7 @@ order sorts them in strictly decreasing order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 TypePoint = tuple[float, ...]
@@ -44,6 +45,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
+        if not all(map(math.isfinite, (*self.levels, self.v_low, self.v_high))):
+            raise ValueError("levels, v_low and v_high must be finite")
         if len(self.levels) < 2:
             raise ValueError("grid needs at least 2 levels")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):

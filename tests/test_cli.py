@@ -324,6 +324,137 @@ def test_robust_levels_off_the_grid_name_g_avg(tmp_path, capsys, levels, pmf, me
     assert capsys.readouterr().err == f"config error: field 'g_avg': {message}\n"
 
 
+ROBUST = {"kind": "robust", "n": 2, "g_avg": {"levels": [0.2, 0.8], "pmf": [0.5, 0.5]}}
+MONOTONICITY = {
+    "kind": "monotonicity",
+    "grid": {"n": 2, "points": 4},
+    "density": {"expr": "exp_rate", "params": {"a": 1.0}},
+}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (dict(SOLVE_SINGLE, tol=math.nan), "field 'tol' must be finite, got nan"),
+        (dict(SOLVE_SINGLE, tol=math.inf), "field 'tol' must be finite, got inf"),
+        (dict(SOLVE_SINGLE, tol=-1e-9), "field 'tol' must be at least 0.0, got -1e-09"),
+        ({"kind": "repair", "grid": {"n": 2, "points": 3}, "seed": -1}, "field 'seed' must be at least 0, got -1"),
+        (
+            dict(SOLVE_SINGLE, grid={"n": 1, "levels": [0.0, math.nan, 1.0]}),
+            "field 'grid.levels[1]' must be finite, got nan",
+        ),
+        (
+            dict(SOLVE_SINGLE, distribution={"kind": "iid", "pmf": [0.5, math.nan, 0.5]}),
+            "field 'distribution.pmf[1]' must be finite, got nan",
+        ),
+        (
+            dict(SOLVE_SINGLE, distribution={"kind": "table", "types": [[0.5], [1.0]], "weights": [math.nan, 1.0]}),
+            "field 'distribution.weights[0]' must be finite, got nan",
+        ),
+        (
+            dict(SOLVE_SINGLE, distribution={"kind": "table", "types": [[0.5, "x"]], "weights": [1.0]}),
+            "field 'distribution.types[0][1]' must be a number",
+        ),
+        (
+            dict(ROBUST, g_avg={"levels": [0.2, 0.8], "pmf": [math.nan, 1.0]}),
+            "field 'g_avg.pmf[0]' must be finite, got nan",
+        ),
+        (
+            dict(ROBUST, g_avg={"levels": [0.2, math.inf], "pmf": [0.5, 0.5]}),
+            "field 'g_avg.levels[1]' must be finite, got inf",
+        ),
+        (dict(ROBUST, price=math.nan), "field 'price' must be finite, got nan"),
+        (dict(ROBUST, n=0), "field 'n' must be at least 1, got 0"),
+        (
+            dict(MONOTONICITY, density={"expr": "exp_rate", "params": {"a": "x"}}),
+            "field 'density.params.a' must be a number",
+        ),
+        (
+            dict(MONOTONICITY, density={"expr": "exp_rate", "params": {"a": math.nan}}),
+            "field 'density.params.a' must be finite, got nan",
+        ),
+        pytest.param(
+            # exp(1000 (v1 + v2)) overflows, so the normalized weights are NaN
+            dict(MONOTONICITY, density={"expr": "exp_rate", "params": {"a": -1000.0}}),
+            "field 'density': types and weights must be finite",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
+        (
+            dict(SOLVE_SINGLE, distribution={"kind": "density", "expr": "beta", "params": {"a": math.nan}}),
+            "field 'distribution.params.a' must be finite, got nan",
+        ),
+        (
+            dict(SOLVE_SINGLE, distribution={"kind": "density", "expr": "beta", "params": {"b": []}}),
+            "field 'distribution.params.b' must be a number",
+        ),
+        (dict(SOLVE_SINGLE, mode="warp"), "field 'mode' must be one of auto, full, lazy; got 'warp'"),
+        (
+            {"kind": "certify_theorem1", "grid": {"n": 2, "points": 3}, "mechanism": {"kind": "random", "count": 0}},
+            "field 'mechanism.count' must be at least 1, got 0",
+        ),
+    ],
+    ids=[
+        "tol_nan", "tol_inf", "tol_negative", "seed_negative", "levels_nan", "pmf_nan", "weights_nan",
+        "table_type_str", "g_avg_pmf_nan", "g_avg_level_inf", "price_nan", "n_zero", "density_param_str",
+        "density_param_nan", "density_overflow", "distribution_param_nan", "distribution_param_list",
+        "mode", "mechanism_count",
+    ],
+)
+def test_invalid_value_names_the_field(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "nan", "field 'tol' must be finite, got nan"),
+        ("--tol", "-1", "field 'tol' must be at least 0.0, got -1.0"),
+        ("--seed", "-1", "field 'seed' must be at least 0, got -1"),
+    ],
+)
+def test_override_is_checked_like_its_field(tmp_path, capsys, flag, value, message):
+    config = REPO_ROOT / "configs" / "solve_identical_n2.json"
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out"), flag, value]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def _leaves(node, path=()):
+    """The path of every leaf of a JSON tree: scalars and empty containers."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    else:
+        children = list(enumerate(node)) if isinstance(node, list) else []
+    if not children:
+        yield path
+    for key, child in children:
+        yield from _leaves(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO_ROOT / "configs").glob("*.json")))
+def test_every_invalid_leaf_is_a_config_error_or_a_result(tmp_path, capsys, name):
+    # each leaf of a shipped config, set in turn to a value of the wrong kind
+    # or range, gives a result (0 or 1) or a config error naming a field (2),
+    # never a solver error or a crash
+    cfg = json.loads((REPO_ROOT / "configs" / name).read_text())
+    for path in _leaves(cfg):
+        for value in (math.nan, math.inf, -1, "x", []):
+            config = write_config(tmp_path, _replaced(cfg, path, value))
+            code = cli.main(["run", str(config), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (path, value, err)
+            assert code != 2 or err.startswith("config error: field '"), (path, value, err)
+
+
 def test_solver_failure_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise LpError("synthetic failure")

@@ -42,6 +42,8 @@ def test_distribution_validation():
         table_distribution([(1.0, 0.0)], [-0.1], "identical")
     with pytest.raises(DistributionError, match="empty support"):
         uniform_distribution([], "heterogeneous")
+    with pytest.raises(DistributionError, match="must be finite"):
+        table_distribution([(1.0, 0.0), (0.5, 0.5)], [math.nan, 1.0], "identical")
     d = table_distribution([(0.0, 1.0), (1.0, 0.0)], [0.25, 0.75], "heterogeneous")
     assert d.weight_of((1.0, 0.0)) == 0.75
     assert d.weight_of((0.5, 0.5)) == 0.0
@@ -55,6 +57,8 @@ def test_marginal_cdf_validation_and_pmf():
         MarginalCdf(levels=(0.0, 1.0), cdf=(0.5, 0.9))
     with pytest.raises(DistributionError):
         MarginalCdf(levels=(0.0, 0.0), cdf=(0.5, 1.0))
+    with pytest.raises(DistributionError, match="must be finite"):
+        MarginalCdf.from_pmf([0.0, math.nan], [0.5, 0.5])
     # left-limit convention: buying probability at price x counts mass >= x
     assert m.mass_at_or_above(0.5) == pytest.approx(0.8)
     assert m.mass_at_or_above(0.0) == pytest.approx(1.0)

@@ -94,8 +94,9 @@ def test_mechanism_validation():
             "identical domain requires sorted profiles, got (0.2, 0.7)",
         ),
         (((0.2, 0.7), (0.2, 0.7)), np.zeros((2, 2)), np.zeros(2), "heterogeneous", "duplicate type profiles"),
+        (((1.0, 0.5),), np.full((1, 2), np.nan), np.full(1, np.nan), "identical", "q must be finite"),
     ],
-    ids=["empty", "ragged", "flat", "q-shape", "t-shape", "box", "tag", "unsorted", "duplicate"],
+    ids=["empty", "ragged", "flat", "q-shape", "t-shape", "box", "tag", "unsorted", "duplicate", "nan"],
 )
 def test_mechanism_error_messages(types, q, t, tag, message):
     with pytest.raises(MechanismError) as err:
@@ -114,6 +115,8 @@ def test_mechanism_immutable_and_lookup():
     m = swap_fixture()
     with pytest.raises(ValueError):
         m.q[0, 0] = 0.5
+    # the type array is built once and shared read-only
+    assert m.V is m.V and not m.V.flags.writeable
     assert m.index_of((0.7, 0.3)) == 1
     assert m.t_at((0.3, 0.7)) == 0.0
     with pytest.raises(KeyError):

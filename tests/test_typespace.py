@@ -1,6 +1,7 @@
 """Grid, permutation, and cell tests, including the partition property."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,8 @@ def test_grid_validation():
         Grid.explicit(n=2, levels=[0.0, 1.0], v_low=0.2)
     with pytest.raises(ValueError):
         Grid(n=2, levels=(0.0, 1.0), v_low=-0.5, v_high=1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        Grid(n=2, levels=(0.0, math.nan, 1.0), v_low=0.0, v_high=math.inf)
 
 
 def test_enumerate_hetero_counts():
