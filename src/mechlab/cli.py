@@ -81,6 +81,7 @@ from .typespace import (
     IDENTICAL,
     enumerate_hetero,
     enumerate_identical,
+    is_strict,
 )
 
 class ConfigError(ValueError):
@@ -225,7 +226,9 @@ def build_distribution(cfg: dict, grid: Grid, domain: str, strict_only: bool, ty
             for key in rows:
                 point = tuple(_float_list(rows, key, "distribution"))
                 if point not in known:
-                    raise ConfigError(f"field 'distribution.{key}': {point} is not on the grid")
+                    why = ("is tied, and strict_only leaves tied profiles out"
+                           if strict_only and not is_strict(point) else "is not on the grid")
+                    raise ConfigError(f"field 'distribution.{key}': {point} {why}")
                 parsed.append(point)
             return table_distribution(parsed, weights, domain)
         if kind == "iid":

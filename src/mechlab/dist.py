@@ -50,6 +50,7 @@ class Distribution:
 
     Invariants: weights nonnegative (within 1e-12 noise) and summing to
     one within 1e-12; no duplicate types; identical-domain types sorted.
+    `weights` is a read-only copy of the array passed in.
     """
 
     types: tuple[TypePoint, ...]
@@ -59,7 +60,7 @@ class Distribution:
     def __post_init__(self) -> None:
         types = tuple(tuple(float(x) for x in v) for v in self.types)
         object.__setattr__(self, "types", types)
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)  # a copy, frozen below
         if w.shape != (len(types),):
             raise DistributionError(f"weights shape {w.shape} != ({len(types)},)")
         if len(types) == 0:
@@ -129,11 +130,7 @@ class MarginalCdf:
 
 
 def table_distribution(types, weights, domain_tag) -> Distribution:
-    return Distribution(
-        types=tuple(tuple(v) for v in types),
-        weights=np.asarray(weights, dtype=float),
-        domain_tag=domain_tag,
-    )
+    return Distribution(types=tuple(types), weights=weights, domain_tag=domain_tag)
 
 
 def uniform_distribution(types, domain_tag) -> Distribution:

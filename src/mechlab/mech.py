@@ -55,7 +55,8 @@ class Mechanism:
     types : tuple of type profiles
         Domain enumeration; order fixes the row order of `q` and `t`.
     q : ndarray, shape (T, n)
-        Allocation probabilities per type, entries in [0, 1].
+        Allocation probabilities per type, entries in [0, 1]; a read-only
+        copy of the array passed in, as is `t`.
     t : ndarray, shape (T,)
         Payments per type.
     domain_tag : str
@@ -84,8 +85,8 @@ class Mechanism:
             raise MechanismError(f"type profiles must be flat sequences, got shape {V.shape}")
         types = tuple(map(tuple, V.tolist()))
         object.__setattr__(self, "types", types)
-        q = np.asarray(self.q, dtype=float)
-        t = np.asarray(self.t, dtype=float)
+        q = np.array(self.q, dtype=float)  # copies: the caller's stay writable
+        t = np.array(self.t, dtype=float)
         n = V.shape[1]
         if q.shape != (T, n):
             raise MechanismError(f"q shape {q.shape} != {(T, n)}")
@@ -402,13 +403,8 @@ def mechanism_to_json(mech: Mechanism) -> str:
 
 
 def mechanism_from_json(text: str) -> Mechanism:
-    payload = json.loads(text)
-    return Mechanism(
-        types=tuple(tuple(v) for v in payload["types"]),
-        q=np.asarray(payload["q"], dtype=float),
-        t=np.asarray(payload["t"], dtype=float),
-        domain_tag=payload["domain_tag"],
-    )
+    p = json.loads(text)
+    return Mechanism(types=tuple(p["types"]), q=p["q"], t=p["t"], domain_tag=p["domain_tag"])
 
 
 def write_mechanism_csv(mech: Mechanism, path) -> None:
@@ -432,4 +428,4 @@ def read_mechanism_csv(path, domain_tag: str) -> Mechanism:
         types.append(tuple(vals[:n]))
         qs.append(vals[n:2 * n])
         ts.append(vals[2 * n])
-    return Mechanism(types=tuple(types), q=np.asarray(qs), t=np.asarray(ts), domain_tag=domain_tag)
+    return Mechanism(types=tuple(types), q=qs, t=ts, domain_tag=domain_tag)

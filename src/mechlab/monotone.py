@@ -413,7 +413,7 @@ def lmax_repair(mech: Mechanism, almost_deterministic: bool = False) -> Mechanis
             polys = [_with_sorted_cone(p) for p in polys]
         q = _lexicographic_max(polys)
     t = [float(np.dot(v, x) - u[k]) for k, (v, x) in enumerate(zip(mech.types, q))]
-    return Mechanism(types=mech.types, q=np.array(q), t=np.array(t), domain_tag=mech.domain_tag)
+    return Mechanism(types=mech.types, q=q, t=t, domain_tag=mech.domain_tag)
 
 
 def run_revenue_monotonicity_experiment(

@@ -25,6 +25,9 @@ participation row binding) as a vertex, so its first solve starts
 phase 2 there instead of at the slack basis; each later round
 warm-starts from the previous round's optimal basis.
 
+`solve_lp` checks every optimum by `certificate`, weak duality on the
+LP's own arrays; the solver computes no certificate.
+
 The module also covers: relabeling-invariant optimization via one
 variable block per sorted representative, adversarial (worst-case over
 correlations) revenue LPs, posted per-unit pricing, exhaustive
@@ -68,6 +71,7 @@ from .typespace import (
 )
 
 AUDIT_TOL = 1e-8
+DUAL_ZERO_TOL = 1e-11
 GEN_TOL = 1e-10
 PRUNE_SLACK = 1e-7
 FULL_ROW_CAP = 1200
@@ -120,11 +124,11 @@ class LinearProgram:
     with a row pointer, its right-hand sides as one array and its labels
     as a name and integer id arrays.  Zero entries are kept, -0.0 with
     its sign, so `dense` returns every bit a builder wrote; the solver
-    drops them.  `row`, `col`, `val`, `rhs` and `senses` are the whole
-    LP's, joined from the blocks on each read: COO triplets sorted by
-    row, then column, at most one per (row, column), as `solve_lp` hands
-    them to the solver.  `dense`, `labels` and `rows` are views for the
-    tests and bench/; no solve calls them."""
+    and the certificate drop them.  `row`, `col`, `val`, `rhs` and
+    `senses` are the whole LP's, joined from the blocks on each read: COO
+    triplets sorted by row, then column, at most one per (row, column).
+    `arrays` joins them once for `solve_lp`.  `dense`, `labels` and
+    `rows` are views for the tests and bench/; no solve calls them."""
 
     names: list[str] = field(default_factory=list)
     lower: list[float] = field(default_factory=list)
@@ -225,27 +229,62 @@ class LinearProgram:
         A[self.row, self.col] = self.val
         return A, self.rhs, self.senses
 
+    def arrays(self) -> tuple:
+        """(c, A, b, senses, lower, upper): the LP as the arguments of
+        `simplex.solve_simplex`, A the `Coo` of the joined triplets."""
+        A = simplex.Coo(self.row, self.col, self.val, (self.n_rows, self.n_vars))
+        return (np.asarray(self.objective), A, self.rhs, self.senses,
+                np.asarray(self.lower), np.asarray(self.upper))
+
+
+def certificate(lp: tuple, x, y) -> tuple[float, float, float]:
+    """Weak duality for a point x and row duals y, both arrays, on an LP
+    given as its `LinearProgram.arrays` and read from those alone, never
+    from a solver's state: (U(y), |c.x - U(y)|, the largest violation of
+    a row or a bound by x).  y has one dual per row, for the row's '<=' form (a
+    '>=' row negated), as `SimplexResult.y` has; a negative dual of an
+    inequality row counts as 0, so U(y) bounds the optimum for any y:
+
+        U(y) = b.y + sum_j max over [lower_j, upper_j] of d_j x_j,  d = c - A^T y.
+
+    A row's own slack adds nothing: its cost -y_i is at most 0 on its
+    range [0, inf), or 0 on an equality row.  The arithmetic is the
+    solver's, on its internal form (minimize -c.x, '>=' rows negated):
+    zero entries dropped, each product with A summed in the order of the
+    triplets, |d_j| <= DUAL_ZERO_TOL taken as 0, and the terms of U(y)
+    added to b.y one at a time in column order."""
+    c, A, b, senses, lower, upper = lp
+    senses = np.asarray(senses)
+    sign, is_eq = np.where(senses == ">=", -1.0, 1.0), senses == "="
+    nz = A.val != 0.0
+    row, col = A.row[nz], A.col[nz]
+    a, b, c_min = A.val[nz] * sign[row], b * sign, -c
+    y_min = np.where(~is_eq & (y < 0.0), 0.0, -y)
+    d = c_min - np.bincount(col, weights=a * y_min[row], minlength=c_min.size)
+    used = np.abs(d) > DUAL_ZERO_TOL
+    terms = d[used] * np.where(d[used] > 0.0, lower[used], upper[used])
+    zd = np.add.accumulate(np.concatenate([[y_min @ b], terms]))[-1]
+    gap = abs(float(c_min @ x) - zd) if np.isfinite(zd) else np.inf
+    res = np.bincount(row, weights=a * x[col], minlength=b.size) - b
+    res = np.where(is_eq, np.abs(res), res)
+    residual = max(0.0, *(float(np.max(r, initial=0.0)) for r in (res, lower - x, x - upper)))
+    return -float(zd), float(gap), residual
+
 
 def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.SimplexResult:
-    """Solve and certify.  Returns the OPTIMAL result that passed
-    `simplex.certify`; an infeasible LP raises InfeasibleError naming
-    `what`, and a solver breakdown or a failed certificate raises
+    """Solve and certify.  Returns the OPTIMAL result whose `certificate`
+    passed `simplex.certify`; an infeasible LP raises InfeasibleError
+    naming `what`, and a solver breakdown or a failed certificate raises
     LpError, so no caller ever holds an untrusted optimum.  Every
     variable needs two finite bounds, or the solver raises ValueError.
     `start` is passed to the solver as the basis to start from; None
     starts from the slack basis."""
+    arrays = lp.arrays()
     try:
-        res = simplex.certify(
-            simplex.solve_simplex(
-                c=np.asarray(lp.objective),
-                A=simplex.Coo(lp.row, lp.col, lp.val, (lp.n_rows, lp.n_vars)),
-                b=lp.rhs,
-                senses=lp.senses,
-                lower=np.asarray(lp.lower),
-                upper=np.asarray(lp.upper),
-                start=start,
-            )
-        )
+        res = simplex.solve_simplex(*arrays, start=start)
+        if res.status == simplex.OPTIMAL:
+            _, res.duality_gap, res.max_infeasibility = certificate(arrays, res.x, res.y)
+        simplex.certify(res)
     except simplex.SimplexError as exc:
         raise LpError(f"{what} failed: {exc}") from exc
     if res.status == simplex.INFEASIBLE:
@@ -447,7 +486,7 @@ def _extract_mechanism(types, n, values, domain_tag) -> Mechanism:
     # solver round-off can leave allocations a few ulp outside the box
     q = np.clip(values[: T * n].reshape(T, n), 0.0, 1.0)
     t = values[T * n : T * n + T]
-    return Mechanism(types=tuple(types), q=q, t=t.copy(), domain_tag=domain_tag)
+    return Mechanism(types=tuple(types), q=q, t=t, domain_tag=domain_tag)
 
 
 def build_revenue_lp(types, dist: Distribution, domain_tag: str) -> LinearProgram:
@@ -657,7 +696,7 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
 
     def outcome(x):
         q, t = x[: R * n].reshape(R, n), x[R * n : R * n + R]
-        on_sorted = Mechanism(types=tuple(reps), q=q.copy(), t=t.copy(), domain_tag=IDENTICAL)
+        on_sorted = Mechanism(types=tuple(reps), q=q, t=t, domain_tag=IDENTICAL)
         mech = symmetric_extension(on_sorted)
         return mech, ic_gains(mech, rows)
 
@@ -690,10 +729,8 @@ def extend_by_menu(mech: Mechanism, target_types) -> Mechanism:
     prefers its own item to all others."""
     target_types = [tuple(float(x) for x in v) for v in target_types]
     have = set(mech.types)
-    target_set = set(target_types)
-    for v in mech.types:
-        if v not in target_set:
-            raise LpError("target type list must contain the original domain")
+    if not have <= set(target_types):
+        raise LpError("target type list must contain the original domain")
     menu = taxation_menu(mech)
     induced = menu_to_mechanism(menu, target_types, mech.domain_tag)
     q = induced.q.copy()
@@ -791,14 +828,8 @@ class DeterministicResult:
 
 def _deterministic_allocations(n: int, domain_tag: str):
     if domain_tag == IDENTICAL:
-        return [
-            tuple(1.0 if i < k else 0.0 for i in range(n)) for k in range(1, n + 1)
-        ]
-    out = []
-    for bits in itertools.product((0.0, 1.0), repeat=n):
-        if any(bits):
-            out.append(bits)
-    return out
+        return [tuple(1.0 if i < k else 0.0 for i in range(n)) for k in range(1, n + 1)]
+    return [bits for bits in itertools.product((0.0, 1.0), repeat=n) if any(bits)]
 
 
 def optimal_deterministic(types, dist: Distribution, domain_tag: str) -> DeterministicResult:

@@ -21,9 +21,9 @@ Design constraints, in order:
    Bland's smallest-index rule (which cannot cycle) until progress
    resumes; all floating-point reductions run in fixed order, and
    refactorizations happen on a fixed iteration schedule.
-2. Honest certificates.  Every optimal solve reports row duals, reduced
-   costs, a weak-duality gap, and the worst primal residual, so callers
-   can assert optimality instead of trusting a status flag.
+2. Honest certificates.  Every optimal solve reports row duals and
+   reduced costs, which `optlp.certificate` checks on the caller's LP,
+   never on the solver's copies; `certify` refuses an unchecked optimum.
 3. Termination over speed.  Finitely many bases, strictly fewer after
    every nondegenerate step, and Bland inside degenerate streaks give a
    finite bound.  The basis is held as the dense inverse of its kernel
@@ -41,7 +41,7 @@ A[i, C] K^-1 v_R; B^-T g (BTRAN) is the transpose.  Each pivot updates
 K^-1 by one product-form step: a rank-one step when a column or a row of
 K is swapped, a bordered step when K gains or loses a row and a column.
 K^-1 is refactored by np.linalg.solve every REFACTOR_EVERY pivots and at
-least once before the certificate.  The structural nonzeros are read
+least once before the result is read off.  The structural nonzeros are read
 once per solve; FTRAN and BTRAN each cost a k x k product plus one pass
 over them, the pivot row a k x n product with the dense kernel rows, so
 a pivot costs O(k^2 + nnz) and no array with a column per row is ever
@@ -83,10 +83,9 @@ identical for a fixed BLAS thread count: the rounding of the dense
 products, and through it a tie between pivots, can depend on the number
 of threads.
 
-The row duals, the dual clamp and the primal residual all read the one
-logical column of each row, and row duals come off the reduced costs for
-every row.  `certify` is the one check that makes a result trustworthy;
-every LP in the package goes through it.
+Row duals come off the reduced cost of each row's logical column.
+`certify` is the one check that makes a result trustworthy; every LP in
+the package goes through it.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ from typing import NamedTuple
 import numpy as np
 
 PIVOT_TOL = 1e-9
-DUAL_ZERO_TOL = 1e-11
 FEAS_TOL = 1e-9
 GAP_TOL = 1e-7
 REFACTOR_EVERY = 512
@@ -164,7 +162,7 @@ class SimplexResult:
     y: np.ndarray | None
     reduced_costs: np.ndarray | None
     duality_gap: float | None
-    max_infeasibility: float
+    max_infeasibility: float | None
     iterations: int
     # int8 status (lower, upper, basic) of each structural column, then of
     # each row's logical column, in row order; a valid `start` for a
@@ -811,11 +809,10 @@ def solve_simplex(c, A, b, senses, lower, upper, max_iters=None, start=None) -> 
     """Maximize c.x over the boxed LP; see module docstring for
     conventions.  `A` is a `Coo` of shape (len(b), len(c)).
 
-    Returns duals `y` (one per input row) and structural reduced costs,
-    both for the maximization.  duality_gap is |primal -
-    weak-dual bound| recomputed from the returned certificate and the
-    caller's A, b and bounds, not an internal solver quantity, so a small
-    gap genuinely certifies optimality; `certify` checks it.  `start`,
+    Returns duals `y`, one per input row for its '<=' form (a '>=' row
+    negated), and structural reduced costs, both for the maximization;
+    `duality_gap` and `max_infeasibility` stay None, for `optlp.solve_lp`
+    to fill from `optlp.certificate` on the caller's LP.  `start`,
     the `basis` of an earlier optimal result on an LP with the same
     columns, starts from that basis when it is primal or dual feasible
     there; a start that cannot be used gives the result of the slack
@@ -862,47 +859,20 @@ def solve_simplex(c, A, b, senses, lower, upper, max_iters=None, start=None) -> 
     x_all = tab._nonbasic_values()
     x_all[tab.basis] = tab.xB
     x = x_all[:n]
-
     # row duals off the reduced cost of each row's logical column
     y_int = -tab.d[n:]
-
-    # weak-duality bound, internal minimize convention, from the nonzeros
-    # of the caller's A (rows signed as the solver holds them):
-    #   z_d = y.b + sum_j min over [lo_j, up_j] of d_j x_j
-    # valid whenever y <= 0 on '<=' rows; clamp to enforce validity.
-    y_cert = np.where(~tab.is_eq & (y_int > 0.0), 0.0, y_int)
-    d_cert = np.concatenate([tab.c_min - tab._rtimes(y_cert), 0.0 - y_cert])
-    pos = d_cert > DUAL_ZERO_TOL
-    used = pos | (d_cert < -DUAL_ZERO_TOL)
-    # the minimizing bound; a slack's is its lower one, 0, since y_cert <= 0
-    bound = np.where(pos, tab.lower, tab.upper)
-    zd = float(y_cert @ tab.b)
-    for term in d_cert[used] * bound[used]:  # left to right, in column order
-        zd += term
-    z_int = float(tab.c_min @ x)
-    gap = abs(z_int - zd) if np.isfinite(zd) else float("inf")
-
-    # primal residual over the rows plus box breaches
-    res = tab._times(x) - tab.b
-    res = np.where(tab.is_eq, np.abs(res), res)
-    max_infeas = max(
-        0.0,
-        float(np.max(res, initial=0.0)),
-        float(np.max(tab.lower[:n] - x, initial=0.0)),
-        float(np.max(x - tab.upper[:n], initial=0.0)),
-    )
-
     # back from the internal minimization of -c
     return SimplexResult(
-        OPTIMAL, x, -z_int, -y_int, -(tab.c_min - tab._rtimes(y_int)), float(gap),
-        float(max_infeas), tab.iterations, tab.status.copy(), tab.trace,
+        OPTIMAL, x, -float(tab.c_min @ x), -y_int, -(tab.c_min - tab._rtimes(y_int)), None,
+        None, tab.iterations, tab.status.copy(), tab.trace,
     )
 
 
 def certify(res: SimplexResult) -> SimplexResult:
     """Return `res` if it can be trusted, else raise SimplexError.
 
-    An OPTIMAL result must carry a primal residual <= FEAS_TOL and a
+    An OPTIMAL result must carry a certificate, as `optlp.solve_lp` fills
+    it from `optlp.certificate`: a primal residual <= FEAS_TOL and a
     weak-duality gap <= GAP_TOL * max(1, |objective|); a NaN in either
     fails.  An INFEASIBLE result carries no certificate and passes as it
     is, for the caller to map to its own error."""
@@ -912,6 +882,8 @@ def certify(res: SimplexResult) -> SimplexResult:
             f"(certificate, iteration {res.iterations}, refactors {t.refactors}, "
             f"smallest pivot ratio {t.min_pivot_ratio:.3g})"
         )
+        if res.duality_gap is None or res.max_infeasibility is None:
+            raise SimplexError(f"optimal result carries no certificate {where}")
         if not res.max_infeasibility <= FEAS_TOL:
             raise SimplexError(
                 f"solution residual {res.max_infeasibility} exceeds {FEAS_TOL} {where}"

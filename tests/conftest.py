@@ -1,5 +1,6 @@
 """Test-suite settings: BLAS runs on one thread, as in the benchmark
-worker, and hypothesis draws the same examples on every run.
+worker, and hypothesis draws the same examples on every run.  The
+`corrupted` fixture spoils a solver result for the certificate tests.
 
 The thread count is set before numpy is first imported, because BLAS
 reads it once at load time.  Pivot choices can depend on the rounding of
@@ -11,7 +12,31 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import dataclasses  # noqa: E402
+
+import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
+
+from mechlab import simplex  # noqa: E402
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def corrupted():
+    """corrupted(res, field, value): the OPTIMAL solver result `res` with
+    its point or its duals wrong, so that the certificate `optlp.solve_lp`
+    computes fails on `field`: x[0], whose lower bound is 0, moved to
+    -value for "max_infeasibility", or `value` added to every dual for
+    "duality_gap"."""
+
+    def corrupt(res, field, value):
+        assert res.status == simplex.OPTIMAL
+        if field == "max_infeasibility":
+            x = res.x.copy()
+            x[0] = -value
+            return dataclasses.replace(res, x=x)
+        return dataclasses.replace(res, y=res.y + value)
+
+    return corrupt

@@ -267,6 +267,24 @@ def test_off_grid_table_type_names_the_entry(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "point, why",
+    [
+        ([1.0, 1.0], "(1.0, 1.0) is tied, and strict_only leaves tied profiles out"),
+        ([0.3, 1.0], "(0.3, 1.0) is not on the grid"),
+    ],
+    ids=["tied", "off_grid"],
+)
+def test_strict_only_table_type_names_the_reason(tmp_path, capsys, point, why):
+    # (1.0, 1.0) is a grid point, but not one of the strict-only types
+    payload = dict(
+        SOLVE_SINGLE, domain="heterogeneous", strict_only=True, grid={"n": 2, "points": 3},
+        distribution={"kind": "table", "types": [point, [0.0, 1.0]], "weights": [0.5, 0.5]},
+    )
+    assert cli.main(["run", str(write_config(tmp_path, payload))]) == 2
+    assert capsys.readouterr().err == f"config error: field 'distribution.types[0]': {why}\n"
+
+
+@pytest.mark.parametrize(
     "patch, message",
     [
         ({"grid": {"n": "2", "points": 3}}, "field 'grid.n' must be an integer"),
@@ -508,21 +526,23 @@ def test_repair_breakdown_exits_3(tmp_path, capsys, monkeypatch):
     "field, value",
     [("max_infeasibility", 1e-6), ("duality_gap", 1e-3), ("duality_gap", math.nan)],
 )
-def test_uncertified_optimum_exits_3_and_dumps_model(tmp_path, capsys, monkeypatch, field, value):
-    # an "optimal" status whose residual or weak-duality gap is over
-    # tolerance is a solver failure, not a result
+def test_uncertified_optimum_exits_3_and_dumps_model(
+    tmp_path, capsys, monkeypatch, corrupted, field, value
+):
+    # an "optimal" status whose point breaks a row or a bound, or whose
+    # duals leave a weak-duality gap, is a solver failure, not a result
     real_solve = simplex.solve_simplex
 
     def uncertified(*args, **kwargs):
-        res = real_solve(*args, **kwargs)
-        assert res.status == simplex.OPTIMAL
-        return dataclasses.replace(res, **{field: value})
+        return corrupted(real_solve(*args, **kwargs), field, value)
 
     monkeypatch.setattr(simplex, "solve_simplex", uncertified)
     out = tmp_path / "out"
     config = REPO_ROOT / "configs" / "solve_identical_n2.json"
     assert cli.main(["run", str(config), "--out", str(out)]) == 3
-    assert "solver error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver error" in err
+    assert ("solution residual" if field == "max_infeasibility" else "duality gap") in err
     assert (out / "model.lp").is_file()
 
 

@@ -49,6 +49,14 @@ def test_distribution_validation():
     assert d.weight_of((0.5, 0.5)) == 0.0
 
 
+def test_distribution_leaves_the_callers_weights_writable():
+    w = np.array([0.25, 0.75])
+    d = Distribution(types=((0.3,), (0.7,)), weights=w, domain_tag="identical")
+    assert w.flags.writeable
+    w[0] = 0.5
+    assert d.weights[0] == 0.25 and not d.weights.flags.writeable
+
+
 def test_marginal_cdf_validation_and_pmf():
     m = MarginalCdf.from_pmf([0.0, 0.5, 1.0], [0.2, 0.3, 0.5])
     assert m.cdf == (0.2, 0.5, 1.0)

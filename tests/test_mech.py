@@ -123,6 +123,15 @@ def test_mechanism_immutable_and_lookup():
         m.index_of((0.5, 0.5))
 
 
+def test_mechanism_leaves_the_callers_arrays_writable():
+    q, t = np.zeros((2, 2)), np.zeros(2)
+    m = Mechanism(types=((0.3, 0.7), (0.7, 0.3)), q=q, t=t, domain_tag="heterogeneous")
+    assert q.flags.writeable and t.flags.writeable
+    q[0, 0], t[0] = 1.0, 1.0
+    assert m.q[0, 0] == m.t[0] == 0.0
+    assert not (m.q.flags.writeable or m.t.flags.writeable)
+
+
 def test_pairwise_value_matches_manual_dots():
     rng = np.random.default_rng(3)
     V = rng.uniform(size=(5, 3))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechlab import gen, monotone, simplex
+from mechlab import gen, monotone, optlp, simplex
 from mechlab.dist import one_step_map, uniform_distribution
 from mechlab.mech import (
     Mechanism,
@@ -334,37 +334,43 @@ class TestLmaxRepair:
     @pytest.mark.parametrize(
         "field, value", [("max_infeasibility", 1e-6), ("duality_gap", 1e-3)]
     )
-    def test_uncertified_lp_optimum_rejected(self, monkeypatch, field, value):
-        # an "optimal" subgradient LP whose residual or weak-duality gap
-        # is over tolerance must stop the repair, not select a point
+    def test_uncertified_lp_optimum_rejected(self, monkeypatch, corrupted, field, value):
+        # an "optimal" subgradient LP whose point breaks a row or a bound,
+        # or whose duals leave a weak-duality gap, must stop the repair,
+        # not select a point
         real_solve = simplex.solve_simplex
 
         def uncertified(*args, **kwargs):
-            res = real_solve(*args, **kwargs)
-            assert res.status == simplex.OPTIMAL
-            return dataclasses.replace(res, **{field: value})
+            return corrupted(real_solve(*args, **kwargs), field, value)
 
         monkeypatch.setattr(simplex, "solve_simplex", uncertified)
-        with pytest.raises(LpError, match="exceeds"):
+        what = "solution residual" if field == "max_infeasibility" else "duality gap"
+        with pytest.raises(LpError, match=f"{what} .* exceeds"):
             lmax_repair(incomparable_menu_mech())
 
     def test_block_gap_bound_is_absolute(self, monkeypatch):
         # a gap of GAP_TOL * |objective| passes `certify` once the summed
         # objective of a block LP exceeds 1, but one block's gap alone
-        # could then exceed GAP_TOL, so the repair must reject it
+        # could then exceed GAP_TOL, so the repair must reject it.  Every
+        # dual is raised by the largest power of 1/2 whose gap `certify`
+        # still passes.
         real_solve = simplex.solve_simplex
         gaps = []
 
         def loose(*args, **kwargs):
             res = real_solve(*args, **kwargs)
-            res = dataclasses.replace(res, duality_gap=simplex.GAP_TOL * abs(res.objective))
-            gaps.append(simplex.certify(res).duality_gap)
+            shift, passes = 1.0, simplex.GAP_TOL * abs(res.objective)
+            while optlp.certificate(args, res.x, res.y + shift)[1] > passes:
+                shift /= 2
+            res = dataclasses.replace(res, y=res.y + shift)
+            gaps.append(optlp.certificate(args, res.x, res.y)[1])
             return res
 
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
         mech = uniform_price_mechanism(enumerate_identical(grid), 1.0 / 3.0)
         monkeypatch.setattr(simplex, "solve_simplex", loose)
-        with pytest.raises(LpError, match="exceeds"):
+        # the repair's own message, not that of `certify`
+        with pytest.raises(LpError, match=r"duality gap \S+ exceeds 1e-07$"):
             lmax_repair(mech)
         assert gaps[-1] > simplex.GAP_TOL
 
@@ -409,7 +415,9 @@ def _loop_lexmax(poly: SubgradientPolytope) -> np.ndarray:
         cost = np.zeros(poly.n)
         cost[i] = 1.0
         senses = ["<="] * len(poly.slacks)
-        res = simplex.solve_simplex(cost, A, poly.slacks, senses, lower, upper)
+        lp = (cost, A, poly.slacks, senses, lower, upper)
+        res = simplex.solve_simplex(*lp)
+        _, res.duality_gap, res.max_infeasibility = optlp.certificate(lp, res.x, res.y)
         assert simplex.certify(res).status == simplex.OPTIMAL
         lower[i] = upper[i] = res.objective
     return np.clip(res.x, 0.0, 1.0)

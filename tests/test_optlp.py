@@ -1,5 +1,6 @@
 """Revenue LPs, adversarial LPs, pricing search, equivalence certificate."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -768,6 +769,23 @@ class TestLpPlumbing:
         lp.add_var("x", 0.0, 1.0, obj=1.0)
         lp.add_rows([[0]], 1.0, ">=", 2.0)
         with pytest.raises(InfeasibleError, match="LP infeasible"):
+            solve_lp(lp)
+
+    def test_solver_claims_are_not_the_certificate(self, monkeypatch):
+        # the solver reports a zero gap and residual for duals that are
+        # all 0; `solve_lp` recomputes both from the LP and refuses
+        real_solve = simplex.solve_simplex
+
+        def claiming(*args, **kwargs):
+            res = real_solve(*args, **kwargs)
+            return dataclasses.replace(
+                res, y=np.zeros_like(res.y), duality_gap=0.0, max_infeasibility=0.0
+            )
+
+        types = single_unit_types()
+        lp = build_revenue_lp(types, uniform_distribution(types, IDENTICAL), IDENTICAL)
+        monkeypatch.setattr(simplex, "solve_simplex", claiming)
+        with pytest.raises(LpError, match=r"^LP failed: duality gap \S+ exceeds 1e-07"):
             solve_lp(lp)
 
     def test_no_solve_scatters_a_dense_matrix(self, monkeypatch):

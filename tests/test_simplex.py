@@ -6,11 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import linprog
 
 from mechlab import optlp, simplex
-from mechlab.dist import uniform_distribution
+from mechlab.dist import embed, uniform_distribution
 from mechlab.optlp import build_revenue_lp, optimal_mechanism
 from mechlab.simplex import (
     INFEASIBLE,
@@ -40,9 +41,15 @@ def _coo(A):
     return simplex.Coo(row, col, A[row, col], A.shape)
 
 
-def solve_dense(c, A, *args, **kwargs):
-    """`solve_simplex` on a dense A, handed over as its triplets."""
-    return simplex.solve_simplex(c, _coo(A), *args, **kwargs)
+def solve_dense(c, A, b, senses, lower, upper, **kwargs):
+    """`solve_simplex` on a dense A, handed over as its triplets, with the
+    certificate of an optimum filled in as `optlp.solve_lp` fills it."""
+    c, b, lower, upper = (np.asarray(v, dtype=float) for v in (c, b, lower, upper))
+    lp = (c, _coo(A), b, senses, lower, upper)
+    res = simplex.solve_simplex(*lp, **kwargs)
+    if res.status == OPTIMAL:
+        _, res.duality_gap, res.max_infeasibility = optlp.certificate(lp, res.x, res.y)
+    return res
 
 
 def test_textbook_max():
@@ -390,14 +397,7 @@ def _revenue_lp_args(domain_tag, n, points):
     grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
     types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
     lp = build_revenue_lp(types, uniform_distribution(types, domain_tag), domain_tag)
-    return dict(
-        c=np.asarray(lp.objective),
-        A=simplex.Coo(lp.row, lp.col, lp.val, (lp.n_rows, lp.n_vars)),
-        b=lp.rhs,
-        senses=lp.senses,
-        lower=np.asarray(lp.lower),
-        upper=np.asarray(lp.upper),
-    )
+    return dict(zip(("c", "A", "b", "senses", "lower", "upper"), lp.arrays()))
 
 
 def _solve_mechanism(domain_tag, n, points, mode):
@@ -611,52 +611,63 @@ def test_pricing_reads_the_weights_of_every_column(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the vectorized certificate against the per-row loops it replaced: same
+# the vectorized solution and certificate against per-row loops: same
 # arithmetic in the same order, so bitwise-equal x, y, gap and residual
 
 
-def _loop_certificate(tab, A, lower, upper):
-    """x, y, duality gap and residual recomputed row by row and column by
-    column from the final state of a solve and the caller's A, a `Coo`.
-    The products with A sum its nonzero entries one at a time in row
-    order, each row's in column order."""
-    m, n = tab.m, tab.c_min.size
+def _loop_solution(tab):
+    """x and y read off the final state of a solve one position and one
+    row at a time."""
+    n = tab.c_min.size
     x_all = tab._nonbasic_values()
-    for i in range(m):
+    for i in range(tab.m):
         x_all[int(tab.basis[i])] = tab.xB[i]
-    x = x_all[:n]
-    y_int = np.zeros(m)
+    # y for the maximization, the solver having minimized -c.x
+    return x_all[:n], np.array([tab.d[n + i] for i in range(tab.m)])
+
+
+def _loop_certificate(lp, x, y):
+    """`optlp.certificate` recomputed row by row and column by column from
+    the LP's arrays, every row's logical column included.  The products
+    with A sum its nonzero entries one at a time in row order, each row's
+    in column order."""
+    c, A, b, senses, lower, upper = lp
+    m, n = len(b), len(c)
+    sign = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
+    is_eq = [s == "=" for s in senses]
+    # the internal minimization of -c.x over the '<=' form of each row
+    y_cert = -np.asarray(y)
     for i in range(m):
-        y_int[i] = -tab.d[n + i]
-    y_cert = y_int.copy()
-    for i in range(m):
-        if not tab.is_eq[i] and y_cert[i] > 0.0:
+        if not is_eq[i] and y_cert[i] > 0.0:
             y_cert[i] = 0.0
     yA, Ax = np.zeros(n), np.zeros(m)
     for i, j, a in zip(A.row.tolist(), A.col.tolist(), A.val.tolist()):
         if a != 0.0:
-            a *= float(tab.row_sign[i])
+            a *= float(sign[i])
             yA[j] += a * y_cert[i]
             Ax[i] += a * x[j]
-    # the logical column of row i has reduced cost 0 - y_i
-    d_cert = np.concatenate([tab.c_min - yA, 0.0 - y_cert])
-    zd = float(y_cert @ tab.b)
-    for j in range(tab.n_total):
+    c_min = -np.asarray(c, dtype=float)
+    # the logical column of row i has reduced cost 0 - y_i and lives in
+    # [0, inf), or [0, 0] on an equality row
+    d_cert = np.concatenate([c_min - yA, 0.0 - y_cert])
+    lo = np.concatenate([lower, np.zeros(m)])
+    up = np.concatenate([upper, [0.0 if eq else np.inf for eq in is_eq]])
+    b_int = np.asarray(b, dtype=float) * sign
+    zd = float(y_cert @ b_int)
+    for j in range(n + m):
         dj = float(d_cert[j])
-        if dj > simplex.DUAL_ZERO_TOL:
-            zd += dj * tab.lower[j] if np.isfinite(tab.lower[j]) else -np.inf
-        elif dj < -simplex.DUAL_ZERO_TOL:
-            zd += dj * tab.upper[j] if np.isfinite(tab.upper[j]) else -np.inf
-    z_int = float(tab.c_min @ x)
-    gap = abs(z_int - zd) if np.isfinite(zd) else float("inf")
-    res = Ax - tab.b
+        if dj > optlp.DUAL_ZERO_TOL:
+            zd += dj * lo[j] if np.isfinite(lo[j]) else -np.inf
+        elif dj < -optlp.DUAL_ZERO_TOL:
+            zd += dj * up[j] if np.isfinite(up[j]) else -np.inf
+    gap = abs(float(c_min @ x) - zd) if np.isfinite(zd) else float("inf")
+    res = Ax - b_int
     max_infeas = 0.0
     for i in range(m):
-        max_infeas = max(max_infeas, abs(float(res[i])) if tab.is_eq[i] else float(res[i]))
+        max_infeas = max(max_infeas, abs(float(res[i])) if is_eq[i] else float(res[i]))
     for j in range(n):
         max_infeas = max(max_infeas, float(lower[j] - x[j]), float(x[j] - upper[j]))
-    # y for the maximization, the solver having minimized -c.x
-    return x, -y_int, gap, max_infeas
+    return -zd, float(gap), max_infeas
 
 
 def _beale_with_copies():
@@ -698,6 +709,16 @@ def _revenue_lp(domain_tag, n, points):
     return tuple(args[k] for k in ("c", "A", "b", "senses", "lower", "upper"))
 
 
+def _first_lazy_round(domain_tag, n, points):
+    """The LP of a lazy solve's first round: each type's truthfulness rows
+    against its nearest reports only."""
+    grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+    types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
+    k, l = np.nonzero(optlp._neighbor_pairs(types))
+    weights = embed(uniform_distribution(types, domain_tag), types)
+    return optlp._revenue_lp(types, weights, domain_tag, (k, l, np.asarray(types)[k])).arrays()
+
+
 @pytest.mark.parametrize(
     "lp",
     [
@@ -705,6 +726,10 @@ def _revenue_lp(domain_tag, n, points):
         pytest.param(_beale_with_copies(), id="beale_redundant_eq"),
         pytest.param(_revenue_lp(IDENTICAL, 2, 6), id="id2p6"),
         pytest.param(_revenue_lp(HETEROGENEOUS, 2, 3), id="het2p3"),
+        # on these two, adding U(y)'s terms in another order than left to
+        # right changes the last bits of the gap
+        pytest.param(_first_lazy_round(IDENTICAL, 2, 8), id="id2p8_round1"),
+        pytest.param(_first_lazy_round(HETEROGENEOUS, 3, 4), id="het3p4_round1"),
     ]
     + [pytest.param(_planted_lp(seed), id=f"planted{seed}") for seed in range(20)],
 )
@@ -718,15 +743,78 @@ def test_certificate_matches_row_loops(monkeypatch, lp):
 
     monkeypatch.setattr(simplex, "_Tableau", Recording)
     c, A, b, senses, lower, upper = lp
-    A = _coo(A)
-    res = solve_simplex(c, A, b, senses, lower, upper)
+    c, b, lower, upper = (np.asarray(v, dtype=float) for v in (c, b, lower, upper))
+    lp = (c, _coo(A), b, senses, lower, upper)
+    res = solve_simplex(*lp)
     assert res.status == OPTIMAL
-    x, y, gap, max_infeas = _loop_certificate(
-        tabs[0], A, np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-    )
+    assert (res.duality_gap, res.max_infeasibility) == (None, None)
+    x, y = _loop_solution(tabs[0])
     assert res.x.tobytes() == x.tobytes()
     assert res.y.tobytes() == y.tobytes()
-    assert (res.duality_gap, res.max_infeasibility) == (float(gap), float(max_infeas))
+    cert, want = optlp.certificate(lp, res.x, res.y), _loop_certificate(lp, x, y)
+    assert cert == want
+    assert np.array(cert[1:]).tobytes() == np.array(want[1:]).tobytes()
+    with pytest.raises(simplex.SimplexError, match="carries no certificate"):
+        simplex.certify(res)
+
+
+def test_certificate_of_a_non_optimal_dual_has_a_gap():
+    # zeroing the largest dual keeps y dual feasible, so U(y) still bounds
+    # the optimum from above, but no longer at the optimum
+    types = enumerate_identical(Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4))
+    lp = build_revenue_lp(types, uniform_distribution(types, IDENTICAL), IDENTICAL)
+    res = optlp.solve_lp(lp)
+    assert res.duality_gap <= GAP_TOL
+    y = res.y.copy()
+    y[np.argmax(y)] = 0.0
+    bound, gap, residual = optlp.certificate(lp.arrays(), res.x, y)
+    assert residual == res.max_infeasibility <= FEAS_TOL
+    assert bound - res.objective == pytest.approx(gap, abs=1e-15)
+    assert gap > GAP_TOL
+    # every row is '<=', so a negative dual counts as 0
+    y[np.argmax(res.y)] = -1.0
+    assert optlp.certificate(lp.arrays(), res.x, y) == (bound, gap, residual)
+
+
+def _highs_certificate(lp):
+    """The certificate of the independent solver's x and row duals, the
+    duals mapped to `SimplexResult.y`: one per row, for its '<=' form of
+    the maximization.  HiGHS minimizes -c.x and reports d(objective) /
+    d(rhs), whose sign is the opposite."""
+    c, A, b, senses, lower, upper = lp
+    senses = np.asarray(senses)
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    M = sparse.csr_matrix((A.val * sign[A.row], (A.row, A.col)), shape=A.shape)
+    ub = senses != "="
+    ref = linprog(
+        -c, A_ub=M[ub], b_ub=(b * sign)[ub], A_eq=M[~ub], b_eq=b[~ub],
+        bounds=list(zip(lower, upper)), method="highs",
+    )
+    assert ref.status == 0
+    y = np.zeros(len(b))
+    y[ub], y[~ub] = -ref.ineqlin.marginals, -ref.eqlin.marginals
+    return -ref.fun, y, optlp.certificate(lp, ref.x, y)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 16, 19])
+def test_certificate_accepts_an_independent_optimum_of_planted_lp(seed):
+    c, A, b, senses, lower, upper = _planted_lp(seed)
+    value, y, (_, gap, residual) = _highs_certificate((c, _coo(A), b, senses, lower, upper))
+    # each sense has a binding row, so each sign convention is exercised
+    for sense in ("<=", ">=", "="):
+        assert np.any(y[np.asarray(senses) == sense] != 0.0), sense
+    assert gap <= GAP_TOL * max(1.0, abs(value))
+    assert residual <= FEAS_TOL
+
+
+def test_certificate_accepts_an_independent_optimum_of_revenue_lp():
+    # the full id2p8 LP: 36 types, every one of the 1,260 truthfulness rows
+    types = enumerate_identical(Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=8))
+    lp = build_revenue_lp(types, uniform_distribution(types, IDENTICAL), IDENTICAL)
+    value, _, (_, gap, residual) = _highs_certificate(lp.arrays())
+    assert value == pytest.approx(optlp.solve_lp(lp).objective, abs=1e-9)
+    assert gap <= GAP_TOL * max(1.0, abs(value))
+    assert residual <= FEAS_TOL
 
 
 # ---------------------------------------------------------------------------
