@@ -296,10 +296,19 @@ def write_distribution_csv(dist: Distribution, path) -> None:
             writer.writerow([format(x, ".17g") for x in v] + [format(float(w), ".17g")])
 
 
+def _make_dir(out_dir: Path) -> None:
+    """Create the output directory; a path that cannot be one (an
+    existing file, no permission) is a config error naming --out."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {str(out_dir)!r} is not a usable directory: {exc}") from exc
+
+
 def _write_model(out_dir: Path, types, dist: Distribution, domain: str, comment: str) -> Path:
     """Write the full revenue LP of a solve config as out_dir/model.lp."""
     lp = build_revenue_lp(types, dist, domain)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     path = out_dir / "model.lp"
     with open(path, "w") as fh:
         fh.writelines(lp_text_chunks(lp, comment))
@@ -311,7 +320,7 @@ class RunOutput:
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(out_dir)
         self.summary: dict = {}
         self.audits: list = []
         self.asserted: list = []
@@ -595,6 +604,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         cfg = json.loads(p.read_text())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):

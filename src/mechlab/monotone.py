@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import optlp, simplex
+from . import optlp
 from .dist import Distribution, fosd_shift
 from .mech import (
     AuditReport,
@@ -333,7 +333,7 @@ def _lexicographic_max(polys) -> list[np.ndarray]:
     separable, so the sum is optimal exactly when every block is, and
     the selection is the one n solves per polytope would make.  Besides
     the certificate of `solve_lp`, each block LP's weak-duality gap must
-    be at most GAP_TOL in absolute terms: every block's gap is at most
+    be at most `optlp.GAP_TOL` in absolute terms: every block's gap is at most
     the group's, so each polytope keeps the bound that a solve of its
     own would have to meet."""
     return [x for group in _groups(polys) for x in _block_lexmax(group)]
@@ -354,9 +354,9 @@ def _block_lexmax(polys) -> list[np.ndarray]:
                 for p in polys:
                     _block_lexmax([p])
             raise _inconsistent(where) from None
-        if not res.duality_gap <= simplex.GAP_TOL:
+        if not res.duality_gap <= optlp.GAP_TOL:
             raise optlp.LpError(
-                f"{what} failed: duality gap {res.duality_gap} exceeds {simplex.GAP_TOL}"
+                f"{what} failed: duality gap {res.duality_gap} exceeds {optlp.GAP_TOL}"
             )
         lp.lower[i::n] = lp.upper[i::n] = res.x[i::n].tolist()
     return list(np.clip(res.x, 0.0, 1.0).reshape(K, n))

@@ -25,8 +25,9 @@ participation row binding) as a vertex, so its first solve starts
 phase 2 there instead of at the slack basis; each later round
 warm-starts from the previous round's optimal basis.
 
-`solve_lp` checks every optimum by `certificate`, weak duality on the
-LP's own arrays; the solver computes no certificate.
+`solve_lp` alone decides whether an optimum is trusted: it checks each
+one by `certificate`, weak duality on the LP's own arrays, against
+RESIDUAL_TOL and GAP_TOL; the solver computes no certificate.
 
 The module also covers: relabeling-invariant optimization via one
 variable block per sorted representative, adversarial (worst-case over
@@ -71,6 +72,8 @@ from .typespace import (
 )
 
 AUDIT_TOL = 1e-8
+RESIDUAL_TOL = 1e-9
+GAP_TOL = 1e-7
 DUAL_ZERO_TOL = 1e-11
 GEN_TOL = 1e-10
 PRUNE_SLACK = 1e-7
@@ -124,11 +127,10 @@ class LinearProgram:
     with a row pointer, its right-hand sides as one array and its labels
     as a name and integer id arrays.  Zero entries are kept, -0.0 with
     its sign, so `dense` returns every bit a builder wrote; the solver
-    and the certificate drop them.  `row`, `col`, `val`, `rhs` and
-    `senses` are the whole LP's, joined from the blocks on each read: COO
-    triplets sorted by row, then column, at most one per (row, column).
-    `arrays` joins them once for `solve_lp`.  `dense`, `labels` and
-    `rows` are views for the tests and bench/; no solve calls them."""
+    and the certificate drop them.  `arrays` joins the blocks into the
+    one form of the whole LP that the solver and the certificate see.
+    `dense`, `labels` and `rows` are views for the tests and bench/; no
+    solve calls them."""
 
     names: list[str] = field(default_factory=list)
     lower: list[float] = field(default_factory=list)
@@ -191,27 +193,6 @@ class LinearProgram:
         return self.blocks[-1].stop if self.blocks else 0
 
     @property
-    def row(self) -> np.ndarray:
-        rows = [np.repeat(np.arange(b.start, b.stop), np.diff(b.ptr)) for b in self.blocks]
-        return np.concatenate([np.zeros(0, np.intp)] + rows)
-
-    @property
-    def col(self) -> np.ndarray:
-        return np.concatenate([np.zeros(0, np.intp)] + [b.col for b in self.blocks])
-
-    @property
-    def val(self) -> np.ndarray:
-        return np.concatenate([np.zeros(0)] + [b.val for b in self.blocks])
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.concatenate([np.zeros(0)] + [b.rhs for b in self.blocks])
-
-    @property
-    def senses(self) -> list[str]:
-        return [b.sense for b in self.blocks for _ in range(b.rhs.size)]
-
-    @property
     def labels(self) -> list[str]:
         return [label for b in self.blocks for label in b.labels()]
 
@@ -219,21 +200,32 @@ class LinearProgram:
     def rows(self) -> list[tuple[dict, str, float, str]]:
         """A fresh list of (coeffs, sense, rhs, label), coeffs a {column:
         value} dict in column order."""
+        _, A, b, senses, _, _ = self.arrays()
         coeffs = [{} for _ in range(self.n_rows)]
-        for r, j, c in zip(self.row.tolist(), self.col.tolist(), self.val.tolist()):
+        for r, j, c in zip(A.row.tolist(), A.col.tolist(), A.val.tolist()):
             coeffs[r][j] = c
-        return list(zip(coeffs, self.senses, self.rhs.tolist(), self.labels))
+        return list(zip(coeffs, senses, b.tolist(), self.labels))
 
     def dense(self):
-        A = np.zeros((self.n_rows, self.n_vars))
-        A[self.row, self.col] = self.val
-        return A, self.rhs, self.senses
+        _, A, b, senses, _, _ = self.arrays()
+        D = np.zeros(A.shape)
+        D[A.row, A.col] = A.val
+        return D, b, senses
 
     def arrays(self) -> tuple:
         """(c, A, b, senses, lower, upper): the LP as the arguments of
-        `simplex.solve_simplex`, A the `Coo` of the joined triplets."""
-        A = simplex.Coo(self.row, self.col, self.val, (self.n_rows, self.n_vars))
-        return (np.asarray(self.objective), A, self.rhs, self.senses,
+        `simplex.solve_simplex`, joined from the blocks on each call.  A is
+        the `Coo` of every entry, sorted by row, then column, with at most
+        one per (row, column), and senses a list of one sense per row."""
+        bs = self.blocks
+        rows = [np.repeat(np.arange(b.start, b.stop), np.diff(b.ptr)) for b in bs]
+        row = np.concatenate([np.zeros(0, np.intp)] + rows)
+        col = np.concatenate([np.zeros(0, np.intp)] + [b.col for b in bs])
+        val = np.concatenate([np.zeros(0)] + [b.val for b in bs])
+        rhs = np.concatenate([np.zeros(0)] + [b.rhs for b in bs])
+        senses = [b.sense for b in bs for _ in range(b.rhs.size)]
+        A = simplex.Coo(row, col, val, (self.n_rows, self.n_vars))
+        return (np.asarray(self.objective), A, rhs, senses,
                 np.asarray(self.lower), np.asarray(self.upper))
 
 
@@ -272,24 +264,35 @@ def certificate(lp: tuple, x, y) -> tuple[float, float, float]:
 
 
 def solve_lp(lp: LinearProgram, what: str = "LP", start=None) -> simplex.SimplexResult:
-    """Solve and certify.  Returns the OPTIMAL result whose `certificate`
-    passed `simplex.certify`; an infeasible LP raises InfeasibleError
-    naming `what`, and a solver breakdown or a failed certificate raises
-    LpError, so no caller ever holds an untrusted optimum.  Every
-    variable needs two finite bounds, or the solver raises ValueError.
-    `start` is passed to the solver as the basis to start from; None
-    starts from the slack basis."""
+    """Solve and certify: the one place that decides whether an LP optimum
+    is trusted.  Returns the OPTIMAL result with `duality_gap` and
+    `max_infeasibility` filled from `certificate` on `lp.arrays()`, a
+    residual of at most RESIDUAL_TOL and a gap of at most GAP_TOL *
+    max(1, |objective|); a NaN in either fails.  An infeasible LP raises
+    InfeasibleError naming `what`, and a solver breakdown or a failed
+    certificate raises LpError, so no caller ever holds an untrusted
+    optimum.  Every variable needs two finite bounds, or the solver
+    raises ValueError.  `start` is passed to the solver as the basis to
+    start from; None starts from the slack basis."""
     arrays = lp.arrays()
     try:
         res = simplex.solve_simplex(*arrays, start=start)
-        if res.status == simplex.OPTIMAL:
-            _, res.duality_gap, res.max_infeasibility = certificate(arrays, res.x, res.y)
-        simplex.certify(res)
     except simplex.SimplexError as exc:
         raise LpError(f"{what} failed: {exc}") from exc
     if res.status == simplex.INFEASIBLE:
         raise InfeasibleError(f"{what} infeasible")
-    return res
+    _, res.duality_gap, res.max_infeasibility = certificate(arrays, res.x, res.y)
+    if not res.max_infeasibility <= RESIDUAL_TOL:
+        fault = f"solution residual {res.max_infeasibility} exceeds {RESIDUAL_TOL}"
+    elif not res.duality_gap <= GAP_TOL * max(1.0, abs(res.objective)):
+        fault = f"duality gap {res.duality_gap} exceeds {GAP_TOL}"
+    else:
+        return res
+    t = res.trace
+    raise LpError(
+        f"{what} failed: {fault} (certificate, iteration {res.iterations}, "
+        f"refactors {t.refactors}, smallest pivot ratio {t.min_pivot_ratio:.3g})"
+    )
 
 
 def export_lp_text(lp: LinearProgram, comment: str = "") -> str:

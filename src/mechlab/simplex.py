@@ -21,9 +21,9 @@ Design constraints, in order:
    Bland's smallest-index rule (which cannot cycle) until progress
    resumes; all floating-point reductions run in fixed order, and
    refactorizations happen on a fixed iteration schedule.
-2. Honest certificates.  Every optimal solve reports row duals and
-   reduced costs, which `optlp.certificate` checks on the caller's LP,
-   never on the solver's copies; `certify` refuses an unchecked optimum.
+2. Honest certificates.  Every optimal solve reports its point and row
+   duals and nothing more; `optlp.solve_lp` checks them by weak duality
+   on the caller's LP, never on the solver's copies.
 3. Termination over speed.  Finitely many bases, strictly fewer after
    every nondegenerate step, and Bland inside degenerate streaks give a
    finite bound.  The basis is held as the dense inverse of its kernel
@@ -84,8 +84,6 @@ products, and through it a tie between pivots, can depend on the number
 of threads.
 
 Row duals come off the reduced cost of each row's logical column.
-`certify` is the one check that makes a result trustworthy; every LP in
-the package goes through it.
 """
 
 from __future__ import annotations
@@ -97,7 +95,6 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-9
-GAP_TOL = 1e-7
 REFACTOR_EVERY = 512
 BLAND_AFTER = 512
 RATIO_SLACK = 1e-11
@@ -160,7 +157,6 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float | None
     y: np.ndarray | None
-    reduced_costs: np.ndarray | None
     duality_gap: float | None
     max_infeasibility: float | None
     iterations: int
@@ -810,16 +806,16 @@ def solve_simplex(c, A, b, senses, lower, upper, max_iters=None, start=None) -> 
     conventions.  `A` is a `Coo` of shape (len(b), len(c)).
 
     Returns duals `y`, one per input row for its '<=' form (a '>=' row
-    negated), and structural reduced costs, both for the maximization;
-    `duality_gap` and `max_infeasibility` stay None, for `optlp.solve_lp`
-    to fill from `optlp.certificate` on the caller's LP.  `start`,
-    the `basis` of an earlier optimal result on an LP with the same
-    columns, starts from that basis when it is primal or dual feasible
-    there; a start that cannot be used gives the result of the slack
-    basis.  The LP is INFEASIBLE when the dual simplex, from the slack
-    basis, meets a row violated by more than FEAS_TOL * max(1, max|b|)
-    that no column can repair; `max_infeasibility` then holds that
-    violation.  `trace` holds the solve's deterministic counts.
+    negated), for the maximization; `duality_gap` and `max_infeasibility`
+    stay None, for `optlp.solve_lp` to fill from `optlp.certificate` on
+    the caller's LP.  `start`, the `basis` of an earlier optimal result
+    on an LP with the same columns, starts from that basis when it is
+    primal or dual feasible there; a start that cannot be used gives the
+    result of the slack basis.  The LP is INFEASIBLE when the dual
+    simplex, from the slack basis, meets a row violated by more than
+    FEAS_TOL * max(1, max|b|) that no column can repair;
+    `max_infeasibility` then holds that violation.  `trace` holds the
+    solve's deterministic counts.
     """
     c = np.asarray(c, dtype=float)
     m = len(b)
@@ -838,12 +834,12 @@ def solve_simplex(c, A, b, senses, lower, upper, max_iters=None, start=None) -> 
         stuck = tab.settle(max_iters)
         if stuck > FEAS_TOL * max(1.0, float(np.max(np.abs(tab.b), initial=0.0))):
             return SimplexResult(
-                INFEASIBLE, None, None, None, None, None, stuck, tab.iterations, trace=tab.trace
+                INFEASIBLE, None, None, None, None, stuck, tab.iterations, trace=tab.trace
             )
 
     tab.run(max_iters)
-    # Certify-or-heal: a refactored basis can expose drift as new eligible
-    # pivots; iterate until a run from a fresh refactor makes no pivot.
+    # Heal: a refactored basis can expose drift as new eligible pivots;
+    # iterate until a run from a fresh refactor makes no pivot.
     while tab.trace.heal_rounds < HEAL_ROUNDS:
         tab.trace.heal_rounds += 1
         tab.refactor()
@@ -859,35 +855,10 @@ def solve_simplex(c, A, b, senses, lower, upper, max_iters=None, start=None) -> 
     x_all = tab._nonbasic_values()
     x_all[tab.basis] = tab.xB
     x = x_all[:n]
-    # row duals off the reduced cost of each row's logical column
-    y_int = -tab.d[n:]
-    # back from the internal minimization of -c
+    # row duals off the reduced cost of each row's logical column, back
+    # from the internal minimization of -c
     return SimplexResult(
-        OPTIMAL, x, -float(tab.c_min @ x), -y_int, -(tab.c_min - tab._rtimes(y_int)), None,
-        None, tab.iterations, tab.status.copy(), tab.trace,
+        OPTIMAL, x, -float(tab.c_min @ x), tab.d[n:].copy(), None, None, tab.iterations,
+        tab.status.copy(), tab.trace,
     )
 
-
-def certify(res: SimplexResult) -> SimplexResult:
-    """Return `res` if it can be trusted, else raise SimplexError.
-
-    An OPTIMAL result must carry a certificate, as `optlp.solve_lp` fills
-    it from `optlp.certificate`: a primal residual <= FEAS_TOL and a
-    weak-duality gap <= GAP_TOL * max(1, |objective|); a NaN in either
-    fails.  An INFEASIBLE result carries no certificate and passes as it
-    is, for the caller to map to its own error."""
-    if res.status == OPTIMAL:
-        t = res.trace
-        where = (
-            f"(certificate, iteration {res.iterations}, refactors {t.refactors}, "
-            f"smallest pivot ratio {t.min_pivot_ratio:.3g})"
-        )
-        if res.duality_gap is None or res.max_infeasibility is None:
-            raise SimplexError(f"optimal result carries no certificate {where}")
-        if not res.max_infeasibility <= FEAS_TOL:
-            raise SimplexError(
-                f"solution residual {res.max_infeasibility} exceeds {FEAS_TOL} {where}"
-            )
-        if not res.duality_gap <= GAP_TOL * max(1.0, abs(res.objective)):
-            raise SimplexError(f"duality gap {res.duality_gap} exceeds {GAP_TOL} {where}")
-    return res

@@ -21,8 +21,8 @@ Three constructions move mechanisms between domains:
 
 Relabelings are read off one table per mechanism (`_relabel_table`):
 for every profile and permutation, the index of the relabeled profile.
-`is_symmetric`, `symmetric_extension` and `symmetrize` compare and copy
-whole rows through it.
+`is_symmetric`, `symmetric_extension`, `restrict_to_cell` and
+`symmetrize` compare and copy whole rows through it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .typespace import (
     HETEROGENEOUS,
     IDENTICAL,
     all_permutations,
-    apply_permutation,
     inverse_permutation,
     is_strict,
     sort_descending,
@@ -171,19 +170,17 @@ def restrict_to_cell(mech: Mechanism, sigma) -> Mechanism:
     if mech.domain_tag != HETEROGENEOUS:
         raise ValueError("restrict_to_cell expects a heterogeneous-domain mechanism")
     _require_strict(mech, "restrict_to_cell")
-    _require_orbit_closed(mech, "restrict_to_cell")
+    table = _require_orbit_closed(mech, "restrict_to_cell")
     sigma = tuple(sigma)
     inv = inverse_permutation(sigma)
+    perms = all_permutations(mech.n)
+    if inv not in perms:
+        raise ValueError(f"not a permutation of length {mech.n}: {inv}")
     reps = sorted({sort_descending(v) for v in mech.types})
-    q = np.zeros((len(reps), mech.n))
-    t = np.zeros(len(reps))
-    for k, w in enumerate(reps):
-        v = apply_permutation(w, inv)
-        kv = mech.index_of(v)
-        for i in range(mech.n):
-            q[k, i] = mech.q[kv, sigma[i]]
-        t[k] = mech.t[kv]
-    return Mechanism(types=tuple(reps), q=q, t=t, domain_tag=IDENTICAL)
+    # v = w relabeled by inv, through the table
+    at = table[[mech.index_of(w) for w in reps], perms.index(inv)]
+    q = mech.q[at][:, list(sigma)]
+    return Mechanism(types=tuple(reps), q=q, t=mech.t[at], domain_tag=IDENTICAL)
 
 
 def symmetrize(mech: Mechanism) -> Mechanism:

@@ -1,6 +1,7 @@
 """Test-suite settings: BLAS runs on one thread, as in the benchmark
 worker, and hypothesis draws the same examples on every run.  The
-`corrupted` fixture spoils a solver result for the certificate tests.
+`corrupted` fixture spoils a solver result for the certificate tests,
+and `certified` checks one against the thresholds of `optlp.solve_lp`.
 
 The thread count is set before numpy is first imported, because BLAS
 reads it once at load time.  Pivot choices can depend on the rounding of
@@ -40,3 +41,19 @@ def corrupted():
         return dataclasses.replace(res, y=res.y + value)
 
     return corrupt
+
+
+@pytest.fixture
+def certified():
+    """certified(res): `res`, after checking the certificate that
+    `optlp.certificate` put in it against the thresholds `optlp.solve_lp`
+    applies: an OPTIMAL status, a residual of at most 1e-9 and a gap of
+    at most 1e-7 * max(1, |objective|), so a NaN in either fails."""
+
+    def check(res):
+        assert res.status == simplex.OPTIMAL
+        assert res.max_infeasibility <= 1e-9
+        assert res.duality_gap <= 1e-7 * max(1.0, abs(res.objective))
+        return res
+
+    return check

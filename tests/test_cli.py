@@ -128,13 +128,15 @@ def test_solve_writes_parseable_audits(tmp_path):
     assert all(a["passed"] for a in audits)
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, SOLVE_SINGLE)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["run", str(cfg), "--out", str(out1)]) == 0
-    assert cli.main(["run", str(cfg), "--out", str(out2)]) == 0
-    for name in ("summary.json", "audits.json", "mechanism.csv", "distribution.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO_ROOT / "configs").glob("*.json")))
+def test_rerun_is_byte_identical(tmp_path, name):
+    # every file of both output trees, for every shipped config
+    cfg = REPO_ROOT / "configs" / name
+    trees = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        trees.append({str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*") if f.is_file()})
+    assert trees[0] and trees[0] == trees[1]
 
 
 def test_robust_two_level(tmp_path):
@@ -225,6 +227,25 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
     path.write_text("{not json")
     assert cli.main(["run", str(path)]) == 2
     assert "JSON" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps(SOLVE_SINGLE).encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("command", ["run", "export-lp"])
+def test_out_on_a_file_is_a_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, SOLVE_SINGLE)
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    assert cli.main([command, str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {str(out)!r} is not a usable directory: "), err
+    assert out.read_text() == "a file"
 
 
 def test_missing_kind_names_the_field(tmp_path, capsys):

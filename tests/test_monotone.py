@@ -349,17 +349,17 @@ class TestLmaxRepair:
             lmax_repair(incomparable_menu_mech())
 
     def test_block_gap_bound_is_absolute(self, monkeypatch):
-        # a gap of GAP_TOL * |objective| passes `certify` once the summed
-        # objective of a block LP exceeds 1, but one block's gap alone
-        # could then exceed GAP_TOL, so the repair must reject it.  Every
-        # dual is raised by the largest power of 1/2 whose gap `certify`
-        # still passes.
+        # a gap of GAP_TOL * |objective| passes the certificate of
+        # `solve_lp` once the summed objective of a block LP exceeds 1, but
+        # one block's gap alone could then exceed GAP_TOL, so the repair
+        # must reject it.  Every dual is raised by the largest power of 1/2
+        # whose gap `solve_lp` still passes.
         real_solve = simplex.solve_simplex
         gaps = []
 
         def loose(*args, **kwargs):
             res = real_solve(*args, **kwargs)
-            shift, passes = 1.0, simplex.GAP_TOL * abs(res.objective)
+            shift, passes = 1.0, optlp.GAP_TOL * abs(res.objective)
             while optlp.certificate(args, res.x, res.y + shift)[1] > passes:
                 shift /= 2
             res = dataclasses.replace(res, y=res.y + shift)
@@ -369,10 +369,10 @@ class TestLmaxRepair:
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
         mech = uniform_price_mechanism(enumerate_identical(grid), 1.0 / 3.0)
         monkeypatch.setattr(simplex, "solve_simplex", loose)
-        # the repair's own message, not that of `certify`
+        # the repair's own message, not that of `solve_lp`
         with pytest.raises(LpError, match=r"duality gap \S+ exceeds 1e-07$"):
             lmax_repair(mech)
-        assert gaps[-1] > simplex.GAP_TOL
+        assert gaps[-1] > optlp.GAP_TOL
 
     def test_one_block_solve_per_coordinate(self, monkeypatch):
         grid = Grid.uniform(n=3, v_low=0.0, v_high=1.0, points=3)
@@ -405,21 +405,16 @@ class TestLmaxRepair:
 
 
 def _loop_lexmax(poly: SubgradientPolytope) -> np.ndarray:
-    """The reference selection: n cold solves on the polytope alone, each
-    fixing the coordinate it maximized through its bounds."""
-    lower, upper = np.zeros(poly.n), np.ones(poly.n)
-    D = poly.directions
-    row, col = np.nonzero(D)
-    A = simplex.Coo(row, col, D[row, col], D.shape)
-    for i in range(poly.n):
-        cost = np.zeros(poly.n)
-        cost[i] = 1.0
-        senses = ["<="] * len(poly.slacks)
-        lp = (cost, A, poly.slacks, senses, lower, upper)
-        res = simplex.solve_simplex(*lp)
-        _, res.duality_gap, res.max_infeasibility = optlp.certificate(lp, res.x, res.y)
-        assert simplex.certify(res).status == simplex.OPTIMAL
-        lower[i] = upper[i] = res.objective
+    """The reference selection: n cold solves of `optlp.solve_lp` on the
+    polytope alone, each fixing the coordinate it maximized through its
+    bounds."""
+    n, D = poly.n, poly.directions
+    lp = optlp.LinearProgram(names=[f"x{i}" for i in range(n)], lower=[0.0] * n, upper=[1.0] * n)
+    lp.add_rows(np.arange(n), D, "<=", poly.slacks, keep=D != 0.0)
+    for i in range(n):
+        lp.objective = np.eye(n)[i].tolist()
+        res = optlp.solve_lp(lp)
+        lp.lower[i] = lp.upper[i] = res.objective
     return np.clip(res.x, 0.0, 1.0)
 
 

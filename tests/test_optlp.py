@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -170,7 +171,7 @@ class TestRevenueLp:
         full = optimal_mechanism(types, dist, domain_tag, mode="full")
         assert res.revenue == pytest.approx(full.revenue, abs=1e-9)
 
-    def test_singular_refactor_rolls_back_once(self, monkeypatch):
+    def test_singular_refactor_rolls_back_once(self, monkeypatch, certified):
         # one refactor in the middle of a run raises: the tableau returns
         # to the basis of its last good refactor and solves on
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=6)
@@ -207,7 +208,7 @@ class TestRevenueLp:
         assert len(tabs) == res.rounds > 1
         assert not any(tab.rolled_back for tab in tabs[1:])
         assert res.revenue == pytest.approx(clean.revenue, abs=1e-9)
-        simplex.certify(res.solution)
+        certified(res.solution)
 
     def test_round_log_adds_up(self, monkeypatch):
         # on a lazy solve and on a lazy orbit solve: each record's counts
@@ -294,7 +295,7 @@ class TestRevenueLp:
         assert first.iterations < cold.iterations
         assert first.objective == pytest.approx(cold.objective, abs=1e-12)
 
-    def test_full_id2p12_matches_stored_highs_value(self):
+    def test_full_id2p12_matches_stored_highs_value(self, certified):
         # 6,006 truthfulness rows, solved from the no-sale start and from
         # the slack basis.  HiGHS value computed once and stored.
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12)
@@ -303,7 +304,7 @@ class TestRevenueLp:
         res = optimal_mechanism(types, dist, IDENTICAL, "full")
         assert res.rounds == 1 and res.n_ic_rows == 78 * 77
         assert res.revenue == pytest.approx(0.5769230769230768, abs=1e-9)
-        simplex.certify(res.solution)
+        certified(res.solution)
         slack = solve_lp(build_revenue_lp(types, dist, IDENTICAL), start=None)
         assert slack.trace.dual.iterations > 0
         assert slack.objective == pytest.approx(0.5769230769230768, abs=1e-9)
@@ -434,24 +435,23 @@ class TestAgainstHighs:
             res = optimal_mechanism(types, dist, domain_tag, mode=mode)
             assert res.revenue == pytest.approx(ref, abs=1e-9), mode
 
-    def test_id2p16_lazy_at_scale(self, monkeypatch):
+    def test_id2p16_lazy_at_scale(self, monkeypatch, certified):
         # 136 types: HiGHS solves the full LP (18,360 truthfulness rows)
         # from its nonzeros; no round of the lazy solve rolls back
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=16)
         types = enumerate_identical(grid)
         dist = uniform_distribution(types, IDENTICAL)
-        lp = build_revenue_lp(types, dist, IDENTICAL)
-        sign = np.where(np.asarray(lp.senses) == ">=", -1.0, 1.0)
-        ub = np.asarray(lp.senses) != "="
-        shape = (lp.n_rows, lp.n_vars)
-        A = sparse.csr_matrix((lp.val * sign[lp.row], (lp.row, lp.col)), shape=shape)
+        c, A, b, senses, lower, upper = build_revenue_lp(types, dist, IDENTICAL).arrays()
+        sign = np.where(np.asarray(senses) == ">=", -1.0, 1.0)
+        ub = np.asarray(senses) != "="
+        M = sparse.csr_matrix((A.val * sign[A.row], (A.row, A.col)), shape=A.shape)
         ref = scipy_opt.linprog(
-            -np.asarray(lp.objective),
-            A_ub=A[ub],
-            b_ub=(lp.rhs * sign)[ub],
-            A_eq=A[~ub],
-            b_eq=lp.rhs[~ub],
-            bounds=list(zip(lp.lower, lp.upper)),
+            -c,
+            A_ub=M[ub],
+            b_ub=(b * sign)[ub],
+            A_eq=M[~ub],
+            b_eq=b[~ub],
+            bounds=list(zip(lower, upper)),
             method="highs",
         )
         assert ref.status == 0
@@ -465,7 +465,7 @@ class TestAgainstHighs:
         monkeypatch.setattr(simplex, "solve_simplex", recording)
         res = optimal_mechanism(types, dist, IDENTICAL, mode="lazy")
         assert res.revenue == pytest.approx(-ref.fun, abs=1e-9)
-        simplex.certify(res.solution)
+        certified(res.solution)
         assert len(solves) == res.rounds
         assert all(sol.trace.rollbacks == 0 for sol in solves)
 
@@ -540,7 +540,7 @@ class TestSymmetricLp:
             optimal_symmetric_mechanism(types, uniform_distribution(types, HETEROGENEOUS))
         assert calls == []
 
-    def test_large_orbit_lp_goes_lazy(self):
+    def test_large_orbit_lp_goes_lazy(self, certified):
         # 132 strict profiles, 66 representatives: 8,646 folded rows in
         # full, which the lazy loop never builds; the value is that of
         # the full orbit LP, computed once and stored
@@ -550,7 +550,7 @@ class TestSymmetricLp:
         assert res.mode == "lazy" and res.rounds > 1 and res.n_ic_rows < 66 * 131
         assert res.revenue == pytest.approx(0.5867768595041323, abs=1e-9)
         assert is_symmetric(res.mechanism, tol=0.0).passed
-        simplex.certify(res.solution)
+        certified(res.solution)
 
     def test_orbit_lp_is_bound_by_the_working_set_cap(self, monkeypatch):
         # the orbit LP's working set is capped as the ordinary LP's is:
@@ -785,7 +785,12 @@ class TestLpPlumbing:
         types = single_unit_types()
         lp = build_revenue_lp(types, uniform_distribution(types, IDENTICAL), IDENTICAL)
         monkeypatch.setattr(simplex, "solve_simplex", claiming)
-        with pytest.raises(LpError, match=r"^LP failed: duality gap \S+ exceeds 1e-07"):
+        # the whole message, with where the solve stood
+        want = (
+            "LP failed: duality gap 2.666666666666667 exceeds 1e-07 (certificate, "
+            "iteration 9, refactors 1, smallest pivot ratio 0.333)"
+        )
+        with pytest.raises(LpError, match=f"^{re.escape(want)}$"):
             solve_lp(lp)
 
     def test_no_solve_scatters_a_dense_matrix(self, monkeypatch):
@@ -816,8 +821,9 @@ class TestLpPlumbing:
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3)
         types = enumerate_hetero(grid)
         lp = build_revenue_lp(types, uniform_distribution(types, HETEROGENEOUS), HETEROGENEOUS)
-        nz = lp.val != 0.0
-        assert (np.signbit(lp.val) & ~nz).any()
+        c, A, b, senses, lower, upper = lp.arrays()
+        nz = A.val != 0.0
+        assert (np.signbit(A.val) & ~nz).any()
         tabs = []
 
         class Recording(simplex._Tableau):
@@ -828,12 +834,7 @@ class TestLpPlumbing:
         monkeypatch.setattr(simplex, "_Tableau", Recording)
         got = solve_lp(lp)
         want = simplex.solve_simplex(
-            np.asarray(lp.objective),
-            simplex.Coo(lp.row[nz], lp.col[nz], lp.val[nz], (lp.n_rows, lp.n_vars)),
-            lp.rhs,
-            lp.senses,
-            np.asarray(lp.lower),
-            np.asarray(lp.upper),
+            c, simplex.Coo(A.row[nz], A.col[nz], A.val[nz], A.shape), b, senses, lower, upper
         )
         for name in ("x", "y", "basis"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -1043,9 +1044,10 @@ def _reference_lp_text(lp: LinearProgram, comment: str = "") -> str:
     cols = np.arange(obj.size)
     text = [f"\\ {ln}\n" for ln in comment.splitlines()] + ["Maximize\n"]
     text += [_reference_rows_text(lp.names, np.zeros_like(cols), cols, obj, [" obj: "], ["\n"])]
+    _, A, b, senses, _, _ = lp.arrays()
     heads = [f" {label or f'r{r}'}: " for r, label in enumerate(lp.labels)]
-    tails = [f" {sense} {rhs!r}\n" for sense, rhs in zip(lp.senses, lp.rhs.tolist())]
-    text += ["Subject To\n", _reference_rows_text(lp.names, lp.row, lp.col, lp.val, heads, tails)]
+    tails = [f" {sense} {rhs!r}\n" for sense, rhs in zip(senses, b.tolist())]
+    text += ["Subject To\n", _reference_rows_text(lp.names, A.row, A.col, A.val, heads, tails)]
     text += ["Bounds\n"] + [
         f" {repr(float(lo)) if math.isfinite(lo) else '-inf'} <= {name}"
         f" <= {repr(float(up)) if math.isfinite(up) else '+inf'}\n"
@@ -1164,7 +1166,7 @@ class TestLpText:
         assert lp.n_rows == 1
         # only kept entries count, and each row starts afresh
         lp.add_rows([[2, 0, 1], [0, 1, 2]], 1.0, "<=", 1.0, keep=[[False, True, True], [True] * 3])
-        assert lp.col.tolist() == [0, 1, 0, 1, 0, 1, 2]
+        assert lp.arrays()[1].col.tolist() == [0, 1, 0, 1, 0, 1, 2]
 
     def test_build_and_export_memory_is_bounded(self):
         # The id2p16 full LP: 18,496 rows, 2.7 MB of triplets, 2.4 MB of
@@ -1186,6 +1188,7 @@ class TestLpText:
             export_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        triplets = sum(a.nbytes for a in (lp.row, lp.col, lp.val))
+        A = lp.arrays()[1]
+        triplets = sum(a.nbytes for a in (A.row, A.col, A.val))
         assert build_peak <= 2 * triplets
         assert export_peak <= 2 * len(text) + 2_000_000

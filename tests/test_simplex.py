@@ -417,10 +417,12 @@ def _solve_mechanism(domain_tag, n, points, mode):
     ],
     ids=["id2p6-full", "het2p3-full", "id3p4-full", "het3p4-lazy"],
 )
-def test_kernel_matches_dense_reference(monkeypatch, domain_tag, n, points, mode, weigh_every):
+def test_kernel_matches_dense_reference(
+    monkeypatch, certified, domain_tag, n, points, mode, weigh_every
+):
     done = _check_kernel(monkeypatch, weigh_every=weigh_every)
     res = _solve_mechanism(domain_tag, n, points, mode)
-    simplex.certify(res.solution)
+    certified(res.solution)
     assert done["pivots"] > 0 and done["weighed"] > 0
 
 
@@ -754,8 +756,6 @@ def test_certificate_matches_row_loops(monkeypatch, lp):
     cert, want = optlp.certificate(lp, res.x, res.y), _loop_certificate(lp, x, y)
     assert cert == want
     assert np.array(cert[1:]).tobytes() == np.array(want[1:]).tobytes()
-    with pytest.raises(simplex.SimplexError, match="carries no certificate"):
-        simplex.certify(res)
 
 
 def test_certificate_of_a_non_optimal_dual_has_a_gap():
@@ -874,7 +874,7 @@ def _next_round(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_warm_start_after_adding_and_pruning_rows(monkeypatch, seed):
+def test_warm_start_after_adding_and_pruning_rows(monkeypatch, certified, seed):
     (c, A, b, senses, lower, upper), start = _next_round(seed)
     cold = solve_dense(c, A, b, senses, lower, upper)
     built = _count_tableaus(monkeypatch)
@@ -884,7 +884,7 @@ def test_warm_start_after_adding_and_pruning_rows(monkeypatch, seed):
     assert warm.status == cold.status == OPTIMAL and ref.status == 0
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
     assert warm.objective == pytest.approx(-ref.fun, abs=1e-9)
-    simplex.certify(warm)
+    certified(warm)
     assert (warm.basis == simplex._BASIC).sum() == len(b)
 
 
@@ -936,19 +936,19 @@ def test_unusable_start_gives_the_cold_result(monkeypatch, lp, start):
         cold.objective,
         cold.iterations,
     )
-    for name in ("x", "y", "reduced_costs", "basis"):
+    for name in ("x", "y", "basis"):
         a, b = getattr(warm, name), getattr(cold, name)
         assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
 
 
-def test_primal_feasible_start_goes_straight_to_phase_2(monkeypatch):
+def test_primal_feasible_start_goes_straight_to_phase_2(monkeypatch, certified):
     # max x0 + 2 x1 with 1 <= x0 + x1 <= 1.5: the start with x0 basic on
     # the first row is primal feasible but not dual feasible (x1 at its
     # lower bound prices out), so it goes straight to phase 2.
     lp = ([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.5], [">=", "<="], [0.0, 0.0], [1.0, 1.0])
     cold = solve_dense(*lp)
     built = _count_tableaus(monkeypatch)
-    warm = simplex.certify(solve_dense(*lp, start=np.asarray([_B, _LO, _LO, _B], dtype=np.int8)))
+    warm = certified(solve_dense(*lp, start=np.asarray([_B, _LO, _LO, _B], dtype=np.int8)))
     assert len(built) == 1
     assert warm.trace.dual.iterations == 0 < warm.trace.phase2.iterations
     assert warm.status == cold.status == OPTIMAL
@@ -969,13 +969,13 @@ def _count_factors(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_zero_pivot_warm_start_heals_once(monkeypatch, seed):
+def test_zero_pivot_warm_start_heals_once(monkeypatch, certified, seed):
     # started at its own optimum, a solve factors the start, refactors once
     # to heal, makes no pivot from there, and certifies the cold optimum
     (c, A, b, senses, lower, upper), _ = _next_round(seed)
     cold = solve_dense(c, A, b, senses, lower, upper)
     calls = _count_factors(monkeypatch)
-    warm = simplex.certify(solve_dense(c, A, b, senses, lower, upper, start=cold.basis))
+    warm = certified(solve_dense(c, A, b, senses, lower, upper, start=cold.basis))
     assert len(calls) == warm.trace.refactors == 2
     assert warm.iterations == 0 and warm.trace.heal_rounds == 1
     assert warm.basis.tobytes() == cold.basis.tobytes()

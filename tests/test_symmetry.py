@@ -136,6 +136,42 @@ class TestRestriction:
         with pytest.raises(ValueError):
             restrict_to_cell(half, identity_permutation(2))
 
+    def test_every_cell_of_a_non_symmetric_n3_mechanism(self):
+        # for n = 3 a 3-cycle is not its own inverse, so reading the cell
+        # of sigma^-1 instead of sigma would show.  The definition: at
+        # the profile v with v[sigma(i)] = w[i], sorted coordinate i is
+        # object sigma(i)'s allocation
+        grid = Grid.uniform(n=3, v_low=0.0, v_high=1.0, points=4)
+        types = enumerate_hetero(grid, strict_only=True)
+        rng = np.random.default_rng(3)
+        mech = Mechanism(
+            types=tuple(types), q=rng.uniform(size=(len(types), 3)), t=rng.uniform(size=len(types)),
+            domain_tag=HETEROGENEOUS,
+        )
+        assert not is_symmetric(mech).passed
+        reps = sorted({sort_descending(v) for v in types})
+        got = {}
+        for sigma in all_permutations(3):
+            restr = restrict_to_cell(mech, sigma)
+            q, t = np.zeros((len(reps), 3)), np.zeros(len(reps))
+            for k, w in enumerate(reps):
+                v = [0.0] * 3
+                for i in range(3):
+                    v[sigma[i]] = w[i]
+                kv = mech.index_of(tuple(v))
+                t[k] = mech.t[kv]
+                for i in range(3):
+                    q[k, i] = mech.q[kv, sigma[i]]
+            assert restr.types == tuple(reps) and restr.domain_tag == IDENTICAL
+            assert restr.q.tobytes() == q.tobytes() and restr.t.tobytes() == t.tobytes()
+            got[sigma] = restr.q.tobytes()
+        assert got[(1, 2, 0)] != got[inverse_permutation((1, 2, 0))]
+
+    def test_restriction_needs_a_permutation(self):
+        ext = symmetric_extension(sorted_strict_mech())
+        with pytest.raises(ValueError, match=re.escape("not a permutation of length 2: (0, 1, 2)")):
+            restrict_to_cell(ext, (0, 1, 2))
+
 
 class TestSymmetryAudits:
     def test_swap_mech_is_symmetric_exactly(self):
