@@ -340,7 +340,10 @@ class RunOutput:
 
     def finish(self) -> bool:
         ok = all(r.passed for r in self.asserted)
-        self.summary["checks"] = {r.check: r.passed for r in self.audits}
+        # reports can share a name; the name passes only if all of them did
+        checks = self.summary["checks"] = {}
+        for r in self.audits:
+            checks[r.check] = checks.get(r.check, True) and r.passed
         self.summary["asserted_ok"] = ok
         self.out_dir.mkdir(parents=True, exist_ok=True)
         (self.out_dir / "summary.json").write_text(canonical_json(self.summary))

@@ -16,11 +16,12 @@ they are read.
 Design constraints, in order:
 
 1. Determinism.  Same inputs give bitwise-identical output on a machine:
-   pricing is steepest-edge over every eligible column with first-index
-   tie-breaking; a streak of BLAND_AFTER degenerate pivots switches to
-   Bland's smallest-index rule (which cannot cycle) until progress
-   resumes; all floating-point reductions run in fixed order, and
-   refactorizations happen on a fixed iteration schedule.
+   both directions choose every pivot by one pricing rule (`_price`) and
+   one ratio test (`_ratio_test`), each breaking ties by index; a streak
+   of BLAND_AFTER degenerate pivots switches both to Bland's
+   smallest-index rule (which cannot cycle) until progress resumes; all
+   floating-point reductions run in fixed order, and refactorizations
+   happen on a fixed iteration schedule.
 2. Honest certificates.  Every optimal solve reports its point and row
    duals and nothing more; `optlp.solve_lp` checks them by weak duality
    on the caller's LP, never on the solver's copies.
@@ -48,9 +49,10 @@ a pivot costs O(k^2 + nnz) and no array with a column per row is ever
 built.  Each iteration hands its entering column and pivot row to
 `_Tableau.pivot`; the tableau keeps neither.
 
-Pricing reads steepest-edge weights (Forrest & Goldfarb 1992): gamma_j
-= |B^-1 a_j|^2 for every column and, while the dual simplex runs, beta_i
-= |e_i^T B^-1|^2.  They are computed from scratch where a solve starts
+Pricing, of phase 2's entering column and of the dual simplex's leaving
+row, reads steepest-edge weights (Forrest & Goldfarb 1992): gamma_j =
+|B^-1 a_j|^2 for every column and, while the dual simplex runs, beta_i =
+|e_i^T B^-1|^2.  They are computed from scratch where a solve starts
 and after a rollback, and every pivot carries them across by the
 Forrest-Goldfarb update, which needs one BTRAN (of the entering column,
 for gamma) or FTRAN (of the pivot row of B^-1, for beta) beyond the
@@ -167,25 +169,36 @@ class SimplexResult:
     trace: SolveTrace | None = None
 
 
-def _blocking_row(lim, step, own, coef, basis, j, bland):
-    """Row whose basic variable leaves in the primal ratio test, or -1 for
-    a bound flip of the entering column j.
-
-    Under Bland's rule the blocker with the smallest variable index wins;
-    j's own far bound (`own`) counts as a blocker indexed j.  Otherwise
-    j flips if its own bound blocks, and among the rows whose limit is
-    within RATIO_SLACK of the step the largest |coef| wins, then the
-    smallest basis index."""
+def _price(ok, score, key, bland):
+    """Of the entries where `ok` holds, the one with the largest `score`,
+    first index on ties, or under Bland's rule the smallest `key` (the
+    index itself where `key` is None); -1 if none holds."""
     if bland:
-        blk = np.flatnonzero(lim <= step)
-        i = int(blk[np.argmin(basis[blk])]) if blk.size else -1
-        return -1 if own <= step and (i < 0 or j < basis[i]) else i
-    if own <= step:
-        return -1
-    near = np.flatnonzero(lim <= step + RATIO_SLACK)
-    if near.size == 1:
-        return int(near[0])
-    return int(near[np.lexsort((basis[near], -np.abs(coef[near])))[0]])
+        at = np.flatnonzero(ok)
+        return -1 if not at.size else int(at[0] if key is None else at[np.argmin(key[at])])
+    i = int(np.argmax(np.where(ok, score, -1.0)))
+    return i if ok[i] else -1
+
+
+def _ratio_test(dist, piv, key, bland):
+    """(winner, step) of the ratio test over candidates with distance
+    `dist` to the bound each would hit, pivot element `piv` and variable
+    index `key`; (-1, inf) if none has |piv| > PIVOT_TOL.  Each blocks at
+    max(dist, 0) / |piv|.  Of those within RATIO_SLACK of the smallest
+    step the largest |piv| wins, then the smallest key; under Bland's
+    rule the smallest key among the exact minima."""
+    size = np.abs(piv)
+    at = np.flatnonzero(size > PIVOT_TOL)
+    if not at.size:
+        return -1, np.inf
+    size = size[at]
+    ratio = np.maximum(dist[at], 0.0) / size
+    step = float(ratio.min())
+    near = np.flatnonzero(ratio == step if bland else ratio <= step + RATIO_SLACK)
+    if near.size > 1:
+        keys = key[at[near]]
+        near = near[np.lexsort((keys,) if bland else (keys, -size[near]))]
+    return int(at[near[0]]), step
 
 
 def _rank_one(M, a, b):
@@ -694,46 +707,39 @@ class _Tableau:
     def run(self, max_iters):
         """Phase 2: minimize the cost from a primal-feasible basis.
 
-        Pricing scores every `eligible` column by its steepest-edge ratio
-        d_j^2 / (1 + gamma_j), first index on ties; under Bland's rule
-        (`upkeep`) the smallest eligible index enters instead, which
-        cannot cycle.  Both rules are deterministic, so reruns stay
-        bitwise identical.  Every structural column has a finite box, so
-        only a numerical fault gives an infinite step."""
+        `_price` scores every `eligible` column by d_j^2 / (1 + gamma_j),
+        or under Bland's rule (`upkeep`) takes the smallest index.
+        `_ratio_test` picks the leaving row, keyed by basis index; the
+        entering column flips to its far bound instead when that is no
+        farther, under Bland's rule on a tie only if j is the smaller
+        index.  Every structural column has a finite box, so only a
+        numerical fault gives an infinite step."""
         self.begin(self.trace.phase2)
         self.refresh()
         while True:
             if self.iterations >= max_iters:
                 raise self.error(f"iteration limit {max_iters} reached")
-            elig = self.eligible()
             bland = self.streak >= BLAND_AFTER
-            if bland:
-                j = int(np.argmax(elig))  # smallest eligible index
-            else:
-                j = int(np.argmax(np.where(elig, self.d * self.d / (1.0 + self.gamma), -1.0)))
-            if not elig[j]:
+            j = _price(self.eligible(), self.d * self.d / (1.0 + self.gamma), None, bland)
+            if j < 0:
                 return
             delta = 1.0 if self.status[j] == _LO else -1.0
             w = self.column(j)
             coef = delta * w
-            # rows whose basic value falls (rises) with the step stop it at
-            # their lower (upper) bound; an infinite bound never stops it
-            lim = np.full(self.m, np.inf)
-            np.divide(self.xB - self.lower[self.basis], coef, out=lim, where=coef > PIVOT_TOL)
-            np.divide(self.xB - self.upper[self.basis], coef, out=lim, where=coef < -PIVOT_TOL)
-            np.maximum(lim, 0.0, out=lim)
-            row_min = float(lim.min()) if self.m else np.inf
+            # each basic value stops the step at the bound it moves toward
+            xB, basis = self.xB, self.basis
+            dist = np.where(coef > 0.0, xB - self.lower[basis], self.upper[basis] - xB)
+            r, row_step = _ratio_test(dist, coef, basis, bland)
             own = self.upper[j] - self.lower[j]
-            step = min(row_min, own)
+            step = min(row_step, own)
             if not np.isfinite(step):
                 raise self.error("infinite primal step")
-            r = _blocking_row(lim, step, own, coef, self.basis, j, bland)
             self.xB -= delta * step * w
-            if r == -1:
+            if own < row_step or (own == row_step and not (bland and basis[r] < j)):
                 self.status[j] = _UP if self.status[j] == _LO else _LO
             else:
                 enter_val = self.nb_value(j) + delta * step
-                self.status[self.basis[r]] = _LO if coef[r] > 0 else _UP
+                self.status[basis[r]] = _LO if coef[r] > 0 else _UP
                 self.pivot(r, j, w, *self.pivot_row(r), enter_val)
             self.upkeep(step, bland)
 
@@ -743,22 +749,16 @@ class _Tableau:
         RATIO_SLACK of its bounds, and the violation of the leaving row if
         that row admits no entering column.
 
-        The leaving row has the largest dual steepest-edge ratio
-        viol_i^2 / beta_i, beta_i the squared norm of row i of B^-1
-        (`weigh_rows`), lowest index on ties.  The entering column has
-        the smallest dual ratio |d_j / alpha_j| among the columns whose
-        move pushes the leaving variable toward its violated bound;
-        ratios within RATIO_SLACK of the smallest count as tied, and a
-        tie goes to the largest |alpha_j|, then the smallest index.  Under
-        Bland's rule (`upkeep`) the violated row with the smallest basic
-        index leaves, and the smallest index among the exact smallest
-        ratios enters.  Every pivot goes through `pivot`, so the dual
-        values d and the weights stay current."""
+        `_price` scores every violated row by viol_i^2 / beta_i, beta_i
+        = |row i of B^-1|^2 (`weigh_rows`), or under Bland's rule
+        (`upkeep`) takes the smallest basic index.  `_ratio_test` picks
+        the entering column, keyed by column index, among those whose move
+        pushes the leaving variable toward its violated bound; each blocks
+        where its reduced cost reaches zero.  Every pivot goes through
+        `pivot`, so d and the weights stay current."""
         self.begin(self.trace.dual)
         self.weigh_rows()
         while True:
-            lo_B = self.lower[self.basis]
-            up_B = self.upper[self.basis]
             viol = self.violation()
             bad = viol > RATIO_SLACK
             if not bad.any():
@@ -767,32 +767,23 @@ class _Tableau:
             if self.iterations >= max_iters:
                 raise self.error(f"iteration limit {max_iters} reached")
             bland = self.streak >= BLAND_AFTER
-            if bland:
-                r = int(np.argmin(np.where(bad, self.basis, self.n_total)))
-            else:
-                r = int(np.argmax(np.where(bad, viol * viol / self.beta, -1.0)))
-            below = bool(self.xB[r] < lo_B[r])
+            r = _price(bad, viol * viol / self.beta, self.basis, bland)
+            below = bool(self.xB[r] < self.lower[self.basis[r]])
             alpha, y = self.pivot_row(r)
             push = alpha if below else -alpha
             at_lo = self.status == _LO
-            cand = np.flatnonzero(
-                self.movable
-                & ((at_lo & (push < -PIVOT_TOL)) | ((self.status == _UP) & (push > PIVOT_TOL)))
+            cols = np.flatnonzero(
+                self.movable & ((at_lo & (push < 0.0)) | ((self.status == _UP) & (push > 0.0)))
             )
-            if cand.size == 0:
-                return float(viol[r])
             # dual feasibility makes d_j >= 0 at a lower bound, <= 0 at an
             # upper one; round-off on the wrong side counts as zero
-            ratio = np.maximum(np.where(at_lo[cand], self.d[cand], -self.d[cand]), 0.0)
-            ratio /= np.abs(alpha[cand])
-            step = float(ratio.min())
-            if bland:
-                q = int(cand[np.argmax(ratio == step)])
-            else:
-                near = cand[ratio <= step + RATIO_SLACK]
-                q = int(near[np.argmax(np.abs(alpha[near]))])
+            d = self.d[cols]
+            i, step = _ratio_test(np.where(at_lo[cols], d, -d), alpha[cols], cols, bland)
+            if i < 0:
+                return float(viol[r])
+            q = int(cols[i])
             # move x_q until the leaving variable sits on its violated bound
-            move = (self.xB[r] - (lo_B[r] if below else up_B[r])) / alpha[q]
+            move = (self.xB[r] - (self.lower if below else self.upper)[self.basis[r]]) / alpha[q]
             enter_val = self.nb_value(q) + move
             w = self.column(q)
             self.xB -= move * w

@@ -130,10 +130,11 @@ def apply_permutation(v: TypePoint, sigma: Permutation) -> TypePoint:
 
 
 def inverse_permutation(sigma: Permutation) -> Permutation:
-    inv = [0] * len(sigma)
-    for j, s in enumerate(sigma):
-        inv[s] = j
-    return tuple(inv)
+    """inv with inv[sigma[j]] = j; a non-permutation raises ValueError as
+    in `apply_permutation`."""
+    if sorted(sigma) != list(range(len(sigma))):
+        raise ValueError(f"not a permutation of length {len(sigma)}: {sigma}")
+    return tuple(sorted(range(len(sigma)), key=lambda j: sigma[j]))
 
 
 def compose(sigma: Permutation, tau: Permutation) -> Permutation:

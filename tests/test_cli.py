@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mechlab import cli, optlp, simplex
+from mechlab.mech import AuditReport
 from mechlab.optlp import LpError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -582,6 +583,19 @@ def test_tight_tolerance_fails_asserted_audit(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert code == (0 if summary["asserted_ok"] else 1)
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize("passes", [(False, True), (True, False), (True, True)])
+def test_summary_check_holds_only_if_every_report_of_its_name_passed(tmp_path, passes):
+    # certify_theorem1 runs write one report per mechanism under one name
+    out = cli.RunOutput(tmp_path / "out")
+    for passed in passes:
+        out.audit(AuditReport("theorem1_equivalence", passed, () if passed else (("m", 1.0),)))
+    out.audit(AuditReport("other", True))
+    assert out.finish() == all(passes)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["checks"] == {"theorem1_equivalence": all(passes), "other": True}
+    assert summary["asserted_ok"] == all(passes)
 
 
 # ---------------------------------------------------------------------------

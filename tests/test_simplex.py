@@ -443,50 +443,141 @@ def test_kernel_matches_dense_reference_under_bland(monkeypatch):
         assert res.objective == pytest.approx(0.05, abs=1e-9)
 
 
-def _loop_blocking_row(lim, step, own, coef, basis, j, bland):
-    """The ratio-test tie-breaks as the per-row loops that `_blocking_row`
-    replaced."""
+def _loop_blocking_row(dist, coef, basis, j, own, bland):
+    """(row, step) of the primal ratio test as per-row loops: a row with
+    |coef| > PIVOT_TOL is limited at max(dist / |coef|, 0), and -1 is a
+    bound flip of the entering column j.  Under Bland's rule j's own far
+    bound `own` counts as a blocker indexed j and the smallest index at
+    the exact step wins; otherwise j flips when its bound blocks, and of
+    the rows within RATIO_SLACK of the step the largest |coef| wins, then
+    the smallest basis index."""
+    tol = simplex.PIVOT_TOL
+    lim = [max(d / abs(c), 0.0) if abs(c) > tol else np.inf for d, c in zip(dist, coef)]
+    step = min(min(lim, default=np.inf), own)
     if bland:
         best_var = j if own <= step else None
         best_row = -1
-        for i in np.nonzero(lim <= step)[0]:
+        for i in np.nonzero(np.asarray(lim) <= step)[0]:
             bi = int(basis[i])
             if best_var is None or bi < best_var:
                 best_var, best_row = bi, int(i)
-        return best_row
+        return best_row, step
     if own <= step:
-        return -1
+        return -1, step
     best_row, best_key = -1, None
-    for i in np.nonzero(lim <= step + simplex.RATIO_SLACK)[0]:
+    for i in np.nonzero(np.asarray(lim) <= step + simplex.RATIO_SLACK)[0]:
         key = (-abs(float(coef[i])), int(basis[i]))
         if best_key is None or key < best_key:
             best_key, best_row = key, int(i)
-    return best_row
+    return best_row, step
 
 
-def test_blocking_row_matches_the_loops():
+def _primal_choice(dist, coef, basis, j, own, bland):
+    """`run`'s use of `_ratio_test`: the blocking row, or -1 for the
+    entering column's own-bound flip, and the step."""
+    r, row_step = simplex._ratio_test(dist, coef, basis, bland)
+    flip = own < row_step or (own == row_step and not (bland and basis[r] < j))
+    return (-1 if flip else r), min(row_step, own)
+
+
+def _loop_entering_column(d, alpha, status, movable, below, bland):
+    """(column, step) of the dual ratio test as `dual_run`'s inline
+    filter, ratio and tie-break chose it before `_ratio_test`, column by
+    column: a movable column whose push (alpha, negated when the leaving
+    variable is above its upper bound) is below -PIVOT_TOL at its lower
+    bound or above PIVOT_TOL at its upper one; its ratio max(d or -d, 0)
+    / |alpha|; among ratios within RATIO_SLACK of the smallest the
+    largest |alpha|, then the first column; under Bland's rule the first
+    column at the exact smallest ratio.  (-1, inf) without a candidate."""
+    cand, tol = [], simplex.PIVOT_TOL
+    for q in range(len(d)):
+        push = alpha[q] if below else -alpha[q]
+        at_lo, at_up = status[q] == simplex._LO, status[q] == simplex._UP
+        if movable[q] and ((at_lo and push < -tol) or (at_up and push > tol)):
+            cand.append((max(d[q] if at_lo else -d[q], 0.0) / abs(alpha[q]), q))
+    if not cand:
+        return -1, np.inf
+    step = min(ratio for ratio, _ in cand)
+    if bland:
+        return next(q for ratio, q in cand if ratio == step), step
+    near = [q for ratio, q in cand if ratio <= step + simplex.RATIO_SLACK]
+    best = max(abs(alpha[q]) for q in near)
+    return next(q for q in near if abs(alpha[q]) == best), step
+
+
+def _dual_choice(d, alpha, status, movable, below, bland):
+    """`dual_run`'s use of `_ratio_test`: the entering column and the
+    step."""
+    push = alpha if below else -alpha
+    at_lo, at_up = status == simplex._LO, status == simplex._UP
+    cols = np.flatnonzero(movable & ((at_lo & (push < 0.0)) | (at_up & (push > 0.0))))
+    dc = d[cols]
+    i, step = simplex._ratio_test(np.where(at_lo[cols], dc, -dc), alpha[cols], cols, bland)
+    return (int(cols[i]) if i >= 0 else -1), step
+
+
+def test_ratio_test_matches_the_loops():
+    # both directions' uses of the one ratio test against the loops of the
+    # rules it replaced, over the same tie-heavy draws: few distinct
+    # ratios (some within RATIO_SLACK of each other), few distinct pivot
+    # sizes, and pivots at and around PIVOT_TOL
     rng = np.random.default_rng(11)
-    slack = simplex.RATIO_SLACK
-    checked = 0
+    slack, tol = simplex.RATIO_SLACK, simplex.PIVOT_TOL
+    ratios = [-1.0, 0.0, 0.5 * slack, 1.0, 1.0 + 0.5 * slack, 1.0 + 2 * slack, 2.0, np.inf]
+    pivots = [-2.0, -1.0, -tol, 0.0, 0.5 * tol, 2 * tol, 1.0, 2.0, 3.0]
+    checked = {"primal": 0, "dual": 0}
     for _ in range(3000):
         m = int(rng.integers(1, 40))
-        # few distinct limits (some within RATIO_SLACK of each other) and
-        # few distinct |coef|, so both tie-breaks decide often
-        lim = rng.choice(
-            [0.0, 0.5 * slack, 1.0, 1.0 + 0.5 * slack, 1.0 + 2 * slack, 2.0, np.inf], m
-        )
-        coef = rng.choice([-2.0, -1.0, 1.0, 2.0, 3.0], m)
+        piv = rng.choice(pivots, m)
+        dist = rng.choice(ratios, m) * np.maximum(np.abs(piv), 1.0)
+        # primal: rows keyed by their basic variable, and the entering
+        # column's own bound
         basis = rng.permutation(m + 30)[:m]
         j = int(rng.choice(np.setdiff1d(np.arange(m + 30), basis)))
         own = float(rng.choice([0.0, 1.0, 1.0 + 0.5 * slack, 3.0, np.inf]))
-        step = min(float(lim.min()), own)
-        if not np.isfinite(step):
-            continue
+        # dual: columns at either bound or basic, some fixed, with reduced
+        # costs of the dual-feasible sign or, where dist < 0, the other
+        status = rng.choice([simplex._LO, simplex._UP, simplex._BASIC], m).astype(np.int8)
+        movable = rng.random(m) < 0.9
+        d = np.where(status == simplex._UP, -dist, dist)
+        below = bool(rng.integers(2))
         for bland in (False, True):
-            args = (lim, step, own, coef, basis, j, bland)
-            assert simplex._blocking_row(*args) == _loop_blocking_row(*args)
-            checked += 1
-    assert checked > 4000
+            want = _loop_blocking_row(dist, piv, basis, j, own, bland)
+            if np.isfinite(want[1]):
+                assert _primal_choice(dist, piv, basis, j, own, bland) == want
+                checked["primal"] += 1
+            want = _loop_entering_column(d, piv, status, movable, below, bland)
+            assert _dual_choice(d, piv, status, movable, below, bland) == want
+            checked["dual"] += want[0] >= 0
+    assert checked["primal"] > 4000 and checked["dual"] > 4000
+
+
+@pytest.mark.parametrize(
+    "domain_tag, n, points, mode, pivots",
+    [
+        (IDENTICAL, 2, 8, "full", [211]),
+        (IDENTICAL, 2, 12, "full", [700]),
+        (IDENTICAL, 2, 12, "lazy", [300, 5]),
+        (HETEROGENEOUS, 3, 4, "lazy", [198, 49, 25, 5]),
+        (IDENTICAL, 3, 6, "lazy", [229, 26, 25, 24, 6]),
+        (HETEROGENEOUS, 3, 7, "orbit", [151, 22, 2, 20, 21, 9, 8]),
+    ],
+    ids=["id2p8-full", "id2p12-full", "id2p12-lazy", "het3p4-lazy", "id3p6-lazy", "het3p7-orbit"],
+)
+def test_pivot_paths_are_pinned(domain_tag, n, points, mode, pivots):
+    """Pivots per round (dual simplex and phase 2 together) of the ladder
+    instances and of one orbit LP, each from its no-sale start, with BLAS
+    on one thread as conftest.py sets it.  These are the pivot paths of
+    today's rules, not targets: a change that moves a pivot path (its
+    ratio test, pricing, tolerances or start) re-derives these values and
+    records the old and the new ones in CHANGES.md."""
+    if mode == "orbit":
+        grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+        het = enumerate_hetero(grid, strict_only=True)
+        res = optlp.optimal_symmetric_mechanism(het, uniform_distribution(het, HETEROGENEOUS))
+    else:
+        res = _solve_mechanism(domain_tag, n, points, mode)
+    assert [r.trace.dual.iterations + r.trace.phase2.iterations for r in res.round_log] == pivots
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,14 @@ class TestRestriction:
         with pytest.raises(ValueError, match=re.escape("not a permutation of length 2: (0, 1, 2)")):
             restrict_to_cell(ext, (0, 1, 2))
 
+    @pytest.mark.parametrize("sigma", [(0, 0), (1, 1), (0, 2)])
+    def test_restriction_refuses_a_non_permutation(self, sigma):
+        # the right length but not a permutation: refused by
+        # inverse_permutation, not read through as a cell
+        ext = symmetric_extension(sorted_strict_mech())
+        with pytest.raises(ValueError, match=re.escape(f"not a permutation of length 2: {sigma}")):
+            restrict_to_cell(ext, sigma)
+
 
 class TestSymmetryAudits:
     def test_swap_mech_is_symmetric_exactly(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,12 @@ def test_identity_and_inverse():
     v = (1.0, 2.0, 3.0)
     assert apply_permutation(apply_permutation(v, sigma), inv) == v
     assert compose(sigma, inv) == identity_permutation(3)
+
+
+@pytest.mark.parametrize("sigma", [(0, 0), (1, 1), (0, 2), (1, 2)])
+def test_inverse_refuses_a_non_permutation(sigma):
+    with pytest.raises(ValueError, match=re.escape(f"not a permutation of length 2: {sigma}")):
+        inverse_permutation(sigma)
 
 
 @settings(max_examples=200, deadline=None)
