@@ -5,14 +5,18 @@ allocations, non-bossiness, and the lexicographic subgradient repair.
 The repair treats the buyer's truthful utility u as the primitive: at
 each grid type the set of allocation vectors consistent with u (the
 subgradient polytope, intersected with the unit box) is searched for its
-lexicographically maximal point.  The polytopes of all types are
-selected together: consecutive ones are stacked, up to BLOCK_ROWS rows,
-into one block-diagonal LP, solved once per coordinate.  The first solve
-starts at the solver's slack basis, which is dual feasible, each later
-one from the last one's optimal basis.  Payments are rebuilt from u, so
-the buyer is indifferent between the input and the output, while the
-selection rule makes the output non-bossy.  Every LP goes through `optlp.solve_lp`: ValueError
-means bad input, LpError a solver failure.
+lexicographically maximal point.  While three or more coordinates are
+free, the polytopes of all types are selected together: consecutive ones
+are stacked, up to BLOCK_ROWS rows, into one block-diagonal LP, solved
+once for each of the coordinates 0 .. n - 3.  The first solve starts at
+the solver's slack basis, which is dual feasible, each later one from
+the last one's optimal basis.  The last two coordinates of each polytope
+span a polygon, whose lexicographic maximum Fourier-Motzkin elimination
+gives in closed form, so an n <= 2 repair builds no LP.  Payments are
+rebuilt from u, so the buyer is indifferent between the input and the
+output, while the selection rule makes the output non-bossy.  Every LP
+goes through `optlp.solve_lp`: ValueError means bad input, LpError a
+solver failure or a closed-form point that breaks a row.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import optlp
+from . import optlp, simplex
 from .dist import Distribution, fosd_shift
 from .mech import (
     AuditReport,
@@ -39,8 +43,8 @@ PAYMENT_TOL = 1e-9
 ALMOST_DET_TOL = 1e-6
 SINGLETON_TOL = 1e-10
 HYPOTHESIS_TOL = 1e-12
-# rows of one block LP in the lexicographic selection; a single larger
-# polytope gets a block of its own
+# rows of one block LP, or of one batch of the closed-form step, in the
+# lexicographic selection; a single larger polytope gets a block of its own
 BLOCK_ROWS = 512
 
 
@@ -227,38 +231,28 @@ class SubgradientPolytope:
 
     def lexicographic_max(self) -> np.ndarray:
         """Maximize coordinate 1, freeze it, maximize coordinate 2, and so
-        on: one LP per coordinate (see `_lexicographic_max`)."""
+        on: one LP for each coordinate but the last two, which are
+        selected in closed form (see `_lexicographic_max`)."""
         return _lexicographic_max([self])[0]
 
     def lexicographic_max_almost_deterministic(self, tol: float = 1e-9) -> np.ndarray:
         """Lexicographic maximum over sorted vectors with at most one
         fractional coordinate: patterns (1,..,1,alpha,0,..,0).  Each
-        pattern cuts the polytope down to an interval in alpha, so the
-        search is exact interval arithmetic, no LP needed."""
+        pattern cuts the polytope down to an interval in alpha, the
+        one-dimensional step of `_lexicographic_max` (`_interval`), so
+        no LP is needed."""
+        D, s = self.directions, self.slacks
         for ones in range(self.n, -1, -1):
             if ones == self.n:
                 x = np.ones(self.n)
                 if self.contains(x, tol=tol):
                     return x
                 continue
-            lo, hi = 0.0, 1.0
-            feasible = True
-            for row, rhs in zip(self.directions, self.slacks):
-                const = float(row[:ones].sum())
-                coef = float(row[ones])
-                room = rhs - const
-                if coef > 0:
-                    hi = min(hi, room / coef)
-                elif coef < 0:
-                    lo = max(lo, room / coef)
-                elif room < -tol:
-                    feasible = False
-                    break
-            if feasible and lo <= hi + tol:
-                alpha = min(max(hi, 0.0), 1.0)
+            lo, hi, worst = _interval(D[:, ones], s - D[:, :ones].sum(axis=1))
+            if worst >= -tol and lo <= hi + tol:
                 x = np.zeros(self.n)
                 x[:ones] = 1.0
-                x[ones] = alpha
+                x[ones] = min(max(hi, 0.0), 1.0)
                 return x
         raise ValueError(
             f"no sorted almost-deterministic vector at {self.anchor}; "
@@ -323,29 +317,33 @@ def _lexicographic_max(polys) -> list[np.ndarray]:
     """The lexicographic maximum of each polytope (all of one dimension
     n), in order.
 
-    Each group of `_groups` becomes one block-diagonal LP, built once.
-    For each coordinate i it maximizes the sum over the group of x_{k,i},
-    then fixes every x_{k,i} at its optimum through its bounds and passes
-    the optimal basis to the next coordinate's solve, which starts there
-    primal feasible.  The solve for coordinate 0 starts at the slack
-    basis, every x_{k,0} at 1 and every other column at 0, which is dual
-    feasible: the dual simplex repairs the violated rows.  The blocks are
-    separable, so the sum is optimal exactly when every block is, and
-    the selection is the one n solves per polytope would make.  Besides
-    the certificate of `solve_lp`, each block LP's weak-duality gap must
-    be at most `optlp.GAP_TOL` in absolute terms: every block's gap is at most
-    the group's, so each polytope keeps the bound that a solve of its
-    own would have to meet."""
+    For n >= 3 each group of `_groups` becomes one block-diagonal LP,
+    built once.  For each coordinate i <= n - 3 it maximizes the sum over
+    the group of x_{k,i}, then fixes every x_{k,i} at its optimum through
+    its bounds and passes the optimal basis to the next coordinate's
+    solve, which starts there primal feasible.  The solve for coordinate
+    0 starts at the slack basis, every x_{k,0} at 1 and every other
+    column at 0, which is dual feasible: the dual simplex repairs the
+    violated rows.  The blocks are separable, so the sum is optimal
+    exactly when every block is, and the selection is the one a solve
+    per polytope would make.  Besides the certificate of `solve_lp`, each
+    block LP's weak-duality gap must be at most `optlp.GAP_TOL` in
+    absolute terms: every block's gap is at most the group's, so each
+    polytope keeps the bound that a solve of its own would have to meet.
+    The last min(n, 2) coordinates of a group's polytopes are then
+    selected together and exactly by `_lexmax_tail`, with no LP."""
     return [x for group in _groups(polys) for x in _block_lexmax(group)]
 
 
 def _block_lexmax(polys) -> list[np.ndarray]:
     n, K = polys[0].n, len(polys)
+    if n <= 2:
+        return _lexmax_tail(polys, np.zeros((K, 0)))
     lp = _subgradient_lp(polys)
     where = str(polys[0].anchor) if K == 1 else f"{polys[0].anchor}..{polys[-1].anchor}"
     what = f"subgradient LP at {where}"
     res = None
-    for i in range(n):
+    for i in range(n - 2):
         lp.objective = np.tile(np.eye(n)[i], K).tolist()
         try:
             res = optlp.solve_lp(lp, what, None if res is None else res.basis)
@@ -359,7 +357,83 @@ def _block_lexmax(polys) -> list[np.ndarray]:
                 f"{what} failed: duality gap {res.duality_gap} exceeds {optlp.GAP_TOL}"
             )
         lp.lower[i::n] = lp.upper[i::n] = res.x[i::n].tolist()
-    return list(np.clip(res.x, 0.0, 1.0).reshape(K, n))
+    return _lexmax_tail(polys, np.clip(res.x, 0.0, 1.0).reshape(K, n)[:, : n - 2])
+
+
+def _lexmax_tail(polys, head: np.ndarray) -> list[np.ndarray]:
+    """The lexicographic maximum of each polytope with its first
+    coordinates fixed at its row of `head` and the last one or two, a and
+    b, free: the polygon Q = {(a, b) in [0, 1]^2 : alpha a + beta b <= r},
+    box rows included.  The polytopes are padded with zero rows to one
+    row count and selected together.
+
+    Fourier-Motzkin elimination of b gives every bound on a: each row
+    with beta = 0, and each pair of a row u with beta_u > 0 and a row d
+    with beta_d < 0, combined with the multipliers (-beta_d, beta_u) >= 0
+    into (beta_u alpha_d - beta_d alpha_u) a <= beta_u r_d - beta_d r_u.
+    Those two multipliers are the bound's weak-duality certificate.  A
+    combined coefficient within `simplex.PIVOT_TOL` of the size of its
+    two products counts as zero: two rows that pin b cancel in it only
+    up to rounding.  a is the smallest upper bound, b the smallest upper
+    bound at that a.  Q is empty, and the utility profile inconsistent,
+    when a lower bound on a or a zero-coefficient right side misses by
+    more than `simplex.FEAS_TOL`; a selected point whose residual over
+    the polytope's rows exceeds `optlp.RESIDUAL_TOL` is an LpError.  The
+    first polytope at fault is named."""
+    K, k = head.shape
+    free = polys[0].n - k
+    m = max(len(p.slacks) for p in polys)
+    D = np.zeros((K, m + 2 * free, polys[0].n))
+    s = np.zeros((K, m + 2 * free))
+    for j, p in enumerate(polys):
+        D[j, : len(p.slacks)] = p.directions
+        s[j, : len(p.slacks)] = p.slacks
+    D[:, m:, k:] = np.vstack([np.eye(free), -np.eye(free)])
+    s[:, m : m + free] = 1.0
+    r = s - (D[:, :, :k] @ head[:, :, None])[:, :, 0]
+    alpha, beta = D[:, :, k], D[:, :, -1]
+    coef, rhs = alpha, r
+    if free == 2:
+        up, flat = beta > 0.0, beta == 0.0
+        # rows by falling beta: the u rows lead, the d rows trail
+        order = np.argsort(-beta, axis=1, kind="stable")
+        al, be, rr = (np.take_along_axis(v, order, axis=1) for v in (alpha, beta, r))
+        nu, nd = up.sum(axis=1).max(), (beta < 0.0).sum(axis=1).max()
+        au, bu, ru = al[:, :nu, None], be[:, :nu, None], rr[:, :nu, None]
+        ad, bd, rd = al[:, None, -nd:], be[:, None, -nd:], rr[:, None, -nd:]
+        pair = bu * ad - bd * au
+        pair[np.abs(pair) <= simplex.PIVOT_TOL * (np.abs(bu * ad) + np.abs(bd * au))] = 0.0
+        use = (bu > 0.0) & (bd < 0.0)
+        coef = np.hstack([np.where(flat, alpha, 0.0), np.where(use, pair, 0.0).reshape(K, -1)])
+        rhs = np.hstack([np.where(flat, r, np.inf),
+                         np.where(use, bu * rd - bd * ru, np.inf).reshape(K, -1)])
+    lo, a, worst = _interval(coef, rhs)
+    empty = (lo > a + simplex.FEAS_TOL) | (worst < -simplex.FEAS_TOL)
+    x = np.column_stack([head, np.clip(a, 0.0, 1.0)])
+    if free == 2:
+        room = r - alpha * x[:, -1:]
+        b = np.min(np.divide(room, beta, out=np.full_like(room, np.inf), where=up), axis=1)
+        x = np.column_stack([x, np.clip(b, 0.0, 1.0)])
+    residual = np.max((D @ x[:, :, None])[:, :, 0] - s, axis=1)
+    for j in np.flatnonzero(empty | ~(residual <= optlp.RESIDUAL_TOL))[:1]:
+        if empty[j]:
+            raise _inconsistent(polys[j].anchor)
+        raise optlp.LpError(
+            f"lexicographic maximum at {polys[j].anchor} failed: "
+            f"solution residual {residual[j]} exceeds {optlp.RESIDUAL_TOL}"
+        )
+    return list(x)
+
+
+def _interval(coef, rhs):
+    """The rows coef * a <= rhs of one variable a in [0, 1], along the
+    last axis: the largest lower bound on a and the smallest upper bound,
+    with 0 and 1 among them, and the smallest right side of the rows
+    whose coefficient is zero (inf if none)."""
+    ratio = np.divide(rhs, coef, out=np.zeros_like(rhs), where=coef != 0.0)
+    hi = np.minimum(1.0, np.min(ratio, axis=-1, initial=np.inf, where=coef > 0.0))
+    lo = np.maximum(0.0, np.max(ratio, axis=-1, initial=-np.inf, where=coef < 0.0))
+    return lo, hi, np.min(rhs, axis=-1, initial=np.inf, where=coef == 0.0)
 
 
 def _with_sorted_cone(poly: SubgradientPolytope) -> SubgradientPolytope:
@@ -390,12 +464,14 @@ def lmax_repair(mech: Mechanism, almost_deterministic: bool = False) -> Mechanis
     input's.  The selection depends only on the utility profile, never on
     the input allocation, which is what makes the output non-bossy.
 
-    The selection solves one block LP per coordinate and group of types
-    (`_lexicographic_max`), not n LPs per type, each through
-    `optlp.solve_lp` and an absolute duality-gap bound.  ValueError
-    means bad input: a mechanism that is not truthful or participating,
-    or an empty polytope.  LpError means the solver failed: a breakdown,
-    an uncertified optimum or a gap over the bound.
+    The selection solves one block LP per group of types and coordinate
+    but the last two (`_lexicographic_max`), each through
+    `optlp.solve_lp` and an absolute duality-gap bound, and selects the
+    last two in closed form.  ValueError means bad input: a mechanism
+    that is not truthful or participating, or an empty polytope.  LpError
+    means the selection failed: a solver breakdown, an uncertified
+    optimum, a gap over the bound, or a closed-form point with a residual
+    over `optlp.RESIDUAL_TOL`.
     """
     ic = check_ic(mech, tol=PAYMENT_TOL)
     if not ic.passed:

@@ -108,7 +108,7 @@ def test_every_lp_enters_the_solver_through_solve_lp(tmp_path, monkeypatch):
     count(optlp, "solve_lp")
     grid = {"n": 2, "points": 3}
     payloads = [
-        {"kind": "repair", "grid": grid, "count": 2},
+        {"kind": "repair", "grid": {"n": 3, "points": 3}, "count": 2},
         dict(SOLVE_SINGLE, domain="heterogeneous", grid=grid, mode="lazy"),
         {"kind": "robust", "n": 2, "g_avg": {"levels": [0.2, 0.8], "pmf": [0.5, 0.5]}},
         {"kind": "certify_equivalence", "grid": grid, "distribution": {"kind": "uniform"}},
@@ -118,6 +118,24 @@ def test_every_lp_enters_the_solver_through_solve_lp(tmp_path, monkeypatch):
         cfg = write_config(tmp_path, payload, f"{i}.json")
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / str(i))]) == 0
         assert calls["solve_simplex"] == calls["solve_lp"] > before, payload["kind"]
+
+
+def test_repair_solve_counts(tmp_path, monkeypatch):
+    # an n = 2 repair selects in closed form and builds no LP; an n = 3
+    # one solves one block LP (coordinate 0) per mechanism, whose 10
+    # polytopes of 11 rows fit one block, and the almost-deterministic
+    # ones none
+    real_solve = simplex.solve_simplex
+    calls = []
+    monkeypatch.setattr(
+        simplex, "solve_simplex", lambda *a, **k: calls.append(1) or real_solve(*a, **k)
+    )
+    assert cli.run_config(json.loads((REPO_ROOT / "configs" / "repair_fuzz.json").read_text()),
+                          tmp_path / "n2")
+    assert len(calls) == 0
+    cfg = {"kind": "repair", "grid": {"n": 3, "points": 3}, "count": 30, "almost_det_count": 10}
+    assert cli.run_config(cfg, tmp_path / "n3")
+    assert len(calls) == cfg["count"]
 
 
 def test_solve_writes_parseable_audits(tmp_path):
@@ -539,7 +557,7 @@ def test_repair_breakdown_exits_3(tmp_path, capsys, monkeypatch):
         simplex, "solve_simplex", functools.partial(simplex.solve_simplex, max_iters=0)
     )
     out = tmp_path / "out"
-    config = REPO_ROOT / "configs" / "repair_fuzz.json"
+    config = write_config(tmp_path, {"kind": "repair", "grid": {"n": 3, "points": 3}, "count": 2})
     assert cli.main(["run", str(config), "--out", str(out)]) == 3
     assert "solver error" in capsys.readouterr().err
 

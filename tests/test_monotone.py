@@ -61,6 +61,13 @@ def constant_utility_mech() -> Mechanism:
     return Mechanism(types=types, q=q, t=t, domain_tag=IDENTICAL)
 
 
+def random_n3_mech(seed: int = 5) -> Mechanism:
+    """A truthful identical n=3 mechanism on 3 points (10 types), whose
+    repair solves the coordinate-0 block LP."""
+    grid = Grid.uniform(n=3, v_low=0.0, v_high=1.0, points=3)
+    return gen.random_ic_identical(np.random.default_rng(seed), grid, max_items=3)
+
+
 def incomparable_menu_mech() -> Mechanism:
     """Truthful (menu-built) but not majorization monotone: raising the
     first coordinate swaps (0.5, 0.5) for (0.9, 0.0)."""
@@ -346,7 +353,7 @@ class TestLmaxRepair:
         monkeypatch.setattr(simplex, "solve_simplex", uncertified)
         what = "solution residual" if field == "max_infeasibility" else "duality gap"
         with pytest.raises(LpError, match=f"{what} .* exceeds"):
-            lmax_repair(incomparable_menu_mech())
+            lmax_repair(random_n3_mech())
 
     def test_block_gap_bound_is_absolute(self, monkeypatch):
         # a gap of GAP_TOL * |objective| passes the certificate of
@@ -366,7 +373,7 @@ class TestLmaxRepair:
             gaps.append(optlp.certificate(args, res.x, res.y)[1])
             return res
 
-        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
+        grid = Grid.uniform(n=3, v_low=0.0, v_high=1.0, points=4)
         mech = uniform_price_mechanism(enumerate_identical(grid), 1.0 / 3.0)
         monkeypatch.setattr(simplex, "solve_simplex", loose)
         # the repair's own message, not that of `solve_lp`
@@ -375,8 +382,7 @@ class TestLmaxRepair:
         assert gaps[-1] > optlp.GAP_TOL
 
     def test_one_block_solve_per_coordinate(self, monkeypatch):
-        grid = Grid.uniform(n=3, v_low=0.0, v_high=1.0, points=3)
-        mech = gen.random_ic_identical(np.random.default_rng(5), grid, max_items=3)
+        mech = random_n3_mech()
         assert len(mech.types) == 10
         real_solve = simplex.solve_simplex
         calls = []
@@ -389,10 +395,15 @@ class TestLmaxRepair:
 
         monkeypatch.setattr(simplex, "solve_simplex", counted)
         lmax_repair(mech)
-        # coordinate 0 starts at the dual-feasible slack basis, the others
-        # at the previous coordinate's optimum
-        assert calls == [False, True, True]
-        assert sum(res.iterations for res in results) == 43
+        # only coordinates 0 .. n - 3 are block LPs; coordinate 0 starts
+        # at the dual-feasible slack basis
+        assert calls == [False]
+        assert sum(res.iterations for res in results) == 16
+        # at n = 4 coordinate 1 starts at coordinate 0's optimum
+        calls.clear()
+        grid = Grid.uniform(n=4, v_low=0.0, v_high=1.0, points=3)
+        lmax_repair(gen.random_ic_identical(np.random.default_rng(5), grid, max_items=3))
+        assert calls == [False, True]
 
     def test_almost_deterministic_variant_keeps_structure(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=4)
@@ -416,6 +427,35 @@ def _loop_lexmax(poly: SubgradientPolytope) -> np.ndarray:
         res = optlp.solve_lp(lp)
         lp.lower[i] = lp.upper[i] = res.objective
     return np.clip(res.x, 0.0, 1.0)
+
+
+def _loop_almost_det(poly: SubgradientPolytope, tol: float = 1e-9) -> np.ndarray:
+    """The reference almost-deterministic selection: each pattern's
+    interval in alpha, bounded one row at a time."""
+    for ones in range(poly.n, -1, -1):
+        if ones == poly.n:
+            if poly.contains(np.ones(poly.n), tol=tol):
+                return np.ones(poly.n)
+            continue
+        lo, hi = 0.0, 1.0
+        feasible = True
+        for row, rhs in zip(poly.directions, poly.slacks):
+            const = float(row[:ones].sum())
+            coef = float(row[ones])
+            room = rhs - const
+            if coef > 0:
+                hi = min(hi, room / coef)
+            elif coef < 0:
+                lo = max(lo, room / coef)
+            elif room < -tol:
+                feasible = False
+                break
+        if feasible and lo <= hi + tol:
+            x = np.zeros(poly.n)
+            x[:ones] = 1.0
+            x[ones] = min(max(hi, 0.0), 1.0)
+            return x
+    raise ValueError("no sorted almost-deterministic vector")
 
 
 def _random_polys(kind, points, seed):
@@ -465,7 +505,8 @@ class TestBlockLexicographicMax:
             t=np.array([-1.0, 1.0, -1.0]),  # u = (1, -0.5, 2)
             domain_tag=IDENTICAL,
         )
-        polys = [subgradient_polytope(mech, v) for v in ((0.5,), (0.0,))]
+        # (0.0,) and (1.0,) are both empty: the first is named
+        polys = [subgradient_polytope(mech, v) for v in ((0.5,), (0.0,), (1.0,))]
         with pytest.raises(ValueError, match=r"at \(0\.0,\) is infeasible"):
             _lexicographic_max(polys)
 
@@ -482,6 +523,88 @@ class TestBlockLexicographicMax:
         mixed = [polys[0], empty, polys[1], polys[2]]
         assert [len(g) for g in _groups(mixed)] == [3, 1]
         _assert_matches_loop(mixed)
+
+
+def _pinned_polytope() -> SubgradientPolytope:
+    """The sorted-cone polytope at (2/3, 1/3) of `_random_polys("identical2",
+    4, 2)`: its rows -b/3 <= -r and b/3 <= r pin b."""
+    return next(p for p in _random_polys("identical2", 4, 2)
+                if np.allclose(p.anchor, (2 / 3, 1 / 3)))
+
+
+class TestClosedFormStep:
+    """The last min(n, 2) coordinates of every polytope, selected by
+    Fourier-Motzkin elimination instead of block LPs."""
+
+    KINDS = [
+        ("identical1", 6), ("identical2", 3), ("identical2", 4), ("identical2", 5),
+        ("identical3", 3), ("identical4", 3), ("hetero", 4),
+    ]
+
+    def test_matches_the_per_polytope_loop_on_a_thousand_polytopes(self):
+        groups = [_random_polys(kind, points, seed)
+                  for seed in range(14) for kind, points in self.KINDS]
+        assert sum(map(len, groups)) >= 1000
+        assert {p.n for polys in groups for p in polys} == {1, 2, 3, 4}
+        for polys in groups:
+            _assert_matches_loop(polys)
+
+    def test_pair_of_rows_pinning_b(self, monkeypatch):
+        # pairs of rows through the two that pin b cancel in a only up
+        # to rounding, and such a residue counts as a zero coefficient,
+        # not as a bound on a
+        poly = _pinned_polytope()
+        x = _lexicographic_max([poly])[0]
+        np.testing.assert_allclose(x, _loop_lexmax(poly), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(x, [0.81422574, 0.29849114], atol=1e-8)
+        monkeypatch.setattr(simplex, "PIVOT_TOL", 0.0)
+        with pytest.raises(ValueError, match="is infeasible"):
+            _lexicographic_max([poly])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_row_polytope_selects_the_top_corner(self, n):
+        poly = SubgradientPolytope(anchor=(0.5,) * n, directions=np.zeros((0, n)),
+                                   slacks=np.zeros(0))
+        np.testing.assert_allclose(poly.lexicographic_max(), np.ones(n), atol=1e-12)
+
+    @pytest.mark.parametrize("rows", ["bounds on a", "pair with a zero coefficient"])
+    @pytest.mark.parametrize("miss, empty", [(2.0, True), (0.5, False)])
+    def test_emptiness_tolerance(self, rows, miss, empty):
+        # 0.5 <= a <= 0.5 - gap, or a + b <= 1 <= a + b - gap
+        gap = miss * simplex.FEAS_TOL
+        D = [[1.0, 0.0], [-1.0, 0.0]] if rows == "bounds on a" else [[1.0, 1.0], [-1.0, -1.0]]
+        hi = 0.5 if rows == "bounds on a" else 1.0
+        poly = SubgradientPolytope(anchor=(0.5, 0.5), directions=np.array(D),
+                                   slacks=np.array([hi - gap, -hi]))
+        if empty:
+            with pytest.raises(ValueError, match=r"polytope at \(0\.5, 0\.5\) is infeasible"):
+                poly.lexicographic_max()
+        else:
+            assert poly.contains(poly.lexicographic_max(), tol=simplex.FEAS_TOL)
+
+    @pytest.mark.parametrize("n, points", [(1, 5), (2, 3), (2, 4), (3, 3), (4, 3)])
+    def test_almost_deterministic_step_matches_the_row_loop(self, n, points):
+        grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+        for seed in range(10):
+            mech = gen.random_ic_identical(
+                np.random.default_rng(seed), grid, max_items=3, almost_deterministic=True
+            )
+            for v in mech.types:
+                poly = subgradient_polytope(mech, v)
+                got = poly.lexicographic_max_almost_deterministic()
+                assert got.tobytes() == _loop_almost_det(poly).tobytes(), (seed, v)
+
+    def test_corrupted_step_is_refused(self, monkeypatch):
+        poly = _pinned_polytope()
+        real_interval = monotone._interval
+
+        def raised(*args):
+            lo, hi, worst = real_interval(*args)
+            return lo, hi + 1e-6, worst
+
+        monkeypatch.setattr(monotone, "_interval", raised)
+        with pytest.raises(LpError, match=r"at \(0\.666.*solution residual \S+ exceeds 1e-09$"):
+            poly.lexicographic_max()
 
 
 class TestExchangeArgument:

@@ -1150,7 +1150,7 @@ class TestLpText:
         solved = []
         solve = optlp.solve_lp
         monkeypatch.setattr(optlp, "solve_lp", lambda lp, *args: solved.append(lp) or solve(lp, *args))
-        types = enumerate_identical(Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=5))
+        types = enumerate_identical(Grid.uniform(n=3, v_low=0.0, v_high=1.0, points=5))
         monotone.lmax_repair(uniform_price_mechanism(types, 1.0 / 3.0))
         assert solved and all(lp.n_rows > 100 for lp in solved)
         for lp in solved:
