@@ -61,11 +61,11 @@ def constant_utility_mech() -> Mechanism:
     return Mechanism(types=types, q=q, t=t, domain_tag=IDENTICAL)
 
 
-def random_n3_mech(seed: int = 5) -> Mechanism:
+def random_n3_mech() -> Mechanism:
     """A truthful identical n=3 mechanism on 3 points (10 types), whose
     repair solves the coordinate-0 block LP."""
     grid = Grid.uniform(n=3, v_low=0.0, v_high=1.0, points=3)
-    return gen.random_ic_identical(np.random.default_rng(seed), grid, max_items=3)
+    return gen.random_ic_identical(np.random.default_rng(5), grid, max_items=3)
 
 
 def incomparable_menu_mech() -> Mechanism:
