@@ -51,14 +51,14 @@ built.  Each iteration hands its entering column and pivot row to
 
 Pricing, of phase 2's entering column and of the dual simplex's leaving
 row, reads steepest-edge weights (Forrest & Goldfarb 1992): gamma_j =
-|B^-1 a_j|^2 for every column and, while the dual simplex runs, beta_i =
-|e_i^T B^-1|^2.  They are computed from scratch where a solve starts
-and after a rollback, and every pivot carries them across by the
-Forrest-Goldfarb update, which needs one BTRAN (of the entering column,
-for gamma) or FTRAN (of the pivot row of B^-1, for beta) beyond the
-pivot's own; the pivot column and row enter by their exact norms.
-tests/test_simplex.py checks FTRAN, BTRAN and K^-1 against a dense
-reference at every pivot, and both weights against recomputed norms.
+|B^-1 a_j|^2 for every column from phase 2's first eligible column on,
+and beta_i = |e_i^T B^-1|^2 while the dual simplex runs, which drops
+gamma.  Each is computed from scratch where it starts and after a
+rollback, and every pivot carries it across (`_Tableau.update_weights`)
+by one BTRAN (of the entering column, for gamma) or FTRAN (of the pivot
+row of B^-1, for beta) beyond the pivot's own.  tests/test_simplex.py
+checks FTRAN, BTRAN and K^-1 against a dense reference at every pivot,
+and both weights against recomputed norms.
 
 A solve starts from one of two bases, and the same code takes over from
 either (`_Tableau.settle`).  Without a usable `start`, it is the slack
@@ -72,18 +72,16 @@ result, one status per structural column and then per row's logical
 column, and the solver factors it.  Either basis goes to phase 2 if it
 is primal feasible; if it is dual feasible instead, a bounded dual
 simplex (`_Tableau.dual_run`) restores primal feasibility first.  A
-start it cannot use (wrong length, wrong count of basic columns,
-singular, neither primal nor dual feasible, or a row the dual ratio
-test cannot repair) falls back to the slack basis, whose result it then
-returns.  A violated row that the dual ratio test cannot repair from the
-slack basis proves the LP infeasible.  The revenue LPs pass the no-sale
-vertex to their first solve, and lazy row generation each round's
-optimal basis to the next round; the lexicographic repair passes each
-coordinate's optimal basis, with that coordinate's values fixed through
-their bounds, to the next coordinate's solve.  Reruns are bitwise
-identical for a fixed BLAS thread count: the rounding of the dense
-products, and through it a tie between pivots, can depend on the number
-of threads.
+start that `warm_start` or `settle` refuses falls back to the slack
+basis, whose result it then returns.  A violated row that the dual
+ratio test cannot repair from the slack basis proves the LP infeasible.
+The revenue LPs pass the no-sale vertex to their first solve, and lazy
+row generation each round's optimal basis to the next round; the
+lexicographic repair passes each coordinate's optimal basis, with that
+coordinate's values fixed through their bounds, to the next
+coordinate's solve.  Reruns are bitwise identical for a fixed BLAS
+thread count: the rounding of the dense products, and through it a tie
+between pivots, can depend on the number of threads.
 
 Row duals come off the reduced cost of each row's logical column.
 """
@@ -174,7 +172,7 @@ def _price(ok, score, key, bland):
     first index on ties, or under Bland's rule the smallest `key` (the
     index itself where `key` is None); -1 if none holds."""
     if bland:
-        at = np.flatnonzero(ok)
+        at = ok.nonzero()[0]
         return -1 if not at.size else int(at[0] if key is None else at[np.argmin(key[at])])
     i = int(np.argmax(np.where(ok, score, -1.0)))
     return i if ok[i] else -1
@@ -188,13 +186,13 @@ def _ratio_test(dist, piv, key, bland):
     step the largest |piv| wins, then the smallest key; under Bland's
     rule the smallest key among the exact minima."""
     size = np.abs(piv)
-    at = np.flatnonzero(size > PIVOT_TOL)
+    at = (size > PIVOT_TOL).nonzero()[0]
     if not at.size:
         return -1, np.inf
     size = size[at]
     ratio = np.maximum(dist[at], 0.0) / size
     step = float(ratio.min())
-    near = np.flatnonzero(ratio == step if bland else ratio <= step + RATIO_SLACK)
+    near = (ratio == step if bland else ratio <= step + RATIO_SLACK).nonzero()[0]
     if near.size > 1:
         keys = key[at[near]]
         near = near[np.lexsort((keys,) if bland else (keys, -size[near]))]
@@ -203,8 +201,8 @@ def _ratio_test(dist, piv, key, bland):
 
 def _rank_one(M, a, b):
     """M -= outer(a, b), on the rows where a is nonzero."""
-    nz = np.flatnonzero(a)
-    M[nz] -= np.outer(a[nz], b)
+    nz = a.nonzero()[0]
+    M[nz] -= a[nz, None] * b
 
 
 class _Tableau:
@@ -214,7 +212,8 @@ class _Tableau:
     Column layout: the n structural columns, then the logical column
     n + i of each row i, the unit vector e_i.
 
-    `basis[p]` is the variable basic at position p, `xB[p]` its value.
+    `basis[p]` is the variable basic at position p, `xB[p]` its value,
+    `loB[p]`, `upB[p]` its bounds.
     The kernel: rows `kr`, structural columns `kc` at positions `kp`, and
     `Kinv` = A[kr, kc]^-1, indexed (kernel column, kernel row), plus the
     dense kernel rows AR = A[kr, :].  `map_units` says where the basic
@@ -269,11 +268,9 @@ class _Tableau:
         self.iterations = 0
         self.refactor_every = REFACTOR_EVERY
         self.rolled_back = False
-        self.beta = None
+        self.gamma = self.beta = None
         self.trace = SolveTrace()
         self.phase = self.trace.phase2
-
-    # -- state helpers ----------------------------------------------------
 
     def error(self, what):
         """A SimplexError for `what`, naming the phase, the iteration, the
@@ -331,24 +328,21 @@ class _Tableau:
         return True
 
     def settle(self, max_iters):
-        """Make the loaded start basis ready for phase 2.  Weighs the
-        columns and prices; a basis whose basic values all lie within
-        RATIO_SLACK of their bounds is ready as it is, whatever its reduced
-        costs: a previous optimum with some columns fixed through their
-        bounds is one.  Any other basis must be dual feasible within
-        PIVOT_TOL, and `dual_run` then makes it primal feasible.  Returns
-        0.0 once ready, inf for a basis that is neither primal nor dual
-        feasible, and otherwise the violation of the row that the dual
-        ratio test cannot repair; the solver state is then spoiled."""
-        self.weigh_columns()
+        """Make the loaded start basis ready for phase 2.  Prices; a basis
+        whose basic values all lie within RATIO_SLACK of their bounds is
+        ready as it is, whatever its reduced costs: a previous optimum with
+        some columns fixed through their bounds is one.  Any other basis
+        must be dual feasible within PIVOT_TOL, and `dual_run` then makes
+        it primal feasible.  Returns 0.0 once ready, inf for a basis that
+        is neither primal nor dual feasible, and otherwise the violation of
+        the row that the dual ratio test cannot repair; the solver state is
+        then spoiled."""
         self.refresh()
         if not (self.violation() > RATIO_SLACK).any():
             return 0.0
         if self.eligible().any():
             return np.inf
         return self.dual_run(max_iters)
-
-    # -- linear algebra on the basis ----------------------------------------
 
     def _times(self, x):
         """A x over the rows, x over the structural columns."""
@@ -381,7 +375,9 @@ class _Tableau:
         """Where the basic logical columns sit: position p holds the one of
         row prow[p], and row i is covered by position rpos[i].  prow is
         stale on the kernel positions and rpos on the kernel rows, which
-        FTRAN and BTRAN overwrite.  Returns the covered rows."""
+        FTRAN and BTRAN overwrite.  Sets loB, upB; returns the covered
+        rows."""
+        self.loB, self.upB = self.lower[self.basis], self.upper[self.basis]
         unit = self.basis >= self.n
         rows = self.basis[unit] - self.n
         self.prow = np.zeros(self.m, dtype=int)
@@ -526,7 +522,7 @@ class _Tableau:
 
     def violation(self):
         """How far each basic value lies outside its bounds (<= 0 inside)."""
-        return np.maximum(self.lower[self.basis] - self.xB, self.xB - self.upper[self.basis])
+        return np.maximum(self.loB - self.xB, self.xB - self.upB)
 
     def keep_basis(self):
         """Remember the basis and bound statuses that a failed refactor
@@ -552,9 +548,8 @@ class _Tableau:
         that is really zero and leave a singular basis.  Then the solver
         rolls back to the basis kept at the last refactor that succeeded or
         at the start of the current phase, whichever is later, factors
-        there, weighs the columns (and rows, in the dual simplex) again,
-        and from then on refactors every 128 pivots.  A second failure
-        raises SimplexError."""
+        there, weighs anew what it holds, and from then on refactors every
+        128 pivots.  A second failure raises SimplexError."""
         try:
             self.factor()
         except np.linalg.LinAlgError as exc:
@@ -568,12 +563,11 @@ class _Tableau:
                 self.factor()
             except np.linalg.LinAlgError as again:
                 raise self.error("singular basis during refactorization") from again
-            self.weigh_columns()
+            if self.gamma is not None:
+                self.weigh_columns()
             if self.beta is not None:
                 self.weigh_rows()
         self.keep_basis()
-
-    # -- core iteration ----------------------------------------------------
 
     def pivot(self, r, j, w, alpha, y, enter_val):
         """Make column j basic in position r at value enter_val, w its
@@ -585,7 +579,7 @@ class _Tableau:
         if abs(piv) <= PIVOT_TOL:
             raise self.error("near-zero pivot")
         t = self.trace
-        t.min_pivot_ratio = min(t.min_pivot_ratio, float(abs(piv) / np.max(np.abs(w))))
+        t.min_pivot_ratio = min(t.min_pivot_ratio, float(abs(piv) / np.abs(w).max()))
         alpha[j] = piv
         rho = alpha / piv
         self.update_weights(r, j, w, rho, y)
@@ -595,25 +589,26 @@ class _Tableau:
             p = j - self.n
             self.prow[r], self.rpos[p] = p, r
         self.basis[r] = j
+        self.loB[r], self.upB[r] = self.lower[j], self.upper[j]
         self.status[j] = _BASIC
         self.xB[r] = enter_val
 
     def update_weights(self, r, j, w, rho, y):
-        """Carry gamma and beta across the pivot on (r, j), w the entering
-        column, rho the normalized pivot row and y row r of B^-1.  Column
-        k becomes rho_k on position r and B^-1 a_k - w rho_k elsewhere, so
-        gamma_k gains rho_k^2 (|w|^2 + 1) - 2 rho_k u.a_k with u = B^-T w
-        (the one extra BTRAN); row i of B^-1 loses (w_i / piv) y, so beta_i
-        gains (w_i / piv)^2 |y|^2 - 2 (w_i / piv) (B^-1 y)_i.  The entering
-        and leaving columns and row r enter by their exact norms."""
+        """Carry gamma and beta, if held, across the pivot on (r, j), w the
+        entering column, rho the normalized pivot row and y row r of B^-1.
+        Column k becomes rho_k on position r and B^-1 a_k - w rho_k
+        elsewhere, so gamma_k gains rho_k^2 (|w|^2 + 1) - 2 rho_k u.a_k with
+        u = B^-T w (the one extra BTRAN); row i of B^-1 loses (w_i / piv) y,
+        so beta_i gains (w_i / piv)^2 |y|^2 - 2 (w_i / piv) (B^-1 y)_i.  The
+        entering and leaving columns and row r enter by their exact norms."""
         piv = w[r]
-        ww = w @ w
-        ua = self.btran(w)
         g = self.gamma
-        g += rho * (rho * (ww + 1.0) - 2.0 * ua)
-        np.maximum(g, 0.0, out=g)
-        g[self.basis[r]] = (ww - piv * piv + 1.0) / (piv * piv)
-        g[j] = 1.0
+        if g is not None:
+            ww = w @ w
+            g += rho * (rho * (ww + 1.0) - 2.0 * self.btran(w))
+            np.maximum(g, 0.0, out=g)
+            g[self.basis[r]] = (ww - piv * piv + 1.0) / (piv * piv)
+            g[j] = 1.0
         if self.beta is not None:
             f = w / piv
             yy = y @ y
@@ -708,7 +703,8 @@ class _Tableau:
         """Phase 2: minimize the cost from a primal-feasible basis.
 
         `_price` scores every `eligible` column by d_j^2 / (1 + gamma_j),
-        or under Bland's rule (`upkeep`) takes the smallest index.
+        or under Bland's rule (`upkeep`) takes the smallest index; absent
+        gamma is weighed once a column is eligible.
         `_ratio_test` picks the leaving row, keyed by basis index; the
         entering column flips to its far bound instead when that is no
         farther, under Bland's rule on a tie only if j is the smaller
@@ -720,7 +716,12 @@ class _Tableau:
             if self.iterations >= max_iters:
                 raise self.error(f"iteration limit {max_iters} reached")
             bland = self.streak >= BLAND_AFTER
-            j = _price(self.eligible(), self.d * self.d / (1.0 + self.gamma), None, bland)
+            ok = self.eligible()
+            if self.gamma is None:
+                if not ok.any():
+                    return
+                self.weigh_columns()
+            j = _price(ok, self.d * self.d / (1.0 + self.gamma), None, bland)
             if j < 0:
                 return
             delta = 1.0 if self.status[j] == _LO else -1.0
@@ -728,7 +729,7 @@ class _Tableau:
             coef = delta * w
             # each basic value stops the step at the bound it moves toward
             xB, basis = self.xB, self.basis
-            dist = np.where(coef > 0.0, xB - self.lower[basis], self.upper[basis] - xB)
+            dist = np.where(coef > 0.0, xB - self.loB, self.upB - xB)
             r, row_step = _ratio_test(dist, coef, basis, bland)
             own = self.upper[j] - self.lower[j]
             step = min(row_step, own)
@@ -755,8 +756,9 @@ class _Tableau:
         the entering column, keyed by column index, among those whose move
         pushes the leaving variable toward its violated bound; each blocks
         where its reduced cost reaches zero.  Every pivot goes through
-        `pivot`, so d and the weights stay current."""
+        `pivot`, so d and beta stay current; it drops gamma."""
         self.begin(self.trace.dual)
+        self.gamma = None
         self.weigh_rows()
         while True:
             viol = self.violation()
@@ -768,13 +770,13 @@ class _Tableau:
                 raise self.error(f"iteration limit {max_iters} reached")
             bland = self.streak >= BLAND_AFTER
             r = _price(bad, viol * viol / self.beta, self.basis, bland)
-            below = bool(self.xB[r] < self.lower[self.basis[r]])
+            below = bool(self.xB[r] < self.loB[r])
             alpha, y = self.pivot_row(r)
             push = alpha if below else -alpha
             at_lo = self.status == _LO
-            cols = np.flatnonzero(
+            cols = (
                 self.movable & ((at_lo & (push < 0.0)) | ((self.status == _UP) & (push > 0.0)))
-            )
+            ).nonzero()[0]
             # dual feasibility makes d_j >= 0 at a lower bound, <= 0 at an
             # upper one; round-off on the wrong side counts as zero
             d = self.d[cols]
@@ -783,7 +785,7 @@ class _Tableau:
                 return float(viol[r])
             q = int(cols[i])
             # move x_q until the leaving variable sits on its violated bound
-            move = (self.xB[r] - (self.lower if below else self.upper)[self.basis[r]]) / alpha[q]
+            move = (self.xB[r] - (self.loB if below else self.upB)[r]) / alpha[q]
             enter_val = self.nb_value(q) + move
             w = self.column(q)
             self.xB -= move * w

@@ -368,7 +368,8 @@ def _check_kernel(monkeypatch, weigh_every):
     pivot row that it receives against the column and row of B^-1 [A | I]
     (one dense LU of the basis matrix B) and, after it, K^-1 against the
     kernel, and every `weigh_every`-th pivot also the weights against the
-    norms of np.linalg.solve(B, [A | I]); returns the counts of both."""
+    norms of np.linalg.solve(B, [A | I]): gamma in phase 2, beta in the
+    dual simplex, which holds no gamma; returns the counts of both."""
     real_pivot = simplex._Tableau.pivot
     done = {"pivots": 0, "weighed": 0}
 
@@ -378,15 +379,18 @@ def _check_kernel(monkeypatch, weigh_every):
         assert _close(w, lu_solve(lu, Aext[:, j]))
         y = lu_solve(lu, np.eye(self.m)[r], trans=1)  # row r of B^-1
         assert _close(row, y) and _close(alpha, y @ Aext)
+        in_dual = self.phase is self.trace.dual
+        assert in_dual == (self.gamma is None)
         real_pivot(self, r, j, w, alpha, row, enter_val)
         K = Aext[np.ix_(self.kr, self.kc)]
         assert np.max(np.abs(self.Kinv @ K - np.eye(self.k)), initial=0.0) <= 1e-9
         done["pivots"] += 1
         if done["pivots"] % weigh_every == 0:
             ref = np.linalg.solve(Aext[:, self.basis], np.hstack([Aext, np.eye(self.m)]))
-            assert _rel_err(self.gamma, (ref[:, : self.n_total] ** 2).sum(axis=0)) <= 1e-5
-            if self.beta is not None:
+            if in_dual:
                 assert _rel_err(self.beta, (ref[:, self.n_total :] ** 2).sum(axis=1)) <= 1e-9
+            else:
+                assert _rel_err(self.gamma, (ref[:, : self.n_total] ** 2).sum(axis=0)) <= 1e-5
             done["weighed"] += 1
 
     monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
@@ -581,8 +585,9 @@ def test_pivot_paths_are_pinned(domain_tag, n, points, mode, pivots):
 
 
 # ---------------------------------------------------------------------------
-# steepest-edge weights: updated inside every pivot, they track the norms
-# that they stand for, and pricing reads them over every eligible column
+# steepest-edge weights: each direction holds only its own, updated inside
+# every pivot, they track the norms that they stand for, and pricing reads
+# them over every eligible column
 
 
 @pytest.mark.parametrize(
@@ -619,13 +624,16 @@ def test_updated_weights_match_recomputed_norms(monkeypatch, domain_tag, n, poin
     def checked_pivot(self, r, *args):
         real_pivot(self, r, *args)
         pivots.append(r)
+        in_dual = self.phase is self.trace.dual
+        assert in_dual == (self.gamma is None)
         if len(pivots) % 8:
             return
         gamma, beta = norms(self)
-        worst["gamma"] = max(worst["gamma"], _rel_err(self.gamma, gamma))
-        if self.beta is not None:
+        if in_dual:
             worst["beta"] = max(worst["beta"], _rel_err(self.beta, beta))
             dual_pivots.append(r)
+        else:
+            worst["gamma"] = max(worst["gamma"], _rel_err(self.gamma, gamma))
 
     monkeypatch.setattr(simplex._Tableau, "pivot", checked_pivot)
     _solve_mechanism(domain_tag, n, points, mode)
@@ -637,7 +645,7 @@ def test_updated_weights_match_recomputed_norms(monkeypatch, domain_tag, n, poin
 
 def test_pricing_reads_the_weights_of_every_column(monkeypatch):
     # the state that each choice is made from: the one left by the last
-    # refresh, row weighing or upkeep before the pivot
+    # refresh, column or row weighing or upkeep before the pivot
     T = simplex._Tableau
     state, inside, checked = {}, [], {"run": 0, "dual_run": 0}
 
@@ -648,7 +656,7 @@ def test_pricing_reads_the_weights_of_every_column(monkeypatch):
             out = real(self, *args)
             state.update(
                 d=self.d.copy(),
-                gamma=self.gamma.copy(),
+                gamma=None if self.gamma is None else self.gamma.copy(),
                 status=self.status.copy(),
                 xB=self.xB.copy(),
                 beta=None if self.beta is None else self.beta.copy(),
@@ -685,6 +693,7 @@ def test_pricing_reads_the_weights_of_every_column(monkeypatch):
             )
             assert j == first_best(cand, d[cand] ** 2 / (1.0 + state["gamma"][cand]))
         elif where == "dual_run":
+            assert state["gamma"] is None
             lo_B, up_B, xB = self.lower[self.basis], self.upper[self.basis], state["xB"]
             viol = np.maximum(lo_B - xB, xB - up_B)
             cand = np.flatnonzero(viol > simplex.RATIO_SLACK)
@@ -693,7 +702,7 @@ def test_pricing_reads_the_weights_of_every_column(monkeypatch):
             checked[where] += 1
         real_pivot(self, r, j, *args)
 
-    for name in ("refresh", "weigh_rows", "upkeep"):
+    for name in ("refresh", "weigh_columns", "weigh_rows", "upkeep"):
         snapshot_after(name)
     for name in ("run", "dual_run"):
         track(name)
@@ -701,6 +710,105 @@ def test_pricing_reads_the_weights_of_every_column(monkeypatch):
     # 405 primal and 76 dual pivots from the no-sale start
     _solve_mechanism(IDENTICAL, 2, 14, "lazy")
     assert checked["run"] > 300 and checked["dual_run"] > 10, checked
+
+
+@pytest.mark.parametrize(
+    "domain_tag, n, points",
+    [(HETEROGENEOUS, 3, 4), (IDENTICAL, 2, 12)],
+    ids=["het3p4-lazy", "id2p12-lazy"],
+)
+def test_columns_are_weighed_only_where_phase_2_steps(monkeypatch, domain_tag, n, points):
+    # per solve, its trace and its weigh_columns calls; and the BTRANs that
+    # update_weights makes, by phase
+    T = simplex._Tableau
+    solves, weighed, inside, btrans = [], [], [], {"dual": 0, "phase2": 0}
+    real_solve, real_weigh, real_update, real_btran = (
+        simplex.solve_simplex, T.weigh_columns, T.update_weights, T.btran
+    )
+
+    def solve(*args, **kwargs):
+        weighed.clear()
+        res = real_solve(*args, **kwargs)
+        solves.append((len(weighed), res.trace))
+        return res
+
+    def weigh_columns(self):
+        weighed.append(self)
+        real_weigh(self)
+
+    def update_weights(self, *args):
+        inside.append(self)
+        try:
+            real_update(self, *args)
+        finally:
+            inside.pop()
+
+    def btran(self, g):
+        if inside:
+            btrans["dual" if self.phase is self.trace.dual else "phase2"] += 1
+        return real_btran(self, g)
+
+    monkeypatch.setattr(simplex, "solve_simplex", solve)
+    for fn in (weigh_columns, update_weights, btran):
+        monkeypatch.setattr(T, fn.__name__, fn)
+    _solve_mechanism(domain_tag, n, points, "lazy")
+    assert [w for w, _ in solves] == [int(t.phase2.iterations > 0) for _, t in solves]
+    # warm rounds whose phase 2 makes no step, after dual pivots, exist
+    assert any(t.dual.iterations and not t.phase2.iterations for _, t in solves[1:])
+    assert btrans["dual"] == 0 < btrans["phase2"]
+
+
+def test_phase_2_after_the_dual_simplex_weighs_columns_afresh(monkeypatch):
+    # a cut that the optimum of a random LP violates makes its optimal
+    # basis, with the cut's slack basic, dual feasible and primal
+    # infeasible; a cost that makes column 0 eligible then sends phase 2
+    # off from the basis that the dual simplex left
+    rng = np.random.default_rng(1)
+    m, n = 6, 5
+    A, c, b = rng.uniform(0.1, 1.0, (m, n)), rng.uniform(0.5, 1.0, n), rng.uniform(1.0, 2.0, m)
+    lower, upper = np.zeros(n), np.ones(n)
+    res = solve_dense(c, A, b, ["<="] * m, lower, upper)
+    cut = (np.vstack([A, np.ones(n)]), np.append(b, 0.5 * res.x.sum()), ["<="] * (m + 1))
+    tab = simplex._Tableau(-c, _coo(cut[0]), *cut[1:], lower, upper)
+    assert tab.warm_start(np.append(res.basis, _B))
+    assert tab.settle(1000) == 0.0 and tab.trace.dual.iterations > 0
+    assert tab.gamma is None and tab.status[0] == _LO
+    tab.cost[0] -= 1.0
+    T = simplex._Tableau
+    weighed, first = [], []
+    real_weigh, real_pivot = T.weigh_columns, T.pivot
+
+    def weigh_columns(self):
+        weighed.append(self)
+        real_weigh(self)
+
+    def pivot(self, *args):
+        if not first:
+            Aext = _extended(self)
+            ref = np.linalg.solve(Aext[:, self.basis], Aext)
+            first.append(_rel_err(self.gamma, (ref**2).sum(axis=0)))
+        real_pivot(self, *args)
+
+    monkeypatch.setattr(T, "weigh_columns", weigh_columns)
+    monkeypatch.setattr(T, "pivot", pivot)
+    tab.run(1000)
+    assert len(weighed) == 1
+    assert first and first[0] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "domain_tag, n, points",
+    [(IDENTICAL, 2, 12), (HETEROGENEOUS, 3, 4), (IDENTICAL, 3, 6), (IDENTICAL, 2, 16)],
+    ids=["id2p12", "het3p4", "id3p6", "id2p16"],
+)
+def test_lazy_rounds_with_dual_pivots_make_no_phase_2_step(domain_tag, n, points):
+    """No lazy round of these instances steps in phase 2 after its dual
+    simplex, so dropping gamma there moves no pivot.  A change that breaks
+    this lets phase 2 price those rounds by fresh weights instead of
+    carried ones, and their pivot paths can move."""
+    traces = [r.trace for r in _solve_mechanism(domain_tag, n, points, "lazy").round_log]
+    dual = [t for t in traces if t.dual.iterations]
+    assert dual and all(t.phase2.iterations == 0 for t in dual)
 
 
 # ---------------------------------------------------------------------------
