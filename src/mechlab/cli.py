@@ -401,6 +401,7 @@ def _run_equivalence(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
             "n_types_heterogeneous": len(types_h),
             "revenue_identical": rep.info["revenue_identical"],
             "revenue_symmetric": rep.info["revenue_symmetric"],
+            "revenue_bound": rep.info["revenue_bound"],
             "revenue_gap": abs(rep.info["revenue_identical"] - rep.info["revenue_symmetric"]),
         }
     )

@@ -29,17 +29,18 @@ warm-starts from the previous round's optimal basis.
 one by `certificate`, weak duality on the LP's own arrays, against
 RESIDUAL_TOL and GAP_TOL; the solver computes no certificate.
 
-The module also covers: relabeling-invariant optimization via one
-variable block per sorted representative, adversarial (worst-case over
+The module also covers: relabeling-invariant optimization, which is
+the identical LP under the folded prior, adversarial (worst-case over
 correlations) revenue LPs, posted per-unit pricing, exhaustive
-deterministic-menu search, and a cross-domain equivalence certificate.
+deterministic-menu search, and a cross-domain equivalence certificate
+that bounds the full heterogeneous LP by the identical LP's duals.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -61,15 +62,8 @@ from .mech import (
     pairwise_value,
     seller_ordered_menu,
 )
-from .symmetry import is_symmetric, restrict_to_cell, symmetric_extension
-from .typespace import (
-    HETEROGENEOUS,
-    IDENTICAL,
-    cell_of,
-    identity_permutation,
-    is_strict,
-    sort_descending,
-)
+from .symmetry import _relabel_table, is_symmetric, symmetric_extension
+from .typespace import HETEROGENEOUS, IDENTICAL, is_strict, sort_descending
 
 AUDIT_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
@@ -403,28 +397,29 @@ class LazyRound:
 
 @dataclass
 class OptimalResult:
-    """`solution` is the last solve; `round_log` holds one record per
-    solve, in order."""
+    """`solution` is the last solve and `pairs` the (k, l) arrays of its
+    truthfulness rows ic_k_l, in row order; `round_log` holds one record
+    per solve, in order."""
 
     mechanism: Mechanism
     revenue: float
     solution: simplex.SimplexResult
-    n_ic_rows: int
+    pairs: tuple[np.ndarray, np.ndarray]
     rounds: int
     mode: str
     round_log: list[LazyRound]
 
+    @property
+    def n_ic_rows(self) -> int:
+        return int(self.pairs[0].size)
+
 
 def _revenue_lp(types, weights, domain_tag, pairs) -> LinearProgram:
     """The revenue LP: participation rows ir_k, allocation order ord_k_i
-    on the identical domain, then truthfulness rows ic_k_l for `pairs`.
-    Column k * n + i is q_i of type k, column T * n + k its payment t(k).
-
-    `pairs` is (k, l, dev), one entry per row: type k values block l's
-    allocation at dev (types[k] itself, except in the orbit LP), so the
-    row reads dev.q(l) - t(l) - own.q(k) + t(k) <= 0, own = types[k].
-    k == l only in the orbit LP: the payments cancel, and q(k) gets
-    dev - own."""
+    on the identical domain, then truthfulness rows ic_k_l for the pairs
+    (k, l) of `pairs`, k != l, each reading
+    v_k.q(l) - t(l) - v_k.q(k) + t(k) <= 0 with v_k = types[k].
+    Column k * n + i is q_i of type k, column T * n + k its payment t(k)."""
     T = len(types)
     n = len(types[0])
     S = max(sum(v) for v in types)
@@ -445,32 +440,29 @@ def _revenue_lp(types, weights, domain_tag, pairs) -> LinearProgram:
             np.stack([q[:, :-1], q[:, 1:]], axis=2).reshape(-1, 2), [[-1.0, 1.0]],
             "<=", 0.0, "ord", np.repeat(np.arange(T), n - 1), np.tile(np.arange(n - 1), T),
         )
-    k, l = (np.asarray(x, dtype=np.intp) for x in pairs[:2])
-    col, val, keep = _truthfulness_rows(T, values, k, l, pairs[2])
-    lp.add_rows(col, val, "<=", 0.0, "ic", k, l, keep=keep)
+    k, l = (np.asarray(x, dtype=np.intp) for x in pairs)
+    col, val = _truthfulness_rows(T, values, k, l)
+    lp.add_rows(col, val, "<=", 0.0, "ic", k, l)
     return lp
 
 
-def _truthfulness_rows(T, values, k, l, dev):
-    """`col`, `val` and `keep` of the truthfulness rows of `_revenue_lp`,
-    each row's columns in increasing order: the q block of min(k, l),
-    that of max(k, l), then their payments.  A row with k == l keeps its
-    q(k) entries only.  A function of its own, so that its temporaries
-    are freed before `add_rows` runs."""
+def _truthfulness_rows(T, values, k, l):
+    """`col` and `val` of the truthfulness rows of `_revenue_lp`, each
+    row's columns in increasing order: the q block of min(k, l), that of
+    max(k, l), then their payments.  A function of its own, so that its
+    temporaries are freed before `add_rows` runs."""
     n = values.shape[1]
-    dev = np.asarray(dev, dtype=float).reshape(k.size, n)
-    same = (k == l)[:, None]
-    # 0.0 - own, not -own: the q(k) entry is +0.0 where own is 0
-    own = np.where(same, dev, 0.0) - values[k]
-    own_first = (k <= l)[:, None]
+    v = values[k]
+    # 0.0 - v, not -v: the q(k) entry is +0.0 where v_k is 0
+    own = 0.0 - v
+    own_first = (k < l)[:, None]
     lo, hi = np.minimum(k, l)[:, None], np.maximum(k, l)[:, None]
     col = np.hstack([lo * n + np.arange(n), hi * n + np.arange(n), T * n + lo, T * n + hi])
     val = np.hstack([
-        np.where(own_first, own, dev), np.where(own_first, dev, own),
+        np.where(own_first, own, v), np.where(own_first, v, own),
         np.where(own_first, [1.0, -1.0], [-1.0, 1.0]),
     ])
-    keep = np.hstack([np.ones_like(own, dtype=bool), np.repeat(~same, n + 2, axis=1)])
-    return col, val, keep
+    return col, val
 
 
 def _no_sale_start(lp: LinearProgram, T: int) -> np.ndarray:
@@ -496,8 +488,8 @@ def build_revenue_lp(types, dist: Distribution, domain_tag: str) -> LinearProgra
     """Full formulation with every ordered truthfulness pair, for text
     export."""
     types = [tuple(v) for v in types]
-    k, l = np.nonzero(~np.eye(len(types), dtype=bool))
-    return _revenue_lp(types, embed(dist, types), domain_tag, (k, l, np.asarray(types)[k]))
+    pairs = np.nonzero(~np.eye(len(types), dtype=bool))
+    return _revenue_lp(types, embed(dist, types), domain_tag, pairs)
 
 
 def optimal_mechanism(
@@ -506,26 +498,84 @@ def optimal_mechanism(
     domain_tag: str,
     mode: str = "auto",
 ) -> OptimalResult:
-    """Revenue-maximal truthful mechanism on the given type list.
+    """Revenue-maximal truthful mechanism on the given type list, by
+    constraint generation on truthfulness rows over a type-by-type pair
+    mask: entry (k, l) set means the row of type k against reporting
+    type l is in the working set.
 
-    Both modes run the same constraint-generation loop, `_solve_lazy`,
-    with every type as a row of its pair mask.  The returned mechanism
-    always passes the full truthfulness and participation audits at 1e-8
-    regardless of mode; failure to certify raises.
+    The modes differ only in the starting working set: "full" starts from
+    every pair, a complete set that is solved once, "lazy" from each
+    type's nearest-neighbor pairs (`_neighbor_pairs`); "auto" picks by
+    instance size.  Working-set policy: add the most violated pairs each
+    round (up to 2 per type), drop rows that have been slack for two
+    consecutive solves (a row added in the previous round has been
+    through one solve only, so it stays).  Rows are built in row-major
+    order of the mask.  Terminates when the gain matrix shows no
+    violation beyond GEN_TOL, or at once when the working set is
+    complete: then the solve is the full LP and there is nothing left to
+    add.  The returned mechanism always passes the full truthfulness and
+    participation audits at 1e-8 regardless of mode; failure to certify
+    raises.
+
+    The first round starts phase 2 at the no-sale vertex
+    (`_no_sale_start`).  Every later round warm-starts from the previous
+    round's optimal basis (`_next_start`): the dual values stay feasible,
+    so the bounded dual simplex only has to repair the new, violated rows.
     """
     types = [tuple(float(x) for x in v) for v in types]
-    n = len(types[0])
+    T, n = len(types), len(types[0])
     weights = embed(dist, types)
-    values = np.asarray(types)
-
-    def build(k, l):
-        return _revenue_lp(types, weights, domain_tag, (k, l, values[k]))
-
-    def outcome(x):
-        mech = _extract_mechanism(types, n, x, domain_tag)
-        return mech, ic_gains(mech)
-
-    return _solve_lazy(types, np.arange(len(types)), mode, build, outcome)
+    complete = T * (T - 1)
+    if mode == "auto":
+        mode = "full" if complete + T * n <= FULL_ROW_CAP else "lazy"
+    if mode == "full":
+        working = ~np.eye(T, dtype=bool)
+    elif mode == "lazy":
+        # Binding truthfulness rows overwhelmingly involve nearby reports,
+        # so seed the working set with each type's nearest neighbors
+        # instead of discovering that chain one round at a time.
+        working = _neighbor_pairs(types)
+    else:
+        raise LpError(f"unknown mode {mode!r}")
+    add_per_round = max(64, 2 * T)
+    slack_solves = np.zeros(working.shape, dtype=int)
+    previous = np.zeros_like(working)
+    log = []
+    for rounds in range(1, MAX_ROUNDS + 1):
+        k, l = np.nonzero(working)
+        lp = _revenue_lp(types, weights, domain_tag, (k, l))
+        if rounds == 1:
+            start = _no_sale_start(lp, T)
+        sol = solve_lp(lp, "revenue LP", start)
+        mech = _extract_mechanism(types, n, sol.x, domain_tag)
+        gain = ic_gains(mech)
+        log.append(LazyRound(
+            added=int(np.count_nonzero(working & ~previous)),
+            pruned=int(np.count_nonzero(previous & ~working)),
+            max_gain=float(gain.max()),
+            trace=sol.trace,
+        ))
+        viol_mask = gain > GEN_TOL
+        if k.size == complete or not viol_mask.any():
+            _certify_mechanism(mech)
+            return OptimalResult(mech, float(sol.objective), sol, (k, l), rounds, mode, log)
+        slack_solves = np.where(working & (gain < -PRUNE_SLACK), slack_solves + 1, 0)
+        # the most violated pairs first, ties in row-major order
+        violated = np.argwhere(viol_mask)
+        order = np.argsort(-gain[viol_mask], kind="stable")
+        top = violated[order[: add_per_round * 4]]
+        new = top[~working[top[:, 0], top[:, 1]]][:add_per_round]
+        if not new.size:
+            # all violated pairs already in the working set: numerical
+            # stall; tighten by failing loudly rather than looping
+            raise LpError("constraint generation stalled with persistent violations")
+        next_working = working & (slack_solves < 2)
+        next_working[new[:, 0], new[:, 1]] = True
+        start = _next_start(sol.basis, working, next_working)
+        previous, working = working, next_working
+        if np.count_nonzero(working) > MAX_WORKING_ROWS:
+            raise LpError(f"working set exceeded {MAX_WORKING_ROWS} rows")
+    raise LpError(f"constraint generation exceeded {MAX_ROUNDS} rounds")
 
 
 def _certify_mechanism(mech: Mechanism) -> None:
@@ -555,87 +605,6 @@ def _neighbor_pairs(types, per_type: int = 4) -> np.ndarray:
     return mask | mask.T
 
 
-def _solve_lazy(types, rows, mode, build, outcome) -> OptimalResult:
-    """Constraint generation on truthfulness rows over a pair mask with
-    one row per entry of `rows` (indices into `types`) and one column per
-    type: entry (a, b) set means the row of type types[rows[a]] against
-    reporting type b is in the working set.  `build(a, b)` returns the
-    revenue LP, over one block per entry of `rows`, with the rows of the
-    pairs (a[e], b[e]); `outcome(x)` returns the mechanism of its solution
-    x and that mechanism's gain matrix over the mask.
-
-    The modes differ only in the starting working set: "full" starts from
-    every pair, a complete set that is solved once, "lazy" from each
-    type's nearest-neighbor pairs (`_neighbor_pairs`); "auto" picks by
-    instance size.  Working-set policy: add the most violated pairs each
-    round (up to 2 per mask row), drop rows that have been slack for two
-    consecutive solves (a row added in the previous round has been
-    through one solve only, so it stays).  Rows are built in row-major
-    order of the mask.  Terminates when the gain matrix shows no
-    violation beyond GEN_TOL, or at once when the working set is
-    complete: then the solve is the full LP and there is nothing left to
-    add.  The final mechanism is audited over every ordered type pair.
-
-    The first round starts phase 2 at the no-sale vertex
-    (`_no_sale_start`).  Every later round warm-starts from the previous
-    round's optimal basis (`_next_start`): the dual values stay feasible,
-    so the bounded dual simplex only has to repair the new, violated rows.
-    """
-    R = len(rows)
-    n = len(types[0])
-    allowed = np.arange(len(types)) != rows[:, None]
-    complete = np.count_nonzero(allowed)
-    if mode == "auto":
-        mode = "full" if complete + R * n <= FULL_ROW_CAP else "lazy"
-    if mode == "full":
-        working = allowed
-    elif mode == "lazy":
-        # Binding truthfulness rows overwhelmingly involve nearby reports,
-        # so seed the working set with each type's nearest neighbors
-        # instead of discovering that chain one round at a time.
-        working = _neighbor_pairs(types)[rows]
-    else:
-        raise LpError(f"unknown mode {mode!r}")
-    add_per_round = max(64, 2 * R)
-    slack_solves = np.zeros(working.shape, dtype=int)
-    previous = np.zeros_like(working)
-    log = []
-    for rounds in range(1, MAX_ROUNDS + 1):
-        k, l = np.nonzero(working)
-        lp = build(k, l)
-        if rounds == 1:
-            start = _no_sale_start(lp, R)
-        sol = solve_lp(lp, "revenue LP", start)
-        mech, gain = outcome(sol.x)
-        log.append(LazyRound(
-            added=int(np.count_nonzero(working & ~previous)),
-            pruned=int(np.count_nonzero(previous & ~working)),
-            max_gain=float(gain.max()),
-            trace=sol.trace,
-        ))
-        viol_mask = gain > GEN_TOL
-        if k.size == complete or not viol_mask.any():
-            _certify_mechanism(mech)
-            return OptimalResult(mech, float(sol.objective), sol, k.size, rounds, mode, log)
-        slack_solves = np.where(working & (gain < -PRUNE_SLACK), slack_solves + 1, 0)
-        # the most violated pairs first, ties in row-major order
-        violated = np.argwhere(viol_mask)
-        order = np.argsort(-gain[viol_mask], kind="stable")
-        top = violated[order[: add_per_round * 4]]
-        new = top[~working[top[:, 0], top[:, 1]]][:add_per_round]
-        if not new.size:
-            # all violated pairs already in the working set: numerical
-            # stall; tighten by failing loudly rather than looping
-            raise LpError("constraint generation stalled with persistent violations")
-        next_working = working & (slack_solves < 2)
-        next_working[new[:, 0], new[:, 1]] = True
-        start = _next_start(sol.basis, working, next_working)
-        previous, working = working, next_working
-        if np.count_nonzero(working) > MAX_WORKING_ROWS:
-            raise LpError(f"working set exceeded {MAX_WORKING_ROWS} rows")
-    raise LpError(f"constraint generation exceeded {MAX_ROUNDS} rounds")
-
-
 def _next_start(basis, working, next_working):
     """The next round's start basis from this round's optimal `basis`.
 
@@ -654,28 +623,23 @@ def _next_start(basis, working, next_working):
 
 
 # ---------------------------------------------------------------------------
-# relabeling-invariant optimum via one block per sorted representative
+# relabeling-invariant optimum: the identical LP under the folded prior
 
 def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
     """Best truthful mechanism that treats objects interchangeably.
 
-    Variables live on sorted representatives only; every strict profile
-    reads its outcome through the relabeling that sorts it, so the search
-    space is exactly the symmetric mechanisms and the output (spread by
-    `symmetric_extension`) is symmetric under exact float equality.  The
-    types must be strict and hold every relabeling of each profile, so
-    that the spread covers exactly them; any other list raises LpError
-    before the solve.
-
-    The pair mask of `_solve_lazy` has the representatives as rows and
-    every profile as a column.  Truthfulness of v against reporting v'
-    folds onto the blocks of their representatives: v values sorted slot
-    i of the reported outcome at v[cell(v')[i]].  Relabeling both
-    profiles leaves that row as it is, so the rows of each representative
-    cover every ordered pair, each distinct row once.
+    A symmetric mechanism is its table on the sorted representatives,
+    spread over every relabeling, and earns each representative's orbit
+    mass.  It is truthful exactly when that table is truthful among the
+    representatives and ranks allocations as values are ranked (the
+    paper's Theorem 1), which are the rows of the identical LP.  So the
+    optimum is that of `optimal_mechanism` on the representatives under
+    the folded prior, spread by `symmetric_extension`: exactly symmetric,
+    and audited over every ordered pair of profiles.  The types must be
+    strict and hold every relabeling of each profile, so that the spread
+    covers exactly them; any other list raises LpError before the solve.
+    Returns the identical LP's result with the spread as its mechanism.
     """
-    # sorted, as `symmetric_extension` orders the spread: mask column b
-    # is then column b of the spread's gain matrix
     types = sorted({tuple(float(x) for x in v) for v in types})
     type_set = set(types)
     for v in types:
@@ -683,30 +647,16 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
             raise LpError("symmetric optimization needs strict profiles")
         if not type_set.issuperset(itertools.permutations(v)):
             raise LpError(f"symmetric optimization needs every relabeling of {v}")
-    n = len(types[0])
-    rows = np.array([b for b, v in enumerate(types) if v == sort_descending(v)])
-    reps = [types[b] for b in rows]
-    R = len(reps)
+    reps = [v for v in types if v == sort_descending(v)]
     rep_index = {w: a for a, w in enumerate(reps)}
-    block = np.array([rep_index[sort_descending(v)] for v in types])
-    orbit_weights = np.bincount(block, embed(dist, types), minlength=R)
-    cells = np.array([cell_of(v) for v in types])
-    rep_values = np.asarray(reps)
-
-    def build(a, b):
-        dev = np.take_along_axis(rep_values[a], cells[b], axis=1)
-        return _revenue_lp(reps, orbit_weights, HETEROGENEOUS, (a, block[b], dev))
-
-    def outcome(x):
-        q, t = x[: R * n].reshape(R, n), x[R * n : R * n + R]
-        on_sorted = Mechanism(types=tuple(reps), q=q, t=t, domain_tag=IDENTICAL)
-        mech = symmetric_extension(on_sorted)
-        return mech, ic_gains(mech, rows)
-
-    res = _solve_lazy(types, rows, "auto", build, outcome)
-    if not is_symmetric(res.mechanism).passed:
+    block = [rep_index[sort_descending(v)] for v in types]
+    folded = np.bincount(block, embed(dist, types), minlength=len(reps))
+    res = optimal_mechanism(reps, table_distribution(reps, folded, IDENTICAL), IDENTICAL)
+    spread = symmetric_extension(res.mechanism)
+    _certify_mechanism(spread)
+    if not is_symmetric(spread).passed:
         raise LpError("symmetric optimum failed exact symmetry audit")
-    return res
+    return replace(res, mechanism=spread)
 
 
 # ---------------------------------------------------------------------------
@@ -910,14 +860,17 @@ def optimal_deterministic(types, dist: Distribution, domain_tag: str) -> Determi
 def certify_equivalence(
     identical_model, heterogeneous_model, tol: float = 1e-7
 ) -> AuditReport:
-    """End-to-end check that optimizing on sorted profiles with the folded
-    density and optimizing symmetrically on all strict profiles agree.
+    """End-to-end check of the paper's equivalence: the optimal revenue V
+    of the identical model is the optimal revenue of the heterogeneous
+    model over every truthful mechanism, symmetric or not.
 
-    Each model is (types, dist).  Asserted facts: folded density matches
-    the identical model; optimal values agree within tol; the spread of
-    the identical optimum is truthful on the bigger domain and earns the
-    same; the identity-cell restriction of the symmetric optimum is
-    feasible, truthful, and earns the same.
+    Each model is (types, dist).  One LP is solved, the identical one.
+    Asserted facts: the folded density matches the identical model; the
+    spread of the identical optimum is truthful on the heterogeneous
+    profiles and earns V there, a lower bound; and the identical LP's
+    duals, lifted to the full heterogeneous LP (`_lifted_bound`), bound
+    its optimum by U within tol of V.  The heterogeneous types must be
+    exactly the spread's profiles, or LpError is raised.
     """
     types_i, dist_i = identical_model
     types_h, dist_h = heterogeneous_model
@@ -931,14 +884,11 @@ def certify_equivalence(
                 f"identical model density does not match folded heterogeneous density at {v}"
             )
 
-    violations = []
     res_i = optimal_mechanism(types_i, dist_i, IDENTICAL)
-    res_h = optimal_symmetric_mechanism(types_h, dist_h)
-    gap = abs(res_i.revenue - res_h.revenue)
-    if gap > tol:
-        violations.append((("optimal_values", res_i.revenue, res_h.revenue), gap))
-
     ext = symmetric_extension(res_i.mechanism)
+    if set(types_h) != set(ext.types):
+        raise LpError("heterogeneous types are not the relabelings of the identical types")
+    violations = []
     ext_ic = check_ic(ext, tol=AUDIT_TOL)
     ext_ir = check_ir(ext, tol=AUDIT_TOL)
     if not ext_ic.passed:
@@ -949,25 +899,52 @@ def certify_equivalence(
     if abs(rev_ext - res_i.revenue) > tol:
         violations.append((("extension_revenue", rev_ext), abs(rev_ext - res_i.revenue)))
 
-    restr = restrict_to_cell(res_h.mechanism, identity_permutation(res_h.mechanism.n))
-    r_feas = check_feasible_identical(restr, tol=AUDIT_TOL)
-    r_ic = check_ic(restr, tol=AUDIT_TOL)
-    r_ir = check_ir(restr, tol=AUDIT_TOL)
-    for name, rep in (("restriction_order", r_feas), ("restriction_ic", r_ic), ("restriction_ir", r_ir)):
-        if not rep.passed:
-            violations.append(((name,), rep.max_slack))
-    rev_restr = expected_revenue(restr, dist_i)
-    if abs(rev_restr - res_h.revenue) > tol:
-        violations.append((("restriction_revenue", rev_restr), abs(rev_restr - res_h.revenue)))
+    bound, lifted = _lifted_bound(res_i, ext, dist_h)
+    if bound - res_i.revenue > tol:
+        violations.append((("lifted_bound", bound), bound - res_i.revenue))
 
     info = {
         "revenue_identical": res_i.revenue,
-        "revenue_symmetric": res_h.revenue,
-        "revenue_extension": rev_ext,
-        "revenue_restriction": rev_restr,
+        "revenue_symmetric": rev_ext,
+        "revenue_bound": bound,
+        "lifted_rows": lifted,
         "identical_rounds": res_i.rounds,
         "identical_mode": res_i.mode,
-        "symmetric_rounds": res_h.rounds,
-        "symmetric_mode": res_h.mode,
     }
     return _report("equivalence", violations, info=info)
+
+
+def _lifted_bound(res: OptimalResult, ext: Mechanism, dist: Distribution) -> tuple[float, int]:
+    """U(y) of `certificate` on the full heterogeneous revenue LP over the
+    profiles of `ext`, the spread of the identical optimum `res`, and the
+    number of its truthfulness rows built.
+
+    y lifts the row duals of res's last solve to every relabeling sigma,
+    each with weight 1/n!: ir_k to the ir row of sigma.w_k, ic_k_l to the
+    ic row of (sigma.w_k, sigma.w_l), and ord_k_i to the ic row of
+    (sigma.w_k, sigma.s_i.w_k), s_i swapping values i and i + 1, scaled
+    by 1 / (w_k,i - w_k,i+1): at a symmetric point that row is ord_k_i
+    times that gap.  Only the ic rows of positive duals are built, which
+    only relaxes the LP.  U(y) bounds its optimum for any y >= 0, so the
+    bound does not trust the solver that found y."""
+    reps = res.mechanism.V
+    R, n = reps.shape
+    types = list(ext.types)
+    index = {v: a for a, v in enumerate(types)}
+    table = _relabel_table(reps, index)
+    y = res.solution.y
+    y_ir, y_ord, y_ic = y[:R], y[R : R * n].reshape(R, n - 1), y[R * n :]
+    on = y_ic > 0.0
+    k, i = np.nonzero(y_ord > 0.0)
+    r = np.arange(k.size)
+    swapped = reps[k]
+    swapped[r, i], swapped[r, i + 1] = reps[k, i + 1], reps[k, i]
+    a = np.concatenate([table[res.pairs[0][on]], table[k]]).ravel()
+    b = np.concatenate([table[res.pairs[1][on]], _relabel_table(swapped, index)]).ravel()
+    duals = np.concatenate([y_ic[on], y_ord[k, i] / (reps[k, i] - reps[k, i + 1])])
+    block = np.empty(len(types), dtype=np.intp)
+    block[table] = np.arange(R)[:, None]
+    y_lift = np.concatenate([y_ir[block], np.repeat(duals, table.shape[1])]) / table.shape[1]
+    lp = _revenue_lp(types, embed(dist, types), HETEROGENEOUS, (a, b))
+    x = np.concatenate([ext.q.ravel(), ext.t])
+    return certificate(lp.arrays(), x, y_lift)[0], a.size

@@ -59,9 +59,10 @@ def _relabel_table(V: np.ndarray, index: dict) -> np.ndarray:
     relabeled by all_permutations(n)[p] (the identity is p = 0), -1
     where the relabeled profile is absent."""
     T, n = V.shape
-    relabeled = V[:, all_permutations(n)].reshape(-1, n)
+    perms = all_permutations(n)
+    relabeled = V[:, perms].reshape(-1, n)
     found = [index.get(v, -1) for v in map(tuple, relabeled.tolist())]
-    return np.array(found, dtype=int).reshape(T, -1)
+    return np.array(found, dtype=int).reshape(T, len(perms))
 
 
 def _require_orbit_closed(mech: Mechanism, op: str) -> np.ndarray:

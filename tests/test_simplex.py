@@ -3,6 +3,7 @@ and randomized cross-checks against an independent LP solver."""
 
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,24 +565,41 @@ def test_ratio_test_matches_the_loops():
         (IDENTICAL, 2, 12, "lazy", [300, 5]),
         (HETEROGENEOUS, 3, 4, "lazy", [198, 49, 25, 5]),
         (IDENTICAL, 3, 6, "lazy", [229, 26, 25, 24, 6]),
-        (HETEROGENEOUS, 3, 7, "orbit", [151, 22, 2, 20, 21, 9, 8]),
     ],
-    ids=["id2p8-full", "id2p12-full", "id2p12-lazy", "het3p4-lazy", "id3p6-lazy", "het3p7-orbit"],
+    ids=["id2p8-full", "id2p12-full", "id2p12-lazy", "het3p4-lazy", "id3p6-lazy"],
 )
 def test_pivot_paths_are_pinned(domain_tag, n, points, mode, pivots):
     """Pivots per round (dual simplex and phase 2 together) of the ladder
-    instances and of one orbit LP, each from its no-sale start, with BLAS
-    on one thread as conftest.py sets it.  These are the pivot paths of
-    today's rules, not targets: a change that moves a pivot path (its
-    ratio test, pricing, tolerances or start) re-derives these values and
-    records the old and the new ones in CHANGES.md."""
-    if mode == "orbit":
-        grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
-        het = enumerate_hetero(grid, strict_only=True)
-        res = optlp.optimal_symmetric_mechanism(het, uniform_distribution(het, HETEROGENEOUS))
-    else:
-        res = _solve_mechanism(domain_tag, n, points, mode)
+    instances, each from its no-sale start, with BLAS on one thread as
+    conftest.py sets it.  These are the pivot paths of today's rules, not
+    targets: a change that moves a pivot path (its ratio test, pricing,
+    tolerances or start) re-derives these values and records the old and
+    the new ones in CHANGES.md."""
+    res = _solve_mechanism(domain_tag, n, points, mode)
     assert [r.trace.dual.iterations + r.trace.phase2.iterations for r in res.round_log] == pivots
+
+
+@pytest.mark.parametrize(
+    "name, T, n, ic_rows",
+    [("seeded_orbit_n3p12", 220, 3, 16857), ("seeded_orbit_n4p10", 210, 4, 15741)],
+    ids=["n3p12", "n4p10"],
+)
+def test_stored_pivot_defect_reproducers(name, T, n, ic_rows):
+    """The first-round LPs and no-sale starts of two seeded symmetric LPs
+    (one q block per sorted profile, each truthfulness row folded onto
+    them) on which `solve_simplex` stops with a singular basis (ROADMAP
+    item 1).  Only their layout is checked here: solving them takes 10 to
+    20 seconds."""
+    z = np.load(Path(__file__).parent / "data" / f"{name}.npz")
+    m, cols = (int(x) for x in z["shape"])
+    assert (m, cols) == (T + ic_rows, T * (n + 1))
+    A = simplex.Coo(z["row"], z["col"], z["val"], (m, cols))
+    senses = z["senses"].tolist()
+    assert set(senses) == {"<="} and not z["b"].any()
+    # validates the bounds, the senses and the sorted triplets
+    simplex._Tableau(-z["c"], A, z["b"], senses, z["lower"], z["upper"])
+    want = np.repeat([simplex._LO, simplex._BASIC, simplex._LO, simplex._BASIC], [T * n, T, T, m - T])
+    assert np.array_equal(z["start"], want)
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +935,7 @@ def _first_lazy_round(domain_tag, n, points):
     types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
     k, l = np.nonzero(optlp._neighbor_pairs(types))
     weights = embed(uniform_distribution(types, domain_tag), types)
-    return optlp._revenue_lp(types, weights, domain_tag, (k, l, np.asarray(types)[k])).arrays()
+    return optlp._revenue_lp(types, weights, domain_tag, (k, l)).arrays()
 
 
 @pytest.mark.parametrize(
