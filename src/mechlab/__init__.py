@@ -42,8 +42,6 @@ from .mech import (  # noqa: F401
     check_ir,
     expected_revenue,
     make_menu,
-    mechanism_from_json,
-    mechanism_to_json,
     menu_to_mechanism,
     read_mechanism_csv,
     revenue_by_cell,
@@ -72,7 +70,6 @@ from .dist import (  # noqa: F401
 from .symmetry import (  # noqa: F401
     certify_theorem1,
     check_ic_on_cells,
-    extend_to_ties,
     is_rank_preserving,
     is_symmetric,
     restrict_to_cell,

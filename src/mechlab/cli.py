@@ -66,6 +66,7 @@ from .optlp import (
     LpError,
     build_revenue_lp,
     certify_equivalence,
+    lifted_bound,
     lp_text_chunks,
     optimal_deterministic,
     optimal_mechanism,
@@ -413,7 +414,10 @@ def _run_theorem1(cfg: dict, out: RunOutput, tol: float, seed: int) -> None:
     source = _take(sub, "kind", str, "mechanism", choices=("lp", "random"))
     grid, types_h, dist_h = _model(cfg, HETEROGENEOUS, True, prior=source == "lp")
     if source == "lp":
-        mechs = [("lp_optimum", optimal_symmetric_mechanism(types_h, dist_h).mechanism)]
+        res = optimal_symmetric_mechanism(types_h, dist_h)
+        # reported, not asserted: a table prior need not be exchangeable
+        out.summary.update({"revenue": res.revenue, "revenue_bound": lifted_bound(res, dist_h)[0]})
+        mechs = [("lp_optimum", res.mechanism)]
     else:
         count = _take(sub, "count", int, "mechanism", required=False, default=20, minimum=1)
         rng = gen.rng_from_seed(seed)

@@ -17,7 +17,6 @@ the tie has to be detected exactly.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -390,22 +389,6 @@ def revenue_by_cell(mech: Mechanism, dist) -> dict:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def mechanism_to_json(mech: Mechanism) -> str:
-    payload = {
-        "domain_tag": mech.domain_tag,
-        "n": mech.n,
-        "types": [list(v) for v in mech.types],
-        "q": mech.q.tolist(),
-        "t": mech.t.tolist(),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def mechanism_from_json(text: str) -> Mechanism:
-    p = json.loads(text)
-    return Mechanism(types=tuple(p["types"]), q=p["q"], t=p["t"], domain_tag=p["domain_tag"])
-
 
 def write_mechanism_csv(mech: Mechanism, path) -> None:
     """Tabular dump: v_1..v_n, q_1..q_n, t.  Full float repr round-trips."""

@@ -29,11 +29,13 @@ warm-starts from the previous round's optimal basis.
 one by `certificate`, weak duality on the LP's own arrays, against
 RESIDUAL_TOL and GAP_TOL; the solver computes no certificate.
 
-The module also covers: relabeling-invariant optimization, which is
-the identical LP under the folded prior, adversarial (worst-case over
-correlations) revenue LPs, posted per-unit pricing, exhaustive
-deterministic-menu search, and a cross-domain equivalence certificate
-that bounds the full heterogeneous LP by the identical LP's duals.
+The module also covers: relabeling-invariant optimization
+(`optimal_symmetric_mechanism`, the identical LP under the folded
+prior, spread over every relabeling) and `lifted_bound`, which bounds
+the full heterogeneous LP by that LP's duals, the two together making
+the cross-domain equivalence certificate; adversarial (worst-case over
+correlations) revenue LPs, posted per-unit pricing, and exhaustive
+deterministic-menu search.
 """
 
 from __future__ import annotations
@@ -646,7 +648,7 @@ def optimal_symmetric_mechanism(types, dist: Distribution) -> OptimalResult:
         if not is_strict(v):
             raise LpError("symmetric optimization needs strict profiles")
         if not type_set.issuperset(itertools.permutations(v)):
-            raise LpError(f"symmetric optimization needs every relabeling of {v}")
+            raise LpError(f"symmetric optimization needs all relabelings of {v}")
     reps = [v for v in types if v == sort_descending(v)]
     rep_index = {w: a for a, w in enumerate(reps)}
     block = [rep_index[sort_descending(v)] for v in types]
@@ -864,60 +866,55 @@ def certify_equivalence(
     of the identical model is the optimal revenue of the heterogeneous
     model over every truthful mechanism, symmetric or not.
 
-    Each model is (types, dist).  One LP is solved, the identical one.
-    Asserted facts: the folded density matches the identical model; the
-    spread of the identical optimum is truthful on the heterogeneous
-    profiles and earns V there, a lower bound; and the identical LP's
-    duals, lifted to the full heterogeneous LP (`_lifted_bound`), bound
-    its optimum by U within tol of V.  The heterogeneous types must be
-    exactly the spread's profiles, or LpError is raised.
+    Each model is (types, dist).  After the folded density is checked to
+    match the identical model, one LP is solved, the identical one, by
+    `optimal_symmetric_mechanism` on the heterogeneous model, whose
+    spread is truthful on every ordered pair of profiles or raises
+    LpError.  Asserted facts: the spread earns V under the heterogeneous
+    prior, a lower bound; and `lifted_bound` bounds the full
+    heterogeneous LP by U within tol of V.  The identical types must be
+    exactly the spread's sorted profiles, or LpError is raised.
     """
     types_i, dist_i = identical_model
     types_h, dist_h = heterogeneous_model
-    types_i = [tuple(float(x) for x in v) for v in types_i]
-    types_h = [tuple(float(x) for x in v) for v in types_h]
+    types_i = {tuple(float(x) for x in v) for v in types_i}
 
     folded = to_identical_density(dist_h)
-    for v in set(types_i) | set(folded.types):
+    for v in types_i | set(folded.types):
         if abs(folded.weight_of(v) - dist_i.weight_of(v)) > 1e-9:
             raise LpError(
                 f"identical model density does not match folded heterogeneous density at {v}"
             )
 
-    res_i = optimal_mechanism(types_i, dist_i, IDENTICAL)
-    ext = symmetric_extension(res_i.mechanism)
-    if set(types_h) != set(ext.types):
-        raise LpError("heterogeneous types are not the relabelings of the identical types")
+    res = optimal_symmetric_mechanism(types_h, dist_h)
+    if types_i != {sort_descending(v) for v in res.mechanism.types}:
+        raise LpError("identical types are not the sorted heterogeneous types")
     violations = []
-    ext_ic = check_ic(ext, tol=AUDIT_TOL)
-    ext_ir = check_ir(ext, tol=AUDIT_TOL)
-    if not ext_ic.passed:
-        violations.append((("extension_ic",), ext_ic.max_slack))
-    if not ext_ir.passed:
-        violations.append((("extension_ir",), ext_ir.max_slack))
-    rev_ext = expected_revenue(ext, dist_h)
-    if abs(rev_ext - res_i.revenue) > tol:
-        violations.append((("extension_revenue", rev_ext), abs(rev_ext - res_i.revenue)))
-
-    bound, lifted = _lifted_bound(res_i, ext, dist_h)
-    if bound - res_i.revenue > tol:
-        violations.append((("lifted_bound", bound), bound - res_i.revenue))
+    rev_ext = expected_revenue(res.mechanism, dist_h)
+    if abs(rev_ext - res.revenue) > tol:
+        violations.append((("extension_revenue", rev_ext), abs(rev_ext - res.revenue)))
+    bound, lifted = lifted_bound(res, dist_h)
+    if bound - res.revenue > tol:
+        violations.append((("lifted_bound", bound), bound - res.revenue))
 
     info = {
-        "revenue_identical": res_i.revenue,
+        "revenue_identical": res.revenue,
         "revenue_symmetric": rev_ext,
         "revenue_bound": bound,
         "lifted_rows": lifted,
-        "identical_rounds": res_i.rounds,
-        "identical_mode": res_i.mode,
+        "identical_rounds": res.rounds,
+        "identical_mode": res.mode,
     }
     return _report("equivalence", violations, info=info)
 
 
-def _lifted_bound(res: OptimalResult, ext: Mechanism, dist: Distribution) -> tuple[float, int]:
+def lifted_bound(res: OptimalResult, dist: Distribution) -> tuple[float, int]:
     """U(y) of `certificate` on the full heterogeneous revenue LP over the
-    profiles of `ext`, the spread of the identical optimum `res`, and the
-    number of its truthfulness rows built.
+    profiles of the spread `res.mechanism` of an
+    `optimal_symmetric_mechanism` result `res`, and the number of its
+    truthfulness rows built.  The spread's strictly decreasing profiles,
+    in order, are the identical LP's types w_k; any other mechanism
+    raises LpError.
 
     y lifts the row duals of res's last solve to every relabeling sigma,
     each with weight 1/n!: ir_k to the ir row of sigma.w_k, ic_k_l to the
@@ -927,11 +924,13 @@ def _lifted_bound(res: OptimalResult, ext: Mechanism, dist: Distribution) -> tup
     times that gap.  Only the ic rows of positive duals are built, which
     only relaxes the LP.  U(y) bounds its optimum for any y >= 0, so the
     bound does not trust the solver that found y."""
-    reps = res.mechanism.V
+    spread = res.mechanism
+    types, V = spread.types, spread.V
+    reps = V[np.all(V[:, :-1] > V[:, 1:], axis=1)]
     R, n = reps.shape
-    types = list(ext.types)
-    index = {v: a for a, v in enumerate(types)}
-    table = _relabel_table(reps, index)
+    table = _relabel_table(reps, spread._index)
+    if spread.domain_tag != HETEROGENEOUS or (table < 0).any() or table.size != len(types):
+        raise LpError("lifted bound needs the spread of an identical optimum over every relabeling")
     y = res.solution.y
     y_ir, y_ord, y_ic = y[:R], y[R : R * n].reshape(R, n - 1), y[R * n :]
     on = y_ic > 0.0
@@ -940,11 +939,11 @@ def _lifted_bound(res: OptimalResult, ext: Mechanism, dist: Distribution) -> tup
     swapped = reps[k]
     swapped[r, i], swapped[r, i + 1] = reps[k, i + 1], reps[k, i]
     a = np.concatenate([table[res.pairs[0][on]], table[k]]).ravel()
-    b = np.concatenate([table[res.pairs[1][on]], _relabel_table(swapped, index)]).ravel()
+    b = np.concatenate([table[res.pairs[1][on]], _relabel_table(swapped, spread._index)]).ravel()
     duals = np.concatenate([y_ic[on], y_ord[k, i] / (reps[k, i] - reps[k, i + 1])])
     block = np.empty(len(types), dtype=np.intp)
     block[table] = np.arange(R)[:, None]
     y_lift = np.concatenate([y_ir[block], np.repeat(duals, table.shape[1])]) / table.shape[1]
     lp = _revenue_lp(types, embed(dist, types), HETEROGENEOUS, (a, b))
-    x = np.concatenate([ext.q.ravel(), ext.t])
+    x = np.concatenate([spread.q.ravel(), spread.t])
     return certificate(lp.arrays(), x, y_lift)[0], a.size

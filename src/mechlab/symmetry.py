@@ -35,7 +35,6 @@ from .mech import (
     Mechanism,
     _report,
     check_ic,
-    check_ir,
     ic_gains,
 )
 from .typespace import (
@@ -244,35 +243,3 @@ def certify_theorem1(mech: Mechanism, tol: float = DEFAULT_TOL) -> AuditReport:
         violations.append(((side,), 1.0))
     return _report("theorem1_equivalence", violations, info=info)
 
-
-def extend_to_ties(mech: Mechanism, full_types) -> Mechanism:
-    """Complete a strict-profile mechanism to a type list with ties by
-    copying each tied profile's outcome from its nearest strict neighbor
-    (minimal max-norm distance, lexicographically smallest on ties).
-
-    A reporting convenience: the copied outcomes approximate the boundary
-    limit but carry no truthfulness guarantee of their own, so audit the
-    result if it matters.
-    """
-    _require_strict(mech, "extend_to_ties")
-    full_types = [tuple(float(x) for x in v) for v in full_types]
-    strict_list = list(mech.types)
-    q = np.zeros((len(full_types), mech.n))
-    t = np.zeros(len(full_types))
-    for k, v in enumerate(full_types):
-        if is_strict(v):
-            kv = mech.index_of(v)
-            q[k] = mech.q[kv]
-            t[k] = mech.t[kv]
-            continue
-        best = None
-        for w in strict_list:
-            dist = max(abs(a - b) for a, b in zip(v, w))
-            key = (dist, w)
-            if best is None or key < best[0]:
-                best = (key, w)
-        w = best[1]
-        kw = mech.index_of(w)
-        q[k] = mech.q[kw]
-        t[k] = mech.t[kw]
-    return Mechanism(types=tuple(full_types), q=q, t=t, domain_tag=mech.domain_tag)

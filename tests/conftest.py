@@ -1,7 +1,8 @@
 """Test-suite settings: BLAS runs on one thread, as in the benchmark
 worker, and hypothesis draws the same examples on every run.  The
 `corrupted` fixture spoils a solver result for the certificate tests,
-and `certified` checks one against the thresholds of `optlp.solve_lp`.
+`certified` checks one against the thresholds of `optlp.solve_lp`, and
+`undercut_spread` makes the symmetric optimum's spread untruthful.
 
 The thread count is set before numpy is first imported, because BLAS
 reads it once at load time.  Pivot choices can depend on the rounding of
@@ -18,7 +19,7 @@ import dataclasses  # noqa: E402
 import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
-from mechlab import simplex  # noqa: E402
+from mechlab import optlp, simplex  # noqa: E402
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -57,3 +58,19 @@ def certified():
         return res
 
     return check
+
+
+@pytest.fixture
+def undercut_spread(monkeypatch):
+    """Patch `optlp.symmetric_extension` so that the spread it returns has
+    its largest payment cut by 10: every other profile would report that
+    one, so the spread fails the truthfulness audit."""
+    spread = optlp.symmetric_extension
+
+    def undercut(mech):
+        ext = spread(mech)
+        t = ext.t.copy()
+        t[t.argmax()] -= 10.0
+        return dataclasses.replace(ext, t=t)
+
+    monkeypatch.setattr(optlp, "symmetric_extension", undercut)

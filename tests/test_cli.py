@@ -192,6 +192,22 @@ def test_theorem1_random_fuzz(tmp_path):
     assert all(row["equivalence_holds"] for row in summary["mechanisms"])
 
 
+def test_theorem1_lp_reports_the_lifted_bound(tmp_path):
+    # the symmetric optimum under an exchangeable prior: its revenue and
+    # the lifted bound on the unrestricted LP close on each other
+    cfg = {
+        "kind": "certify_theorem1",
+        "grid": {"n": 2, "points": 5},
+        "distribution": {"kind": "iid"},
+        "mechanism": {"kind": "lp"},
+    }
+    out = tmp_path / "out"
+    assert cli.run_config(cfg, out)
+    summary = json.loads((out / "summary.json").read_text())
+    assert [row["equivalence_holds"] for row in summary["mechanisms"]] == [True]
+    assert -1e-9 <= summary["revenue_bound"] - summary["revenue"] <= 1e-7
+
+
 def test_seed_override_changes_fuzz_stream(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -560,6 +576,15 @@ def test_repair_breakdown_exits_3(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path, {"kind": "repair", "grid": {"n": 3, "points": 3}, "count": 2})
     assert cli.main(["run", str(config), "--out", str(out)]) == 3
     assert "solver error" in capsys.readouterr().err
+
+
+def test_untruthful_equivalence_spread_exits_3(tmp_path, capsys, undercut_spread):
+    # a spread that fails its audit is a failed certified solve, as any
+    # other one is, not a failed equivalence
+    out = tmp_path / "out"
+    config = REPO_ROOT / "configs" / "equivalence_n2.json"
+    assert cli.main(["run", str(config), "--out", str(out)]) == 3
+    assert "failed truthfulness audit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -25,8 +25,6 @@ from mechlab.mech import (
     check_ir,
     expected_revenue,
     make_menu,
-    mechanism_from_json,
-    mechanism_to_json,
     menu_to_mechanism,
     pairwise_value,
     read_mechanism_csv,
@@ -287,15 +285,6 @@ def test_revenue_by_cell_sums_to_strict_revenue():
         wk * m.t_at(v) for v, wk in zip(d.types, d.weights) if len(set(v)) == len(v)
     )
     assert sum(cells.values()) == pytest.approx(strict_rev, abs=1e-12)
-
-
-def test_json_roundtrip():
-    m = posted_price_identical(0.5)
-    m2 = mechanism_from_json(mechanism_to_json(m))
-    assert m2.types == m.types
-    assert np.array_equal(m2.q, m.q)
-    assert np.array_equal(m2.t, m.t)
-    assert m2.domain_tag == m.domain_tag
 
 
 def test_csv_roundtrip(tmp_path):

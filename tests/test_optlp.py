@@ -24,6 +24,7 @@ from mechlab.dist import (
     uniform_distribution,
 )
 from mechlab.mech import (
+    Mechanism,
     check_feasible_identical,
     check_ic,
     check_ir,
@@ -37,6 +38,7 @@ from mechlab.optlp import (
     certify_equivalence,
     export_lp_text,
     extend_by_menu,
+    lifted_bound,
     optimal_deterministic,
     optimal_mechanism,
     optimal_symmetric_mechanism,
@@ -498,12 +500,15 @@ class TestAgainstHighs:
         orbit = optimal_symmetric_mechanism(het, dist_h)
         assert orbit.revenue == pytest.approx(ref, abs=1e-9)
 
-    @pytest.mark.parametrize("points", [6, 7], ids=["het3p6", "het3p7"])
-    def test_lifted_bound_meets_the_unrestricted_lp(self, points):
+    @pytest.mark.parametrize(
+        "n, points", [(3, 6), (3, 7), (4, 5)], ids=["het3p6", "het3p7", "het4p5"]
+    )
+    def test_lifted_bound_meets_the_unrestricted_lp(self, n, points):
         # HiGHS on every truthfulness pair of the strict profiles, no
-        # symmetry imposed (10,920 and 43,890 rows): the identical optimum
-        # reaches its value and the lifted bound closes on it from above
-        grid = Grid.uniform(n=3, v_low=0.0, v_high=1.0, points=points)
+        # symmetry imposed (14,280, 43,890 and 14,280 truthfulness rows):
+        # the identical optimum reaches its value and the lifted bound
+        # closes on it from above; n=4 lifts ord_k_2 rows, 24 relabelings
+        grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
         het = enumerate_hetero(grid, strict_only=True)
         dist_h = uniform_distribution(het, HETEROGENEOUS)
         dist_i = to_identical_density(dist_h)
@@ -699,6 +704,44 @@ class TestEquivalenceCertificate:
         assert rep.passed and rep.info["identical_rounds"] > 1
         T = len(identical[0])
         assert solved == [T * 4] * rep.info["identical_rounds"]
+
+    def test_untruthful_spread_is_a_solver_failure(self, monkeypatch, undercut_spread):
+        # the symmetric solve refuses the spread, so the heterogeneous LP
+        # of the bound is never built
+        identical, heterogeneous = self.strict_uniform(2, 4)
+        build = optlp._revenue_lp
+        built = []
+
+        def recording(types, weights, tag, pairs):
+            built.append(tag)
+            return build(types, weights, tag, pairs)
+
+        monkeypatch.setattr(optlp, "_revenue_lp", recording)
+        with pytest.raises(LpError, match="truthfulness audit"):
+            certify_equivalence(identical, heterogeneous)
+        assert built and HETEROGENEOUS not in built
+
+    def test_lifted_bound_needs_a_whole_spread(self):
+        _, (het, dist_h) = self.strict_uniform(3, 4)
+        res = optimal_symmetric_mechanism(het, dist_h)
+        assert lifted_bound(res, dist_h)[0] == pytest.approx(res.revenue, abs=1e-9)
+        mech = res.mechanism
+        reps = restrict_to_cell(mech, (0, 1, 2))
+        partial = Mechanism(types=mech.types[1:], q=mech.q[1:], t=mech.t[1:], domain_tag=HETEROGENEOUS)
+        tied = Mechanism(
+            types=mech.types + ((0.0, 0.0, 0.0),), q=np.vstack([mech.q, np.zeros(3)]),
+            t=np.append(mech.t, 0.0), domain_tag=HETEROGENEOUS,
+        )
+        for wrong in (reps, partial, tied):
+            with pytest.raises(LpError, match="every relabeling"):
+                lifted_bound(dataclasses.replace(res, mechanism=wrong), dist_h)
+
+    def test_identical_types_beyond_the_sorted_profiles_refused(self):
+        # a tied profile of weight 0 passes the density check, but it is
+        # no sorted profile of the strict heterogeneous types
+        (types_i, dist_i), heterogeneous = self.strict_uniform(2, 4)
+        with pytest.raises(LpError, match="sorted heterogeneous types"):
+            certify_equivalence((types_i + [(0.0, 0.0)], dist_i), heterogeneous)
 
     def test_mismatched_densities_refused(self):
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3)

@@ -23,7 +23,6 @@ from mechlab.mech import (
 from mechlab.symmetry import (
     certify_theorem1,
     check_ic_on_cells,
-    extend_to_ties,
     is_rank_preserving,
     is_symmetric,
     restrict_to_cell,
@@ -262,24 +261,6 @@ class TestSymmetrize:
         assert again.types == ext.types
         np.testing.assert_allclose(again.q, ext.q, atol=1e-12)
         np.testing.assert_allclose(again.t, ext.t, atol=1e-12)
-
-
-class TestTieExtension:
-    def test_nearest_strict_row_copied(self):
-        base = sorted_strict_mech()
-        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3)
-        full = enumerate_identical(grid)
-        ext = extend_to_ties(base, full)
-        assert ext.types == tuple(full)
-        # (0.5, 0.5) sits at max-norm 0.5 from all three strict types;
-        # the lexicographically smallest winner is (0.5, 0.0)
-        src = base.index_of((0.5, 0.0))
-        k = ext.index_of((0.5, 0.5))
-        assert np.array_equal(ext.q[k], base.q[src])
-        assert ext.t[k] == base.t[src]
-        for v in base.types:
-            assert np.array_equal(ext.q_at(v), base.q_at(v))
-            assert ext.t_at(v) == base.t_at(v)
 
 
 @settings(max_examples=40, deadline=None)
