@@ -118,6 +118,8 @@ def _render(obj) -> str:
         return "[" + ",".join(_render(x) for x in obj) + "]"
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist())
+    if isinstance(obj, AuditReport):
+        return _render(obj.to_jsonable())
     raise TypeError(f"cannot render {type(obj).__name__} canonically")
 
 
@@ -348,9 +350,7 @@ class RunOutput:
         self.summary["asserted_ok"] = ok
         self.out_dir.mkdir(parents=True, exist_ok=True)
         (self.out_dir / "summary.json").write_text(canonical_json(self.summary))
-        (self.out_dir / "audits.json").write_text(
-            canonical_json([r.to_jsonable() for r in self.audits])
-        )
+        (self.out_dir / "audits.json").write_text(canonical_json(self.audits))
         return ok
 
 

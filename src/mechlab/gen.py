@@ -26,28 +26,25 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
+def _menu(rng: np.random.Generator, n: int, max_items: int, draw) -> Menu:
+    """Up to max_items items: their count first, then for each item its
+    allocation `draw(rng)` and its price."""
+    k = int(rng.integers(1, max_items + 1))
+    items = [(draw(rng), float(rng.uniform(0.0, 0.9 * n))) for _ in range(k)]
+    return seller_ordered_menu(items, n)
+
+
 def random_menu(rng: np.random.Generator, n: int, max_items: int = 4) -> Menu:
     """Arbitrary allocations in [0,1]^n at prices wide enough that some
     types opt out (flat utility regions are the interesting case)."""
-    k = int(rng.integers(1, max_items + 1))
-    items = []
-    for _ in range(k):
-        alloc = tuple(float(x) for x in rng.uniform(0.0, 1.0, size=n))
-        price = float(rng.uniform(0.0, 0.9 * n))
-        items.append((alloc, price))
-    return seller_ordered_menu(items, n)
+    return _menu(rng, n, max_items, lambda r: tuple(float(x) for x in r.uniform(0.0, 1.0, size=n)))
 
 
 def random_sorted_menu(rng: np.random.Generator, n: int, max_items: int = 4) -> Menu:
     """Menu whose allocations are weakly decreasing, so the induced
     sorted-domain mechanism satisfies the allocation order."""
-    k = int(rng.integers(1, max_items + 1))
-    items = []
-    for _ in range(k):
-        alloc = tuple(sorted((float(x) for x in rng.uniform(0.0, 1.0, size=n)), reverse=True))
-        price = float(rng.uniform(0.0, 0.9 * n))
-        items.append((alloc, price))
-    return seller_ordered_menu(items, n)
+    return _menu(rng, n, max_items, lambda r: tuple(
+        sorted((float(x) for x in r.uniform(0.0, 1.0, size=n)), reverse=True)))
 
 
 def random_almost_deterministic_menu(
@@ -55,17 +52,12 @@ def random_almost_deterministic_menu(
 ) -> Menu:
     """Sorted allocations with at most one fractional coordinate
     (1, .., 1, alpha, 0, .., 0)."""
-    k = int(rng.integers(1, max_items + 1))
-    items = []
-    for _ in range(k):
-        ones = int(rng.integers(0, n))
-        alpha = float(rng.uniform(0.0, 1.0))
-        alloc = tuple(
-            1.0 if i < ones else (alpha if i == ones else 0.0) for i in range(n)
-        )
-        price = float(rng.uniform(0.0, 0.9 * n))
-        items.append((alloc, price))
-    return seller_ordered_menu(items, n)
+
+    def draw(r):
+        ones, alpha = int(r.integers(0, n)), float(r.uniform(0.0, 1.0))
+        return (1.0,) * ones + (alpha,) + (0.0,) * (n - 1 - ones)
+
+    return _menu(rng, n, max_items, draw)
 
 
 def random_ic_identical(

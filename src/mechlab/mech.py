@@ -163,26 +163,14 @@ class AuditReport:
             raise ValueError("passed flag inconsistent with violation list")
 
     def to_jsonable(self) -> dict:
-        def conv(x):
-            if isinstance(x, AuditReport):
-                return x.to_jsonable()
-            if isinstance(x, (np.floating, np.integer)):
-                return x.item()
-            if isinstance(x, np.ndarray):
-                return [conv(e) for e in x.tolist()]
-            if isinstance(x, dict):
-                return {str(k): conv(val) for k, val in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [conv(e) for e in x]
-            return x
-
+        """The fields and the violation count, as `cli` renders them."""
         return {
             "check": self.check,
             "passed": self.passed,
             "n_violations": len(self.violations),
-            "max_slack": conv(self.max_slack),
-            "violations": conv(list(self.violations)),
-            "info": conv(self.info),
+            "max_slack": self.max_slack,
+            "violations": self.violations,
+            "info": self.info,
         }
 
 

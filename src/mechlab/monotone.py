@@ -5,18 +5,19 @@ allocations, non-bossiness, and the lexicographic subgradient repair.
 The repair treats the buyer's truthful utility u as the primitive: at
 each grid type the set of allocation vectors consistent with u (the
 subgradient polytope, intersected with the unit box) is searched for its
-lexicographically maximal point.  While three or more coordinates are
-free, the polytopes of all types are selected together: consecutive ones
-are stacked, up to BLOCK_ROWS rows, into one block-diagonal LP, solved
-once for each of the coordinates 0 .. n - 3.  The first solve starts at
-the solver's slack basis, which is dual feasible, each later one from
-the last one's optimal basis.  The last two coordinates of each polytope
-span a polygon, whose lexicographic maximum Fourier-Motzkin elimination
-gives in closed form, so an n <= 2 repair builds no LP.  Payments are
-rebuilt from u, so the buyer is indifferent between the input and the
-output, while the selection rule makes the output non-bossy.  Every LP
-goes through `optlp.solve_lp`: ValueError means bad input, LpError a
-solver failure or a closed-form point that breaks a row.
+lexicographically maximal point.  The polytopes of all types are built
+once, as one stacked array, and both selection rules run on it, batched
+over every type.  While three or more coordinates are free, groups of
+consecutive types become block-diagonal LPs, one solve per coordinate
+0 .. n - 3; the last two coordinates of each polytope span a polygon,
+whose lexicographic maximum Fourier-Motzkin elimination gives in closed
+form.  The almost-deterministic rule tries the patterns
+(1,..,1,alpha,0,..,0) from the most ones down, each one interval in
+alpha over every type not yet assigned.  Payments are rebuilt from u,
+so the buyer is indifferent between the input and the output, while the
+selection rule makes the output non-bossy.  Every LP goes through
+`optlp.solve_lp`: ValueError means bad input, LpError a solver failure
+or a closed-form point that breaks a row.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class SubgradientPolytope:
         return bool(np.all(self.directions @ x <= self.slacks + tol))
 
     def maximize(self, direction) -> tuple[float, np.ndarray]:
-        lp = _subgradient_lp([self])
+        lp = _subgradient_lp(self.directions[None], self.slacks[None])
         lp.objective = [float(c) for c in direction]
         try:
             res = optlp.solve_lp(lp, f"subgradient LP at {self.anchor}")
@@ -233,31 +234,14 @@ class SubgradientPolytope:
         """Maximize coordinate 1, freeze it, maximize coordinate 2, and so
         on: one LP for each coordinate but the last two, which are
         selected in closed form (see `_lexicographic_max`)."""
-        return _lexicographic_max([self])[0]
+        return _lexicographic_max(self.directions[None], self.slacks[None], [self.anchor])[0]
 
     def lexicographic_max_almost_deterministic(self, tol: float = 1e-9) -> np.ndarray:
         """Lexicographic maximum over sorted vectors with at most one
-        fractional coordinate: patterns (1,..,1,alpha,0,..,0).  Each
-        pattern cuts the polytope down to an interval in alpha, the
-        one-dimensional step of `_lexicographic_max` (`_interval`), so
-        no LP is needed."""
-        D, s = self.directions, self.slacks
-        for ones in range(self.n, -1, -1):
-            if ones == self.n:
-                x = np.ones(self.n)
-                if self.contains(x, tol=tol):
-                    return x
-                continue
-            lo, hi, worst = _interval(D[:, ones], s - D[:, :ones].sum(axis=1))
-            if worst >= -tol and lo <= hi + tol:
-                x = np.zeros(self.n)
-                x[:ones] = 1.0
-                x[ones] = min(max(hi, 0.0), 1.0)
-                return x
-        raise ValueError(
-            f"no sorted almost-deterministic vector at {self.anchor}; "
-            "the utility profile is not consistent with such a mechanism"
-        )
+        fractional coordinate (see `_lexmax_almost_deterministic`)."""
+        return _lexmax_almost_deterministic(
+            self.directions[None], self.slacks[None], [self.anchor], tol
+        )[0]
 
 
 def _polytope(V: np.ndarray, u: np.ndarray, k: int) -> SubgradientPolytope:
@@ -281,43 +265,26 @@ def _inconsistent(where) -> ValueError:
     )
 
 
-def _subgradient_lp(polys) -> optlp.LinearProgram:
-    """The block-diagonal LP of polytopes of one dimension n over the
-    unit box, block k on columns k*n .. k*n + n - 1, with a zero
+def _subgradient_lp(D: np.ndarray, s: np.ndarray) -> optlp.LinearProgram:
+    """The block-diagonal LP of the K polytopes {x : D[k] x <= s[k]} over
+    the unit box, block k on columns k*n .. k*n + n - 1, with a zero
     objective; every entry of a direction row is kept."""
-    n, K = polys[0].n, len(polys)
-    block = np.repeat(np.arange(K), [len(p.slacks) for p in polys])
+    K, m, n = D.shape
     lp = optlp.LinearProgram(
         names=[f"x_{k}_{i}" for k in range(K) for i in range(n)],
         lower=[0.0] * (K * n), upper=[1.0] * (K * n), objective=[0.0] * (K * n),
     )
-    lp.add_rows(
-        block[:, None] * n + np.arange(n), np.concatenate([p.directions for p in polys]),
-        "<=", np.concatenate([p.slacks for p in polys]),
-    )
+    block = np.repeat(np.arange(K), m)
+    lp.add_rows(block[:, None] * n + np.arange(n), D.reshape(K * m, n), "<=", s.ravel())
     return lp
 
 
-def _groups(polys):
-    """Consecutive runs of polytopes with at most BLOCK_ROWS rows in all;
-    a polytope with more rows than that is a run of its own."""
-    group, rows = [], 0
-    for p in polys:
-        m = len(p.slacks)
-        if group and rows + m > BLOCK_ROWS:
-            yield group
-            group, rows = [], 0
-        group.append(p)
-        rows += m
-    if group:
-        yield group
+def _lexicographic_max(D: np.ndarray, s: np.ndarray, anchors) -> np.ndarray:
+    """The lexicographic maximum of each polytope {x in [0,1]^n : D[k] x
+    <= s[k]} of the stack, one row per polytope, all of m rows.
 
-
-def _lexicographic_max(polys) -> list[np.ndarray]:
-    """The lexicographic maximum of each polytope (all of one dimension
-    n), in order.
-
-    For n >= 3 each group of `_groups` becomes one block-diagonal LP,
+    For n >= 3 each group of max(1, BLOCK_ROWS // m) consecutive
+    polytopes (all of them when m = 0) becomes one block-diagonal LP,
     built once.  For each coordinate i <= n - 3 it maximizes the sum over
     the group of x_{k,i}, then fixes every x_{k,i} at its optimum through
     its bounds and passes the optimal basis to the next coordinate's
@@ -331,16 +298,20 @@ def _lexicographic_max(polys) -> list[np.ndarray]:
     absolute terms: every block's gap is at most the group's, so each
     polytope keeps the bound that a solve of its own would have to meet.
     The last min(n, 2) coordinates of a group's polytopes are then
-    selected together and exactly by `_lexmax_tail`, with no LP."""
-    return [x for group in _groups(polys) for x in _block_lexmax(group)]
+    selected together and exactly by `_lexmax_tail`, with no LP.  Errors
+    name the anchor of the polytope at fault."""
+    K, m = s.shape
+    size = max(1, BLOCK_ROWS // m) if m else K
+    return np.vstack([_block_lexmax(D[a : a + size], s[a : a + size], anchors[a : a + size])
+                      for a in range(0, K, size)])
 
 
-def _block_lexmax(polys) -> list[np.ndarray]:
-    n, K = polys[0].n, len(polys)
+def _block_lexmax(D: np.ndarray, s: np.ndarray, anchors) -> np.ndarray:
+    K, _, n = D.shape
     if n <= 2:
-        return _lexmax_tail(polys, np.zeros((K, 0)))
-    lp = _subgradient_lp(polys)
-    where = str(polys[0].anchor) if K == 1 else f"{polys[0].anchor}..{polys[-1].anchor}"
+        return _lexmax_tail(D, s, anchors, np.zeros((K, 0)))
+    lp = _subgradient_lp(D, s)
+    where = str(anchors[0]) if K == 1 else f"{anchors[0]}..{anchors[-1]}"
     what = f"subgradient LP at {where}"
     res = None
     for i in range(n - 2):
@@ -349,23 +320,22 @@ def _block_lexmax(polys) -> list[np.ndarray]:
             res = optlp.solve_lp(lp, what, None if res is None else res.basis)
         except optlp.InfeasibleError:
             if K > 1:  # a group is infeasible only where a block is: name it
-                for p in polys:
-                    _block_lexmax([p])
+                for j in range(K):
+                    _block_lexmax(D[j : j + 1], s[j : j + 1], anchors[j : j + 1])
             raise _inconsistent(where) from None
         if not res.duality_gap <= optlp.GAP_TOL:
             raise optlp.LpError(
                 f"{what} failed: duality gap {res.duality_gap} exceeds {optlp.GAP_TOL}"
             )
         lp.lower[i::n] = lp.upper[i::n] = res.x[i::n].tolist()
-    return _lexmax_tail(polys, np.clip(res.x, 0.0, 1.0).reshape(K, n)[:, : n - 2])
+    return _lexmax_tail(D, s, anchors, np.clip(res.x, 0.0, 1.0).reshape(K, n)[:, : n - 2])
 
 
-def _lexmax_tail(polys, head: np.ndarray) -> list[np.ndarray]:
+def _lexmax_tail(D: np.ndarray, s: np.ndarray, anchors, head: np.ndarray) -> np.ndarray:
     """The lexicographic maximum of each polytope with its first
     coordinates fixed at its row of `head` and the last one or two, a and
     b, free: the polygon Q = {(a, b) in [0, 1]^2 : alpha a + beta b <= r},
-    box rows included.  The polytopes are padded with zero rows to one
-    row count and selected together.
+    box rows included.  The polytopes are selected together.
 
     Fourier-Motzkin elimination of b gives every bound on a: each row
     with beta = 0, and each pair of a row u with beta_u > 0 and a row d
@@ -381,15 +351,11 @@ def _lexmax_tail(polys, head: np.ndarray) -> list[np.ndarray]:
     the polytope's rows exceeds `optlp.RESIDUAL_TOL` is an LpError.  The
     first polytope at fault is named."""
     K, k = head.shape
-    free = polys[0].n - k
-    m = max(len(p.slacks) for p in polys)
-    D = np.zeros((K, m + 2 * free, polys[0].n))
-    s = np.zeros((K, m + 2 * free))
-    for j, p in enumerate(polys):
-        D[j, : len(p.slacks)] = p.directions
-        s[j, : len(p.slacks)] = p.slacks
-    D[:, m:, k:] = np.vstack([np.eye(free), -np.eye(free)])
-    s[:, m : m + free] = 1.0
+    free = D.shape[2] - k
+    box = np.zeros((2 * free, D.shape[2]))
+    box[:, k:] = np.vstack([np.eye(free), -np.eye(free)])
+    D = np.concatenate([D, np.broadcast_to(box, (K,) + box.shape)], axis=1)
+    s = np.concatenate([s, np.broadcast_to(np.repeat([1.0, 0.0], free), (K, 2 * free))], axis=1)
     r = s - (D[:, :, :k] @ head[:, :, None])[:, :, 0]
     alpha, beta = D[:, :, k], D[:, :, -1]
     coef, rhs = alpha, r
@@ -417,12 +383,12 @@ def _lexmax_tail(polys, head: np.ndarray) -> list[np.ndarray]:
     residual = np.max((D @ x[:, :, None])[:, :, 0] - s, axis=1)
     for j in np.flatnonzero(empty | ~(residual <= optlp.RESIDUAL_TOL))[:1]:
         if empty[j]:
-            raise _inconsistent(polys[j].anchor)
+            raise _inconsistent(anchors[j])
         raise optlp.LpError(
-            f"lexicographic maximum at {polys[j].anchor} failed: "
+            f"lexicographic maximum at {anchors[j]} failed: "
             f"solution residual {residual[j]} exceeds {optlp.RESIDUAL_TOL}"
         )
-    return list(x)
+    return x
 
 
 def _interval(coef, rhs):
@@ -436,13 +402,31 @@ def _interval(coef, rhs):
     return lo, hi, np.min(rhs, axis=-1, initial=np.inf, where=coef == 0.0)
 
 
-def _with_sorted_cone(poly: SubgradientPolytope) -> SubgradientPolytope:
-    """Intersect with {x_1 >= x_2 >= ... >= x_n} via the extra direction
-    rows x_{i+1} - x_i <= 0."""
-    n = poly.n
-    directions = np.vstack([poly.directions, np.eye(n - 1, n, 1) - np.eye(n - 1, n)])
-    slacks = np.concatenate([poly.slacks, np.zeros(n - 1)])
-    return SubgradientPolytope(anchor=poly.anchor, directions=directions, slacks=slacks)
+def _lexmax_almost_deterministic(D: np.ndarray, s: np.ndarray, anchors, tol: float = 1e-9):
+    """The lexicographic maximum of each polytope {x in [0,1]^n : D[k] x
+    <= s[k]} of the stack over sorted vectors with at most one fractional
+    coordinate: the patterns (1,..,1,alpha,0,..,0), tried from the most
+    ones down.  The all-ones vector is tested first; each later pattern
+    cuts the polytopes not yet assigned down to an interval in alpha, the
+    one-dimensional step of `_lexmax_tail` (`_interval`), so no LP is
+    needed.  The first polytope that no pattern fits is named."""
+    K, _, n = D.shape
+    x = np.zeros((K, n))
+    todo = ~np.all(D @ np.ones(n) <= s + tol, axis=1)
+    x[~todo] = 1.0
+    for ones in range(n - 1, -1, -1):
+        k = np.flatnonzero(todo)
+        lo, hi, worst = _interval(D[k, :, ones], s[k] - D[k, :, :ones].sum(axis=2))
+        fits = (worst >= -tol) & (lo <= hi + tol)
+        x[k[fits], :ones] = 1.0
+        x[k[fits], ones] = np.minimum(np.maximum(hi[fits], 0.0), 1.0)
+        todo[k[fits]] = False
+    for k in np.flatnonzero(todo)[:1]:
+        raise ValueError(
+            f"no sorted almost-deterministic vector at {anchors[k]}; "
+            "the utility profile is not consistent with such a mechanism"
+        )
+    return x
 
 
 def lmax_repair(mech: Mechanism, almost_deterministic: bool = False) -> Mechanism:
@@ -464,14 +448,14 @@ def lmax_repair(mech: Mechanism, almost_deterministic: bool = False) -> Mechanis
     input's.  The selection depends only on the utility profile, never on
     the input allocation, which is what makes the output non-bossy.
 
-    The selection solves one block LP per group of types and coordinate
-    but the last two (`_lexicographic_max`), each through
-    `optlp.solve_lp` and an absolute duality-gap bound, and selects the
-    last two in closed form.  ValueError means bad input: a mechanism
-    that is not truthful or participating, or an empty polytope.  LpError
-    means the selection failed: a solver breakdown, an uncertified
-    optimum, a gap over the bound, or a closed-form point with a residual
-    over `optlp.RESIDUAL_TOL`.
+    The polytopes form one stack: directions V[l] - V[k] over l != k,
+    shape (T, T - 1, n), and slacks u[l] - u[k], with the sorted-cone rows
+    x_{i+1} - x_i <= 0 appended on the sorted domain.  ValueError means
+    bad input: a mechanism that is not truthful or participating, or an
+    empty polytope, named by its type.  LpError means the selection
+    failed: a solver breakdown, an uncertified optimum, a duality gap over
+    `optlp.GAP_TOL`, or a closed-form point with a residual over
+    `optlp.RESIDUAL_TOL`.
     """
     ic = check_ic(mech, tol=PAYMENT_TOL)
     if not ic.passed:
@@ -481,13 +465,18 @@ def lmax_repair(mech: Mechanism, almost_deterministic: bool = False) -> Mechanis
         raise ValueError(f"repair needs a participating input; worst deficit {ir.max_slack}")
     u = mech.utilities()
     V = mech.V
-    polys = [_polytope(V, u, k) for k in range(len(u))]
+    T, n = V.shape
+    others = ~np.eye(T, dtype=bool)
+    D = (V[None] - V[:, None])[others].reshape(T, T - 1, n)
+    s = (u[None] - u[:, None])[others].reshape(T, T - 1)
     if almost_deterministic:
-        q = [p.lexicographic_max_almost_deterministic() for p in polys]
+        q = _lexmax_almost_deterministic(D, s, mech.types)
     else:
         if mech.domain_tag == IDENTICAL:
-            polys = [_with_sorted_cone(p) for p in polys]
-        q = _lexicographic_max(polys)
+            cone = np.eye(n - 1, n, 1) - np.eye(n - 1, n)
+            D = np.concatenate([D, np.broadcast_to(cone, (T, n - 1, n))], axis=1)
+            s = np.concatenate([s, np.zeros((T, n - 1))], axis=1)
+        q = _lexicographic_max(D, s, mech.types)
     t = [float(np.dot(v, x) - u[k]) for k, (v, x) in enumerate(zip(mech.types, q))]
     return Mechanism(types=mech.types, q=q, t=t, domain_tag=mech.domain_tag)
 

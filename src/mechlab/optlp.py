@@ -78,6 +78,8 @@ MAX_WORKING_ROWS = 20000
 MAX_ROUNDS = 60
 MAX_MENUS = 500_000
 EXPORT_CHUNK = 4096
+# nearest reports per type in the first working set of the lazy LP
+NEIGHBORS = 4
 
 
 class LpError(RuntimeError):
@@ -593,12 +595,12 @@ def _certify_mechanism(mech: Mechanism) -> None:
             raise LpError(f"optimal mechanism failed allocation order: {rep_f.max_slack}")
 
 
-def _neighbor_pairs(types, per_type: int = 4) -> np.ndarray:
+def _neighbor_pairs(types) -> np.ndarray:
     """Type-by-type mask of the deviation pairs between each type and its
-    nearest reports (max-norm), in both directions."""
+    `NEIGHBORS` nearest reports (max-norm), in both directions."""
     arr = np.asarray(types, dtype=float)
     count = arr.shape[0]
-    k = min(per_type, count - 1)
+    k = min(NEIGHBORS, count - 1)
     gaps = np.max(np.abs(arr[:, None, :] - arr[None, :, :]), axis=2)
     np.fill_diagonal(gaps, np.inf)
     nearest = np.argsort(gaps, axis=1, kind="stable")[:, :k]

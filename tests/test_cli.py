@@ -138,6 +138,36 @@ def test_repair_solve_counts(tmp_path, monkeypatch):
     assert len(calls) == cfg["count"]
 
 
+# sha256 of the repair artifacts at seed 0: an n = 2 run (closed form
+# only) and an n = 3 one (block LPs too); the selection rules are
+# deterministic, so a rewrite of the repair must keep every byte
+REPAIR_CONFIGS = {
+    "repair_fuzz.json": json.loads((REPO_ROOT / "configs" / "repair_fuzz.json").read_text()),
+    "repair_n3": {
+        "kind": "repair", "grid": {"n": 3, "points": 3}, "count": 30, "almost_det_count": 10,
+    },
+}
+REPAIR_SHA256 = {
+    "repair_fuzz.json": {
+        "summary.json": "c815d30b71b7b4800f1c8bdf850ae049f78775bbda8d421bb312e6ed766b4dfa",
+        "mechanism.csv": "62bdd864fb5eab971062550de8ef38db407addc65720ef73ae6f9826d1e7c674",
+    },
+    "repair_n3": {
+        "summary.json": "50c0b5be5e61d93ddd5a19be66c142344cd2c282438677950bc26d0226b9f8a4",
+        "mechanism.csv": "accd60c44f76eb9c76b679be5f5038ca127531e7d725c78aa7df3a33e5aaad50",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPAIR_SHA256))
+def test_repair_artifacts_are_pinned(tmp_path, name):
+    cfg = write_config(tmp_path, REPAIR_CONFIGS[name])
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--seed", "0"]) == 0
+    for artifact, digest in REPAIR_SHA256[name].items():
+        assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact
+
+
 def test_solve_writes_parseable_audits(tmp_path):
     cfg = write_config(tmp_path, SOLVE_SINGLE)
     out = tmp_path / "out"

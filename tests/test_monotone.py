@@ -19,9 +19,7 @@ from mechlab.mech import (
 )
 from mechlab.monotone import (
     SubgradientPolytope,
-    _groups,
     _lexicographic_max,
-    _with_sorted_cone,
     check_majorization_monotonicity,
     check_object_nonbossy,
     check_prop_schur,
@@ -458,6 +456,17 @@ def _loop_almost_det(poly: SubgradientPolytope, tol: float = 1e-9) -> np.ndarray
     raise ValueError("no sorted almost-deterministic vector")
 
 
+def _with_sorted_cone(poly: SubgradientPolytope) -> SubgradientPolytope:
+    """The polytope cut by the sorted-cone rows x_{i+1} - x_i <= 0, which
+    `lmax_repair` appends on the sorted domain."""
+    n = poly.n
+    return SubgradientPolytope(
+        anchor=poly.anchor,
+        directions=np.vstack([poly.directions, np.eye(n - 1, n, 1) - np.eye(n - 1, n)]),
+        slacks=np.concatenate([poly.slacks, np.zeros(n - 1)]),
+    )
+
+
 def _random_polys(kind, points, seed):
     rng = np.random.default_rng(seed)
     if kind == "hetero":
@@ -469,11 +478,33 @@ def _random_polys(kind, points, seed):
     return [_with_sorted_cone(subgradient_polytope(mech, v)) for v in mech.types]
 
 
+def _stacked(polys):
+    """Polytopes of one row count as the stack that `lmax_repair` builds:
+    directions, slacks and anchors."""
+    return (np.stack([p.directions for p in polys]), np.stack([p.slacks for p in polys]),
+            [p.anchor for p in polys])
+
+
 def _assert_matches_loop(polys):
-    got = _lexicographic_max(polys)
+    got = _lexicographic_max(*_stacked(polys))
     assert len(got) == len(polys)
     for poly, x in zip(polys, got):
         np.testing.assert_allclose(x, _loop_lexmax(poly), rtol=0.0, atol=1e-12)
+
+
+def _lp_rows(monkeypatch, polys):
+    """The row count of each LP that the selection of `polys` solves."""
+    rows = []
+    solve = optlp.solve_lp
+
+    def recording(lp, *args):
+        rows.append(lp.n_rows)
+        return solve(lp, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(optlp, "solve_lp", recording)
+        _lexicographic_max(*_stacked(polys))
+    return rows
 
 
 class TestBlockLexicographicMax:
@@ -488,13 +519,13 @@ class TestBlockLexicographicMax:
     def test_polytope_over_the_budget_gets_its_own_block(self, monkeypatch):
         polys = _random_polys("identical3", 3, 7)  # 11 rows each
         monkeypatch.setattr(monotone, "BLOCK_ROWS", 5)
-        assert [len(g) for g in _groups(polys)] == [1] * len(polys)
+        assert _lp_rows(monkeypatch, polys) == [11] * len(polys)
         _assert_matches_loop(polys)
 
     def test_group_filling_the_budget_exactly(self, monkeypatch):
         polys = _random_polys("identical3", 3, 8)  # 11 rows each
         monkeypatch.setattr(monotone, "BLOCK_ROWS", 22)
-        assert [len(g) for g in _groups(polys)] == [2] * 5
+        assert _lp_rows(monkeypatch, polys) == [22] * 5
         _assert_matches_loop(polys)
 
     def test_infeasible_group_names_the_polytope_at_fault(self):
@@ -508,21 +539,16 @@ class TestBlockLexicographicMax:
         # (0.0,) and (1.0,) are both empty: the first is named
         polys = [subgradient_polytope(mech, v) for v in ((0.5,), (0.0,), (1.0,))]
         with pytest.raises(ValueError, match=r"at \(0\.0,\) is infeasible"):
-            _lexicographic_max(polys)
+            _lexicographic_max(*_stacked(polys))
 
-    def test_zero_row_polytope(self, monkeypatch):
+    def test_zero_row_polytope(self):
         single = Mechanism(
             types=((0.5, 0.5),), q=np.array([[0.5, 0.0]]), t=np.zeros(1), domain_tag=HETEROGENEOUS
         )
         empty = subgradient_polytope(single, (0.5, 0.5))
         assert empty.directions.shape == (0, 2)
         np.testing.assert_allclose(empty.lexicographic_max(), [1.0, 1.0], atol=1e-12)
-        # inside a group that fills the budget exactly
-        polys = _random_polys("identical2", 3, 9)  # 5 + 1 rows each
-        monkeypatch.setattr(monotone, "BLOCK_ROWS", 12)
-        mixed = [polys[0], empty, polys[1], polys[2]]
-        assert [len(g) for g in _groups(mixed)] == [3, 1]
-        _assert_matches_loop(mixed)
+        np.testing.assert_allclose(lmax_repair(single).q, [[1.0, 1.0]], atol=1e-12)
 
 
 def _pinned_polytope() -> SubgradientPolytope:
@@ -554,12 +580,12 @@ class TestClosedFormStep:
         # to rounding, and such a residue counts as a zero coefficient,
         # not as a bound on a
         poly = _pinned_polytope()
-        x = _lexicographic_max([poly])[0]
+        x = poly.lexicographic_max()
         np.testing.assert_allclose(x, _loop_lexmax(poly), rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(x, [0.81422574, 0.29849114], atol=1e-8)
         monkeypatch.setattr(simplex, "PIVOT_TOL", 0.0)
         with pytest.raises(ValueError, match="is infeasible"):
-            _lexicographic_max([poly])
+            poly.lexicographic_max()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_zero_row_polytope_selects_the_top_corner(self, n):
@@ -584,15 +610,22 @@ class TestClosedFormStep:
 
     @pytest.mark.parametrize("n, points", [(1, 5), (2, 3), (2, 4), (3, 3), (4, 3)])
     def test_almost_deterministic_step_matches_the_row_loop(self, n, points):
+        # one polytope at a time, and every type of a mechanism at once
+        # through the repair, with patterns at several numbers of ones
         grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
+        ones = set()
         for seed in range(10):
             mech = gen.random_ic_identical(
                 np.random.default_rng(seed), grid, max_items=3, almost_deterministic=True
             )
-            for v in mech.types:
+            out = lmax_repair(mech, almost_deterministic=True)
+            for v, batched in zip(mech.types, out.q):
                 poly = subgradient_polytope(mech, v)
-                got = poly.lexicographic_max_almost_deterministic()
-                assert got.tobytes() == _loop_almost_det(poly).tobytes(), (seed, v)
+                want = _loop_almost_det(poly).tobytes()
+                assert poly.lexicographic_max_almost_deterministic().tobytes() == want, (seed, v)
+                assert batched.tobytes() == want, (seed, v)
+                ones.add(int(np.sum(batched == 1.0)))
+        assert len(ones) > 1
 
     def test_corrupted_step_is_refused(self, monkeypatch):
         poly = _pinned_polytope()

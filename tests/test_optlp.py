@@ -1138,7 +1138,7 @@ class TestTripletRows:
     @pytest.mark.parametrize("domain_tag, n, points", GRIDS, ids=GRID_IDS)
     def test_lazy_pair_mask(self, domain_tag, n, points):
         types, weights = self.instance(domain_tag, n, points)
-        pairs = np.nonzero(optlp._neighbor_pairs(types, per_type=2))
+        pairs = np.nonzero(optlp._neighbor_pairs(types))
         lp = optlp._revenue_lp(types, weights, domain_tag, pairs)
         self.assert_matches_reference(lp, types, weights, domain_tag, pairs)
 
