@@ -244,18 +244,23 @@ class SubgradientPolytope:
         )[0]
 
 
-def _polytope(V: np.ndarray, u: np.ndarray, k: int) -> SubgradientPolytope:
-    """The subgradient polytope at row k of the type matrix V, given the
-    utility u of every type."""
-    others = np.arange(len(u)) != k
-    return SubgradientPolytope(
-        anchor=tuple(float(x) for x in V[k]), directions=V[others] - V[k], slacks=u[others] - u[k]
-    )
+def _subgradient_rows(V: np.ndarray, u: np.ndarray, anchors) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the subgradient polytopes at the rows `anchors` of the
+    type matrix V, given the utility u of every type: for each anchor k,
+    the directions V[l] - V[k], shape (K, T - 1, n), and the slacks u[l]
+    - u[k], shape (K, T - 1), over l != k in increasing order."""
+    anchors = np.asarray(anchors, dtype=np.intp)
+    (T, n), K = V.shape, anchors.size
+    others = np.arange(T) != anchors[:, None]
+    D = (V[None] - V[anchors, None])[others].reshape(K, T - 1, n)
+    s = (u[None] - u[anchors, None])[others].reshape(K, T - 1)
+    return D, s
 
 
 def subgradient_polytope(mech: Mechanism, v) -> SubgradientPolytope:
     k = mech.index_of(tuple(float(x) for x in v))
-    return _polytope(mech.V, mech.utilities(), k)
+    D, s = _subgradient_rows(mech.V, mech.utilities(), [k])
+    return SubgradientPolytope(anchor=tuple(float(x) for x in mech.V[k]), directions=D[0], slacks=s[0])
 
 
 def _inconsistent(where) -> ValueError:
@@ -466,9 +471,7 @@ def lmax_repair(mech: Mechanism, almost_deterministic: bool = False) -> Mechanis
     u = mech.utilities()
     V = mech.V
     T, n = V.shape
-    others = ~np.eye(T, dtype=bool)
-    D = (V[None] - V[:, None])[others].reshape(T, T - 1, n)
-    s = (u[None] - u[:, None])[others].reshape(T, T - 1)
+    D, s = _subgradient_rows(V, u, np.arange(T))
     if almost_deterministic:
         q = _lexmax_almost_deterministic(D, s, mech.types)
     else:

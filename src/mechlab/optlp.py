@@ -20,10 +20,12 @@ is an implementation detail, never a weaker guarantee.  `OptimalResult`
 keeps one record per round: rows added and pruned, the worst
 truthfulness gain, and the solve's trace of counts.
 
-Every revenue LP has the no-sale mechanism (q = 0, t = 0, every
-participation row binding) as a vertex, so its first solve starts
-phase 2 there instead of at the slack basis; each later round
-warm-starts from the previous round's optimal basis.
+The first solve of every revenue LP starts at the basis of the
+first-best mechanism, the optimum without truthfulness rows: every
+type gets each unit it values and pays its whole value.  That basis is
+dual feasible, so the first round is a dual-simplex repair of the
+violated truthfulness rows, as is each later round, which warm-starts
+from the previous round's optimal basis.
 
 `solve_lp` alone decides whether an optimum is trusted: it checks each
 one by `certificate`, weak duality on the LP's own arrays, against
@@ -469,15 +471,24 @@ def _truthfulness_rows(T, values, k, l):
     return col, val
 
 
-def _no_sale_start(lp: LinearProgram, T: int) -> np.ndarray:
-    """The `start` basis of the no-sale vertex q = 0, t = 0 of a
-    `_revenue_lp` over T types: every q column nonbasic at 0, every
-    payment basic on its participation row ir_k, whose logical column is
-    nonbasic at 0, and every other logical column basic.  Each row then
-    reads 0 <= 0 and the kernel A[ir rows, payment columns] is I, so the
-    solve starts phase 2 there."""
-    statuses = np.array([simplex._LO, simplex._BASIC, simplex._LO, simplex._BASIC], dtype=np.int8)
-    return np.repeat(statuses, [lp.n_vars - T, T, T, lp.n_rows - T])
+def _first_best_start(weights, values, n_rows: int) -> np.ndarray:
+    """The `start` basis of the first-best mechanism of a `_revenue_lp`
+    with `n_rows` rows over the types `values` (T x n) under `weights`:
+    every type gets each unit it values and pays its whole value.  Each
+    payment is basic on its participation row ir_k, whose logical column
+    is nonbasic at 0, every other logical column is basic, and q_k_i is
+    nonbasic at 1 where weights[k] * values[k, i] > 0, at 0 elsewhere.
+    The kernel A[ir rows, payment columns] is I, so the dual of ir_k is
+    weights[k] and the reduced cost of q_k_i is weights[k] * values[k, i]:
+    the basis is dual feasible, and only truthfulness rows are violated
+    (sorted values put the ones in front, so the ord rows hold).  The
+    solve then starts with the dual simplex, as every later round does."""
+    values = np.asarray(values, dtype=float)
+    T = values.shape[0]
+    sold = np.asarray(weights, dtype=float)[:, None] * values > 0.0
+    q = np.where(sold, simplex._UP, simplex._LO).ravel()
+    rest = np.repeat([simplex._BASIC, simplex._LO, simplex._BASIC], [T, T, n_rows - T])
+    return np.concatenate([q, rest]).astype(np.int8)
 
 
 def _extract_mechanism(types, n, values, domain_tag) -> Mechanism:
@@ -521,10 +532,11 @@ def optimal_mechanism(
     participation audits at 1e-8 regardless of mode; failure to certify
     raises.
 
-    The first round starts phase 2 at the no-sale vertex
-    (`_no_sale_start`).  Every later round warm-starts from the previous
-    round's optimal basis (`_next_start`): the dual values stay feasible,
-    so the bounded dual simplex only has to repair the new, violated rows.
+    The first round starts at the first-best basis
+    (`_first_best_start`), and every later round warm-starts from the
+    previous round's optimal basis (`_next_start`).  Both are dual
+    feasible, so in every round the bounded dual simplex only has to
+    repair the violated truthfulness rows.
     """
     types = [tuple(float(x) for x in v) for v in types]
     T, n = len(types), len(types[0])
@@ -549,7 +561,7 @@ def optimal_mechanism(
         k, l = np.nonzero(working)
         lp = _revenue_lp(types, weights, domain_tag, (k, l))
         if rounds == 1:
-            start = _no_sale_start(lp, T)
+            start = _first_best_start(weights, types, lp.n_rows)
         sol = solve_lp(lp, "revenue LP", start)
         mech = _extract_mechanism(types, n, sol.x, domain_tag)
         gain = ic_gains(mech)

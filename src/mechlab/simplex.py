@@ -75,10 +75,10 @@ simplex (`_Tableau.dual_run`) restores primal feasibility first.  A
 start that `warm_start` or `settle` refuses falls back to the slack
 basis, whose result it then returns.  A violated row that the dual
 ratio test cannot repair from the slack basis proves the LP infeasible.
-The revenue LPs pass the no-sale vertex to their first solve, and lazy
-row generation each round's optimal basis to the next round; the
-lexicographic repair passes each coordinate's optimal basis, with that
-coordinate's values fixed through their bounds, to the next
+The revenue LPs pass the dual-feasible first-best basis to their first
+solve, and lazy row generation each round's optimal basis to the next
+round; the lexicographic repair passes each coordinate's optimal basis,
+with that coordinate's values fixed through their bounds, to the next
 coordinate's solve.  Reruns are bitwise identical for a fixed BLAS
 thread count: the rounding of the dense products, and through it a tie
 between pivots, can depend on the number of threads.

@@ -188,6 +188,21 @@ def test_rerun_is_byte_identical(tmp_path, name):
     assert trees[0] and trees[0] == trees[1]
 
 
+def test_monotonicity_at_24_points(tmp_path):
+    # bench/configs/monotonicity_p8.json at 24 points: solved from the
+    # no-sale vertex, its revenue LP stopped on a singular basis (exit 3).
+    # HiGHS on the full LP gives 0.43228433032149133.
+    payload = {
+        "kind": "monotonicity",
+        "grid": {"n": 2, "points": 24},
+        "density": {"expr": "exp_rate", "params": {"a": 1.0}},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["revenue"] == pytest.approx(0.43228433032149133, abs=1e-9)
+
+
 def test_robust_two_level(tmp_path):
     cfg = write_config(
         tmp_path,

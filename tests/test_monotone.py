@@ -541,6 +541,26 @@ class TestBlockLexicographicMax:
         with pytest.raises(ValueError, match=r"at \(0\.0,\) is infeasible"):
             _lexicographic_max(*_stacked(polys))
 
+    @pytest.mark.parametrize("kind", ["hetero", "identical3"])
+    def test_polytope_rows_are_the_stack_rows_in_order(self, kind):
+        # one builder: subgradient_polytope is the stack of lmax_repair
+        # cut to one anchor, and both hold V[l] - V[k], u[l] - u[k] over
+        # l != k in increasing order, bit for bit
+        rng = np.random.default_rng(5)
+        grid = Grid.uniform(n=2 if kind == "hetero" else 3, v_low=0.0, v_high=1.0, points=4)
+        make = gen.random_ic_heterogeneous if kind == "hetero" else gen.random_ic_identical
+        mech = make(rng, grid, max_items=3)
+        V, u = mech.V, mech.utilities()
+        D, s = monotone._subgradient_rows(V, u, np.arange(len(V)))
+        for k, v in enumerate(mech.types):
+            others = [l for l in range(len(V)) if l != k]
+            want_D = np.array([V[l] - V[k] for l in others])
+            want_s = np.array([u[l] - u[k] for l in others])
+            poly = subgradient_polytope(mech, v)
+            for got_D, got_s in ((D[k], s[k]), (poly.directions, poly.slacks)):
+                assert got_D.tobytes() == want_D.tobytes()
+                assert got_s.tobytes() == want_s.tobytes()
+
     def test_zero_row_polytope(self):
         single = Mechanism(
             types=((0.5, 0.5),), q=np.array([[0.5, 0.0]]), t=np.zeros(1), domain_tag=HETEROGENEOUS

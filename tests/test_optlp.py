@@ -161,8 +161,8 @@ class TestRevenueLp:
     @pytest.mark.parametrize(
         "domain_tag, n, points, pinned, ic_rows_per_round",
         [
-            (HETEROGENEOUS, 2, 6, (3, 203, 8), [188, 212, 203]),
-            (IDENTICAL, 4, 4, (3, 225, 2), [218, 288, 225]),
+            (HETEROGENEOUS, 2, 6, (3, 197, 3), [188, 212, 197]),
+            (IDENTICAL, 4, 4, (3, 226, 3), [218, 288, 226]),
         ],
         ids=["het2p6", "id4p4"],
     )
@@ -222,7 +222,7 @@ class TestRevenueLp:
         monkeypatch.setattr(simplex, "_Tableau", Recording)
         monkeypatch.setattr(simplex.np.linalg, "solve", fails_once)
         res = optimal_mechanism(types, dist, HETEROGENEOUS, mode="lazy")
-        # round 1 factors its no-sale start; the fourth solve is a
+        # round 1 factors its first-best start; the fourth solve is a
         # scheduled refactor 24 pivots into round 1
         assert calls[:4] == [0, 8, 16, 24]
         assert tabs[0].rolled_back and tabs[0].refactor_every == 128
@@ -283,16 +283,15 @@ class TestRevenueLp:
             assert log[-1].max_gain == float(np.max(optlp.ic_gains(mech)))
 
     @pytest.mark.parametrize(
-        "domain_tag, n, points, mode",
-        [(IDENTICAL, 2, 8, "lazy"), (HETEROGENEOUS, 3, 4, "lazy")],
+        "domain_tag, n, points",
+        [(IDENTICAL, 2, 8), (HETEROGENEOUS, 3, 4)],
         ids=["id2p8-lazy", "het3p4-lazy"],
     )
-    def test_first_solve_starts_at_the_no_sale_vertex(
-        self, monkeypatch, domain_tag, n, points, mode
-    ):
-        # the first LP starts phase 2 at q = 0, t = 0: no dual simplex,
-        # fewer pivots and the same revenue as its solve from the slack
-        # basis
+    def test_first_solve_starts_at_the_first_best_basis(self, monkeypatch, domain_tag, n, points):
+        # the first LP starts at the first-best basis, which is dual
+        # feasible: only the dual simplex runs, and it makes fewer pivots
+        # than the same LP from the slack basis or from the no-sale
+        # vertex q = 0, t = 0, to the same optimum
         firsts, warm = [], []
         solve, warm_start = optlp.solve_lp, simplex._Tableau.warm_start
 
@@ -310,17 +309,22 @@ class TestRevenueLp:
         monkeypatch.setattr(simplex._Tableau, "warm_start", recording)
         grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
         types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
-        optimal_mechanism(types, uniform_distribution(types, domain_tag), domain_tag, mode)
+        optimal_mechanism(types, uniform_distribution(types, domain_tag), domain_tag, "lazy")
         lp, first = firsts[0]
         assert warm[0] is True
-        assert first.trace.dual.iterations == 0
-        cold = solve(lp)
-        assert first.iterations < cold.iterations
-        assert first.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert first.trace.phase2.iterations == 0 < first.trace.dual.iterations
+        T = len(types)
+        no_sale = np.repeat(
+            [simplex._LO, simplex._BASIC, simplex._LO, simplex._BASIC], [T * n, T, T, lp.n_rows - T]
+        ).astype(np.int8)
+        for other in (solve(lp), solve(lp, start=no_sale)):
+            assert first.iterations < other.iterations
+            assert first.objective == pytest.approx(other.objective, abs=1e-12)
+        assert warm[-1] is True
 
     def test_full_id2p12_matches_stored_highs_value(self, certified):
-        # 6,006 truthfulness rows, solved from the no-sale start and from
-        # the slack basis.  HiGHS value computed once and stored.
+        # 6,006 truthfulness rows, solved from the first-best start and
+        # from the slack basis.  HiGHS value computed once and stored.
         grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12)
         types = enumerate_identical(grid)
         dist = uniform_distribution(types, IDENTICAL)
@@ -459,6 +463,19 @@ class TestAgainstHighs:
         for mode in modes:
             res = optimal_mechanism(types, dist, domain_tag, mode=mode)
             assert res.revenue == pytest.approx(ref, abs=1e-9), mode
+
+    def test_full_id2p12_under_a_sparse_prior(self, certified):
+        # Dirichlet(0.5) weights, seed 1: solved from the no-sale vertex,
+        # this full LP failed its certificate (a residual of 6.26 after
+        # 3,048 phase-2 pivots)
+        grid = Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=12)
+        types = enumerate_identical(grid)
+        w = np.random.default_rng(1).dirichlet(np.full(len(types), 0.5))
+        dist = table_distribution(types, w, IDENTICAL)
+        ref = scipy_lp_value(build_revenue_lp(types, dist, IDENTICAL))
+        res = optimal_mechanism(types, dist, IDENTICAL, mode="full")
+        certified(res.solution)
+        assert res.revenue == pytest.approx(ref, abs=1e-9)
 
     def test_id2p16_lazy_at_scale(self, monkeypatch, certified):
         # 136 types: HiGHS solves the full LP (18,360 truthfulness rows)

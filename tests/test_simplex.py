@@ -405,6 +405,25 @@ def _revenue_lp_args(domain_tag, n, points):
     return dict(zip(("c", "A", "b", "senses", "lower", "upper"), lp.arrays()))
 
 
+def _no_sale_start(T, n, m):
+    """The statuses of the no-sale vertex q = 0, t = 0 of a revenue LP
+    over T types of n values and m rows: every q column nonbasic at 0,
+    every payment basic on its participation row, whose logical column is
+    nonbasic at 0, and every other logical column basic.  The vertex is
+    primal feasible, so a solve from it starts phase 2 there."""
+    statuses = [simplex._LO, simplex._BASIC, simplex._LO, simplex._BASIC]
+    return np.repeat(statuses, [T * n, T, T, m - T]).astype(np.int8)
+
+
+def _first_round_at_no_sale(monkeypatch):
+    """Start the first round of every revenue LP at the no-sale vertex in
+    place of the first-best basis, so that it runs phase 2."""
+    monkeypatch.setattr(
+        optlp, "_first_best_start",
+        lambda weights, values, n_rows: _no_sale_start(*np.shape(values), n_rows),
+    )
+
+
 def _solve_mechanism(domain_tag, n, points, mode):
     grid = Grid.uniform(n=n, v_low=0.0, v_high=1.0, points=points)
     types = (enumerate_identical if domain_tag == IDENTICAL else enumerate_hetero)(grid)
@@ -412,20 +431,23 @@ def _solve_mechanism(domain_tag, n, points, mode):
 
 
 @pytest.mark.parametrize(
-    "domain_tag, n, points, mode, weigh_every",
+    "domain_tag, n, points, mode, weigh_every, no_sale",
     [
-        (IDENTICAL, 2, 6, "full", 16),
-        # 10 pivots from the no-sale start: weigh at every one
-        (HETEROGENEOUS, 2, 3, "full", 1),
-        (IDENTICAL, 3, 4, "full", 16),
-        (HETEROGENEOUS, 3, 4, "lazy", 16),
+        # dual pivots only, from the first-best start
+        (IDENTICAL, 2, 6, "full", 16, False),
+        # 10 phase-2 pivots from the no-sale vertex: weigh at every one
+        (HETEROGENEOUS, 2, 3, "full", 1, True),
+        (IDENTICAL, 3, 4, "full", 16, True),
+        (HETEROGENEOUS, 3, 4, "lazy", 16, False),
     ],
     ids=["id2p6-full", "het2p3-full", "id3p4-full", "het3p4-lazy"],
 )
 def test_kernel_matches_dense_reference(
-    monkeypatch, certified, domain_tag, n, points, mode, weigh_every
+    monkeypatch, certified, domain_tag, n, points, mode, weigh_every, no_sale
 ):
     done = _check_kernel(monkeypatch, weigh_every=weigh_every)
+    if no_sale:
+        _first_round_at_no_sale(monkeypatch)
     res = _solve_mechanism(domain_tag, n, points, mode)
     certified(res.solution)
     assert done["pivots"] > 0 and done["weighed"] > 0
@@ -560,17 +582,17 @@ def test_ratio_test_matches_the_loops():
 @pytest.mark.parametrize(
     "domain_tag, n, points, mode, pivots",
     [
-        (IDENTICAL, 2, 8, "full", [211]),
-        (IDENTICAL, 2, 12, "full", [700]),
-        (IDENTICAL, 2, 12, "lazy", [300, 5]),
-        (HETEROGENEOUS, 3, 4, "lazy", [198, 49, 25, 5]),
-        (IDENTICAL, 3, 6, "lazy", [229, 26, 25, 24, 6]),
+        (IDENTICAL, 2, 8, "full", [137]),
+        (IDENTICAL, 2, 12, "full", [452]),
+        (IDENTICAL, 2, 12, "lazy", [177, 5]),
+        (HETEROGENEOUS, 3, 4, "lazy", [69, 54, 31, 3, 5]),
+        (IDENTICAL, 3, 6, "lazy", [98, 33, 30, 20, 7]),
     ],
     ids=["id2p8-full", "id2p12-full", "id2p12-lazy", "het3p4-lazy", "id3p6-lazy"],
 )
 def test_pivot_paths_are_pinned(domain_tag, n, points, mode, pivots):
     """Pivots per round (dual simplex and phase 2 together) of the ladder
-    instances, each from its no-sale start, with BLAS on one thread as
+    instances, each from its first-best start, with BLAS on one thread as
     conftest.py sets it.  These are the pivot paths of today's rules, not
     targets: a change that moves a pivot path (its ratio test, pricing,
     tolerances or start) re-derives these values and records the old and
@@ -598,8 +620,7 @@ def test_stored_pivot_defect_reproducers(name, T, n, ic_rows):
     assert set(senses) == {"<="} and not z["b"].any()
     # validates the bounds, the senses and the sorted triplets
     simplex._Tableau(-z["c"], A, z["b"], senses, z["lower"], z["upper"])
-    want = np.repeat([simplex._LO, simplex._BASIC, simplex._LO, simplex._BASIC], [T * n, T, T, m - T])
-    assert np.array_equal(z["start"], want)
+    assert np.array_equal(z["start"], _no_sale_start(T, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +635,8 @@ def test_stored_pivot_defect_reproducers(name, T, n, ic_rows):
     ids=["het3p4-lazy", "id3p6-lazy", "id2p8-full"],
 )
 def test_updated_weights_match_recomputed_norms(monkeypatch, domain_tag, n, points, mode):
-    # the norms recomputed densely here after every eighth pivot: with R
+    # the first round from the no-sale vertex, so that phase 2 steps; the
+    # norms recomputed densely here after every eighth pivot: with R
     # the rows no basic unit column covers and C the positions of the
     # basic structural columns, B^-1 [A | I] is A[R, C]^-1 [A | I][R] on C
     # by np.linalg.solve, and on the other positions the covered rows
@@ -654,10 +676,12 @@ def test_updated_weights_match_recomputed_norms(monkeypatch, domain_tag, n, poin
             worst["gamma"] = max(worst["gamma"], _rel_err(self.gamma, gamma))
 
     monkeypatch.setattr(simplex._Tableau, "pivot", checked_pivot)
+    _first_round_at_no_sale(monkeypatch)
     _solve_mechanism(domain_tag, n, points, mode)
     assert worst["gamma"] <= 1e-5
     assert worst["beta"] <= 1e-9
-    # warm lazy rounds run the dual simplex; a full solve never does
+    # warm lazy rounds run the dual simplex; a full solve from the no-sale
+    # vertex never does
     assert bool(dual_pivots) == (mode == "lazy")
 
 
@@ -725,7 +749,9 @@ def test_pricing_reads_the_weights_of_every_column(monkeypatch):
     for name in ("run", "dual_run"):
         track(name)
     monkeypatch.setattr(T, "pivot", pivot)
-    # 405 primal and 76 dual pivots from the no-sale start
+    # 405 primal and 76 dual pivots with the first round from the no-sale
+    # vertex
+    _first_round_at_no_sale(monkeypatch)
     _solve_mechanism(IDENTICAL, 2, 14, "lazy")
     assert checked["run"] > 300 and checked["dual_run"] > 10, checked
 
@@ -769,6 +795,8 @@ def test_columns_are_weighed_only_where_phase_2_steps(monkeypatch, domain_tag, n
     monkeypatch.setattr(simplex, "solve_simplex", solve)
     for fn in (weigh_columns, update_weights, btran):
         monkeypatch.setattr(T, fn.__name__, fn)
+    # the first round from the no-sale vertex, so that phase 2 steps there
+    _first_round_at_no_sale(monkeypatch)
     _solve_mechanism(domain_tag, n, points, "lazy")
     assert [w for w, _ in solves] == [int(t.phase2.iterations > 0) for _, t in solves]
     # warm rounds whose phase 2 makes no step, after dual pivots, exist
@@ -1269,10 +1297,8 @@ def test_simplex_error_names_phase_iteration_and_refactors(monkeypatch, case, ma
         solve = lambda: solve_dense(*lp, start=start, max_iters=max_iters)
     else:
         # from the no-sale vertex, which is primal feasible
-        types = enumerate_identical(Grid.uniform(n=2, v_low=0.0, v_high=1.0, points=3))
-        lp = build_revenue_lp(types, uniform_distribution(types, IDENTICAL), IDENTICAL)
-        start = optlp._no_sale_start(lp, len(types))
         args = _revenue_lp_args(IDENTICAL, 2, 3)
+        start = _no_sale_start(6, 2, len(args["b"]))  # 6 types of 2 values
         solve = lambda: solve_simplex(**args, start=start, max_iters=max_iters)
     ratios = []
     real_pivot = simplex._Tableau.pivot
